@@ -12,7 +12,7 @@ from .model import (
     reference_gain_from_frequency,
 )
 from .routing import DisconnectedTopologyError, RoutingTree, TreeValidationReport, build_spt, validate_tree
-from .power import PowerAllocation, allocate_power, network_throughput
+from .power import AllocationError, PowerAllocation, allocate_power, network_throughput
 from .linksel import (
     Candidate,
     CandidateSet,
@@ -54,6 +54,7 @@ __all__ = [
     "TreeValidationReport",
     "build_spt",
     "validate_tree",
+    "AllocationError",
     "PowerAllocation",
     "allocate_power",
     "network_throughput",

@@ -5,7 +5,8 @@ Subcommands: `run` (single scenario summary, optional tree dump), `sweep`
 `trace` (per-iteration solver rows). Scenario fields come from an optional
 JSON config file with individual flags taking precedence. Exit codes:
 0 success, 1 failed validation checks, 2 bad configuration, 3 placement or
-connectivity failure, 4 solver non-convergence.
+connectivity failure, 4 solver non-convergence or a budget too small for
+water-filling to resolve.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from .harness import (
     write_aggregates_csv,
     write_rows_csv,
 )
-from .linksel import (
-    ConvergenceError,
-    SolverConfig,
-    build_candidates,
-    newton_refine,
-    round_and_update,
-)
+from .linksel import ConvergenceError, SolverConfig
 from .model import (
     ChannelParams,
     link_capacity,
@@ -42,7 +37,7 @@ from .model import (
     noise_density_from_dbm_per_hz,
     reference_gain_from_frequency,
 )
-from .power import allocate_power
+from .power import AllocationError, allocate_power
 from .routing import DisconnectedTopologyError, build_spt
 
 TREE_DUMP_HEADER = "uav_id,parent_id,distance_m,gain,power_w,rate_bps"
@@ -145,7 +140,7 @@ def _config_from_args(args) -> ScenarioConfig:
     try:
         channel = _channel_from_sources(file_cfg, args)
         solver = _solver_from_sources(file_cfg, args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     fields = {
@@ -199,18 +194,12 @@ def _cmd_run(args) -> int:
     print(f"wall_ms              {row.wall_ms:.3f}")
 
     if args.tree_dump:
-        tree = build_spt(topo, weight=cfg.spt_weight)
-        alloc = allocate_power(tree, topo, cfg.scalar_pb(), cfg.channel)
-        cands = build_candidates(tree, topo, alloc, cfg.channel)
-        relaxed = newton_refine(cands, alloc, cfg.solver)
-        refined, _ = round_and_update(relaxed, cands, tree, alloc, topo, cfg.channel)
         with open(args.tree_dump, "w") as fh:
             fh.write(TREE_DUMP_HEADER + "\n")
-            for i in sorted(refined.parent):
-                j = refined.parent[i]
+            for i, j in sorted(row.refined_tree.parent.items()):
                 d = distance(topo.node(i), topo.node(j))
                 h = topo.gain(i, j)
-                watts = alloc.power[i]
+                watts = row.allocation.power[i]
                 rate = link_capacity(watts, h, cfg.channel)
                 fh.write(f"{i},{j},{d!r},{h!r},{watts!r},{rate!r}\n")
     return EXIT_OK
@@ -234,12 +223,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_trace(args) -> int:
     cfg = _config_from_args(args)
     cfg = replace(cfg, n_uavs=cfg.scalar_n(), power_budget_Pb=cfg.scalar_pb())
-    topo = generate_scenario(cfg)
-    tree = build_spt(topo, weight=cfg.spt_weight)
-    alloc = allocate_power(tree, topo, cfg.scalar_pb(), cfg.channel)
-    cands = build_candidates(tree, topo, alloc, cfg.channel)
     rows: list[dict] = []
-    newton_refine(cands, alloc, cfg.solver, trace=rows)
+    run_pipeline(generate_scenario(cfg), cfg, trace=rows)
     fh, close = _open_out(args.out)
     try:
         fh.write(TRACE_HEADER + "\n")
@@ -372,7 +357,7 @@ def main(argv=None) -> int:
     except (PlacementError, DisconnectedTopologyError) as exc:
         print(f"connectivity error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except ConvergenceError as exc:
+    except (ConvergenceError, AllocationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

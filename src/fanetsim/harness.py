@@ -10,6 +10,7 @@ per-seed CSV rows plus mean/std aggregates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -23,8 +24,8 @@ from .linksel import (
     round_and_update,
 )
 from .model import ChannelParams, Node, Topology, GROUND_STATION, UAV, build_topology
-from .power import allocate_power
-from .routing import build_spt
+from .power import PowerAllocation, allocate_power
+from .routing import RoutingTree, build_spt
 
 CSV_HEADER = "pb_watts,n_uavs,seed,throughput_p11_bps,throughput_p14_bps,newton_iters,wall_ms"
 AGGREGATE_CSV_HEADER = (
@@ -63,18 +64,20 @@ class ScenarioConfig:
     placement_retry_budget: int = 100
 
     def __post_init__(self):
-        if self.area_side <= 0.0:
-            raise ConfigError("area_side must be positive")
+        if not 0.0 < self.area_side < math.inf:
+            raise ConfigError("area_side must be positive and finite")
         for n in self.n_values():
             if n < 1:
                 raise ConfigError("n_uavs must be at least 1")
-        if self.min_separation < 0.0 or self.min_separation >= self.area_side:
+        if not 0.0 <= self.min_separation < self.area_side:
             raise ConfigError("min_separation must lie in [0, area_side)")
-        if self.altitude_H <= 0.0:
-            raise ConfigError("altitude_H must be positive")
+        if not 0.0 < self.altitude_H < math.inf:
+            raise ConfigError("altitude_H must be positive and finite")
         for pb in self.pb_values():
-            if pb <= 0.0:
-                raise ConfigError("power_budget_Pb values must be positive")
+            if not 0.0 < pb < math.inf:
+                raise ConfigError("power_budget_Pb values must be positive and finite")
+        if (self.gs_x is not None and not math.isfinite(self.gs_x)) or not math.isfinite(self.gs_y):
+            raise ConfigError("gs_x and gs_y must be finite")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.placement_retry_budget < 1:
@@ -107,7 +110,8 @@ class ScenarioConfig:
 
 @dataclass
 class PipelineRow:
-    """One pipeline execution: both throughput stages plus solver effort."""
+    """One pipeline execution: both throughput stages, solver effort, the
+    water-filled allocation and the refined tree (which keeps its powers)."""
 
     pb_watts: float
     n_uavs: int
@@ -116,6 +120,8 @@ class PipelineRow:
     throughput_p14_bps: float
     newton_iters: int
     wall_ms: float
+    allocation: PowerAllocation
+    refined_tree: RoutingTree
 
 
 @dataclass
@@ -186,15 +192,16 @@ def generate_scenario(cfg: ScenarioConfig) -> Topology:
     return topo
 
 
-def run_pipeline(t: Topology, cfg: ScenarioConfig) -> PipelineRow:
-    """Route, water-fill, refine the link choices, and record both throughputs."""
+def run_pipeline(t: Topology, cfg: ScenarioConfig, trace: list | None = None) -> PipelineRow:
+    """Route, water-fill, refine the link choices, and record both throughputs;
+    a ``trace`` list collects Newton's per-iteration rows (see newton_refine)."""
     pb = cfg.scalar_pb()
     start = time.perf_counter() if cfg.measure_wall_time else None
     tree = build_spt(t, weight=cfg.spt_weight)
     alloc = allocate_power(tree, t, pb, cfg.channel)
     cands = build_candidates(tree, t, alloc, cfg.channel)
-    relaxed = newton_refine(cands, alloc, cfg.solver)
-    _, refined_throughput = round_and_update(relaxed, cands, tree, alloc, t, cfg.channel)
+    relaxed = newton_refine(cands, alloc, cfg.solver, trace=trace)
+    refined, refined_throughput = round_and_update(relaxed, cands, tree, alloc, t, cfg.channel)
     wall_ms = 0.0 if start is None else (time.perf_counter() - start) * 1e3
     return PipelineRow(
         pb_watts=pb,
@@ -204,6 +211,8 @@ def run_pipeline(t: Topology, cfg: ScenarioConfig) -> PipelineRow:
         throughput_p14_bps=refined_throughput,
         newton_iters=relaxed.iterations,
         wall_ms=wall_ms,
+        allocation=alloc,
+        refined_tree=refined,
     )
 
 

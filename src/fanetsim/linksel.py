@@ -56,7 +56,6 @@ class Candidate:
 
     neighbor: int
     rate: float
-    direction: int = 1
 
 
 @dataclass
@@ -91,10 +90,10 @@ class SolverConfig:
     max_newton_iters: int = 100
 
     def __post_init__(self):
-        if self.gamma_init <= 0.0 or self.gamma_growth < 1.0:
-            raise ValueError("barrier schedule must start positive and not shrink")
-        if self.epsilon_decrement <= 0.0:
-            raise ValueError("epsilon_decrement must be positive")
+        if not (0.0 < self.gamma_init < math.inf and 1.0 <= self.gamma_growth < math.inf):
+            raise ValueError("barrier schedule must start positive, not shrink, and stay finite")
+        if not 0.0 < self.epsilon_decrement < math.inf:
+            raise ValueError("epsilon_decrement must be positive and finite")
         if not 0.0 < self.backtrack_alpha < 0.5:
             raise ValueError("backtrack_alpha must lie in (0, 0.5)")
         if not 0.0 < self.backtrack_tau_shrink < 1.0:
@@ -121,11 +120,8 @@ class RelaxedLinkMatrix:
     pinned: dict[int, int] = field(default_factory=dict)
 
 
-def _subtree_ids(tree: RoutingTree, root: int) -> set[int]:
+def _subtree_ids(children: dict[int, list[int]], root: int) -> set[int]:
     """UAV ids in the subtree hanging below ``root`` (root included)."""
-    children: dict[int, list[int]] = {}
-    for child, par in tree.parent.items():
-        children.setdefault(par, []).append(child)
     out = {root}
     stack = [root]
     while stack:
@@ -144,20 +140,21 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
     A neighbor k qualifies when the link is admissible, k is not the current
     parent, and re-parenting onto k keeps the relay structure a tree, i.e. k
     is outside the UAV's own subtree. Each candidate carries the rate the UAV
-    would see on that link at its current power and direction flag +1 (the
-    orientation toward the ground station); reverse-oriented and absent links
-    never enter the lists.
+    would see on that link at its current power.
     """
+    children: dict[int, list[int]] = {}
+    for child, par in tree.parent.items():
+        children.setdefault(par, []).append(child)
     out: dict[int, tuple[Candidate, ...]] = {}
     for i in sorted(tree.parent):
-        blocked = _subtree_ids(tree, i)
+        blocked = _subtree_ids(children, i)
         power = alloc.power[i]
         cands = []
         for k in t.admissible_neighbors(i):
             if k == tree.parent[i] or k in blocked:
                 continue
             cands.append(
-                Candidate(neighbor=k, rate=link_capacity(power, t.gain(i, k), p), direction=1)
+                Candidate(neighbor=k, rate=link_capacity(power, t.gain(i, k), p))
             )
         if cands:
             out[i] = tuple(cands)
@@ -186,7 +183,7 @@ def barrier_objective(L_r, c: CandidateSet, gamma: float) -> float:
         cand = c.lookup(i, k)
         if not 0.0 < v < 1.0:
             raise ValueError(f"L_r[{i},{k}] = {v} is outside the open interval (0, 1)")
-        total += v * cand.rate * cand.direction
+        total += v * cand.rate
         total += inv_gamma * (math.log(v) + math.log(1.0 - v))
     return total
 
@@ -208,7 +205,7 @@ def gradient_hessian(L_r, c: CandidateSet, gamma: float):
         cand = c.lookup(i, k)
         if not 0.0 < v < 1.0:
             raise ValueError(f"L_r[{i},{k}] = {v} is outside the open interval (0, 1)")
-        grad[(i, k)] = cand.rate * cand.direction + inv_gamma * (1.0 / v - 1.0 / (1.0 - v))
+        grad[(i, k)] = cand.rate + inv_gamma * (1.0 / v - 1.0 / (1.0 - v))
         hess[(i, k)] = -inv_gamma * (1.0 / v**2 + 1.0 / (1.0 - v) ** 2)
     return grad, hess
 
@@ -327,7 +324,7 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
         if len(cands) == 1:
             pinned[i] = cands[0].neighbor
             continue
-        rates_raw = np.array([cand.rate * cand.direction for cand in cands], dtype=float)
+        rates_raw = np.array([cand.rate for cand in cands], dtype=float)
         x, iters, decrement = _solve_uav(i, rates_raw, power, cfg, trace)
         total_iters += iters
         worst_decrement = max(worst_decrement, decrement)
@@ -349,10 +346,14 @@ def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,
     """Adopt heavy candidates one UAV at a time, best potential gain first.
 
     A swap is taken only when the candidate's rate strictly beats the current
-    parent link at the UAV's frozen power and the swapped tree still
-    validates, so total throughput never decreases. Returns the updated tree
-    (path costs recomputed as summed link meters) and its throughput.
+    parent link at the UAV's frozen power and the swapped tree is still a
+    valid tree, so total throughput never decreases; an invalid input tree
+    raises ValueError. Returns the updated tree (path costs recomputed as
+    summed link meters) and its throughput.
     """
+    report = validate_tree(tree, t)
+    if not report.ok:
+        raise ValueError(f"routing tree is invalid: {report}")
     parent = dict(tree.parent)
     before = math.fsum(
         link_capacity(alloc.power[i], t.gain(i, parent[i]), p) for i in sorted(parent)
@@ -376,14 +377,16 @@ def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,
         proposals.append((best.rate - current_rate, i, best))
     proposals.sort(key=lambda pr: (-pr[0], pr[1]))
 
+    # ``parent`` stays a valid tree, so re-parenting i onto an admissible k
+    # keeps it one exactly when k's path to the ground station avoids i.
     for gain, i, cand in proposals:
-        if gain <= 0.0:
+        if gain <= 0.0 or not t.is_admissible(i, cand.neighbor):
             continue
-        candidate_parent = dict(parent)
-        candidate_parent[i] = cand.neighbor
-        trial = RoutingTree(parent=candidate_parent, path_cost={})
-        if validate_tree(trial, t).ok:
-            parent = candidate_parent
+        node = cand.neighbor
+        while node != t.gs.id and node != i:
+            node = parent[node]
+        if node != i:
+            parent[i] = cand.neighbor
 
     path_cost = {}
     for i in sorted(parent):
@@ -399,7 +402,11 @@ def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,
     after = math.fsum(
         link_capacity(alloc.power[i], t.gain(i, parent[i]), p) for i in sorted(parent)
     )
-    assert after >= before, "rounding must never lose throughput"
+    if after < before:
+        raise ValueError(
+            f"rounding lowered throughput from {before!r} to {after!r}: "
+            "candidate rates disagree with the allocation"
+        )
     return refined, after
 
 

@@ -60,16 +60,16 @@ class ChannelParams:
     link_threshold_dth: float = 6000.0
 
     def __post_init__(self):
-        if self.bandwidth_B <= 0.0:
-            raise ValueError("bandwidth_B must be positive")
-        if self.noise_density_sigma2 <= 0.0:
-            raise ValueError("noise_density_sigma2 must be positive")
-        if self.ref_gain_alpha0 <= 0.0:
-            raise ValueError("ref_gain_alpha0 must be positive")
-        if self.pathloss_beta < 2.0:
-            raise ValueError("pathloss_beta must be at least 2")
-        if self.link_threshold_dth <= 0.0:
-            raise ValueError("link_threshold_dth must be positive")
+        if not 0.0 < self.bandwidth_B < math.inf:
+            raise ValueError("bandwidth_B must be positive and finite")
+        if not 0.0 < self.noise_density_sigma2 < math.inf:
+            raise ValueError("noise_density_sigma2 must be positive and finite")
+        if not 0.0 < self.ref_gain_alpha0 < math.inf:
+            raise ValueError("ref_gain_alpha0 must be positive and finite")
+        if not 2.0 <= self.pathloss_beta < math.inf:
+            raise ValueError("pathloss_beta must be at least 2 and finite")
+        if not 0.0 < self.link_threshold_dth < math.inf:
+            raise ValueError("link_threshold_dth must be positive and finite")
 
     @property
     def noise_power(self) -> float:

@@ -20,8 +20,13 @@ from dataclasses import dataclass
 from .model import ChannelParams, Topology, link_capacity
 from .routing import RoutingTree, validate_tree
 
-# Anything at or below this absolute power is treated as a clamped link.
-CLAMP_TOLERANCE_W = 1e-12
+# Anything at or below this fraction of the budget is treated as a clamped link.
+CLAMP_TOLERANCE = 1e-12
+
+
+class AllocationError(ArithmeticError):
+    """Water-filling clamped every link: the budget is below the rounding
+    error of the links' noise floors."""
 
 
 @dataclass
@@ -38,13 +43,13 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
                    p: ChannelParams) -> PowerAllocation:
     """Split ``total_budget_w`` across the tree's links to maximize summed rate.
 
-    Requires a valid tree and a strictly positive budget. The returned powers
+    Requires a valid tree and a positive, finite budget. The returned powers
     sum to the budget exactly up to one rounding correction, clamped links
     carry exactly 0.0, and the water-level identity above holds on the active
     set to floating-point precision.
     """
-    if total_budget_w <= 0.0:
-        raise ValueError("total power budget must be strictly positive")
+    if not 0.0 < total_budget_w < math.inf:
+        raise ValueError("total power budget must be positive and finite")
     report = validate_tree(tree, t)
     if not report.ok:
         raise ValueError(f"routing tree is invalid: {report}")
@@ -61,17 +66,18 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     powers: dict[int, float] = {}
     water_level = math.inf
     for _ in range(len(uavs)):
-        assert active, "active set cannot empty out under a positive budget"
         m = len(active)
         water_level = m / (
             total_budget_w / p.bandwidth_B
             + math.fsum(p.noise_density_sigma2 / gain[i] for i in sorted(active))
         )
         powers = {i: p.bandwidth_B / water_level - floor[i] for i in active}
-        drop = {i for i in active if powers[i] <= CLAMP_TOLERANCE_W}
+        drop = {i for i in active if powers[i] <= CLAMP_TOLERANCE * total_budget_w}
         if not drop:
             break
         active -= drop
+        if not active:
+            raise AllocationError(f"every link clamped at a budget of {total_budget_w!r} W")
 
     allocation = {i: 0.0 for i in uavs}
     allocation.update({i: powers[i] for i in active})

@@ -116,7 +116,50 @@ def test_exit_code_config_error(tmp_path, capsys):
     bad.write_text("not json {")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["run", *BASE, "--gamma-init", "-1"]) == EXIT_CONFIG
+    for flag, value in (("--pb", "nan"), ("--pb", "inf"), ("--area-side", "nan"),
+                        ("--gs-x", "inf"), ("--bandwidth-hz", "nan"),
+                        ("--epsilon", "inf"), ("--noise-dbm-hz", "5000")):
+        assert main(["run", *BASE, flag, value]) == EXIT_CONFIG, (flag, value)
+    assert main(["trace", *BASE, "--pb", "nan"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_picowatt_budget_runs(capsys):
+    # the clamp threshold is relative to the budget, so a 1 pW budget keeps
+    # its best link active instead of clamping every link
+    assert main(["run", "--n-uavs", "25", "--pb", "1e-12", "--seed", "1"]) == 0
+    assert "throughput_p14_bps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["run", *BASE, "--tree-dump", "{out}"],
+    ["trace", *BASE, "--out", "{out}"],
+])
+def test_one_pipeline_pass_per_command(command, tmp_path, monkeypatch, capsys):
+    import fanetsim.cli
+    import fanetsim.harness
+    import fanetsim.linksel
+
+    calls = {"run_pipeline": 0, "newton_refine": 0}
+
+    def counted(module, name):
+        # wrap the name in every module that binds it, so no caller escapes
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for mod in (fanetsim.cli, fanetsim.harness, fanetsim.linksel):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    counted(fanetsim.harness, "run_pipeline")
+    counted(fanetsim.linksel, "newton_refine")
+    out = str(tmp_path / "out.csv")
+    assert main([out if arg == "{out}" else arg for arg in command]) == 0
+    capsys.readouterr()
+    assert calls == {"run_pipeline": 1, "newton_refine": 1}
 
 
 def test_exit_code_sweep_range_where_scalar_needed(capsys):

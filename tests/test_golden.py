@@ -1,0 +1,44 @@
+"""Behaviour lock: CLI outputs regenerate byte for byte against committed goldens.
+
+The files under tests/golden/ were written by the CLI commands below. Any
+change that alters a single output byte (a throughput digit, a tree edge, a
+solver trace row) fails here, so refactors prove they keep behaviour instead
+of claiming it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fanetsim.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (argv with {name} placeholders for output paths, golden files it writes)
+CASES = {
+    "sweep": (
+        ["sweep", "--n-uavs", "20,25,30", "--pb", "0.5,1,2", "--trials", "20",
+         "--seed", "0", "--no-wall-time",
+         "--out", "{sweep_rows.csv}", "--agg-out", "{sweep_agg.csv}"],
+        ("sweep_rows.csv", "sweep_agg.csv"),
+    ),
+    "run-tree-dump": (
+        ["run", "--n-uavs", "25", "--pb", "1", "--seed", "7",
+         "--tree-dump", "{tree_dump.csv}"],
+        ("tree_dump.csv",),
+    ),
+    "trace": (
+        ["trace", "--n-uavs", "10", "--pb", "1", "--seed", "3", "--out", "{trace.csv}"],
+        ("trace.csv",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path, capsys):
+    argv, files = CASES[case]
+    paths = {f"{{{name}}}": str(tmp_path / name) for name in files}
+    assert main([paths.get(arg, arg) for arg in argv]) == 0
+    capsys.readouterr()
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

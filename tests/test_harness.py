@@ -45,6 +45,13 @@ def test_config_validation():
         ScenarioConfig(spt_weight="gain")
     with pytest.raises(ConfigError):
         ScenarioConfig(altitude_H=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("area_side", "altitude_H", "min_separation", "power_budget_Pb",
+                     "gs_x", "gs_y"):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**{name: bad})
+        with pytest.raises(ConfigError):
+            ScenarioConfig(power_budget_Pb=[1.0, bad])
 
 
 def test_scalar_accessors_reject_sweep_lists():

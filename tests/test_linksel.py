@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanetsim.linksel import (
     BARRIER_ROUNDS,
@@ -19,7 +20,7 @@ from fanetsim.linksel import (
     round_and_update,
 )
 from fanetsim.model import link_capacity
-from fanetsim.power import allocate_power
+from fanetsim.power import PowerAllocation, allocate_power
 from fanetsim.routing import RoutingTree, build_spt, validate_tree
 
 from conftest import random_cluster_topology, synth_topology, toy_params
@@ -44,7 +45,7 @@ def star_tree(n):
 
 
 def simple_candidates(rate_rows):
-    """CandidateSet from {uav: {neighbor: rate}} with direction +1."""
+    """CandidateSet from {uav: {neighbor: rate}}."""
     return CandidateSet(
         candidates={
             i: tuple(Candidate(neighbor=k, rate=r) for k, r in sorted(row.items()))
@@ -54,8 +55,6 @@ def simple_candidates(rate_rows):
 
 
 def uniform_alloc(uav_ids, power=1.0):
-    from fanetsim.power import PowerAllocation
-
     return PowerAllocation(
         power={i: power for i in uav_ids},
         water_level_lambda=1.0,
@@ -95,7 +94,6 @@ def test_candidate_rates_at_frozen_power():
     c = build_candidates(tree, t, a, p)
     for i, cand in c.entries():
         assert cand.rate == link_capacity(a.power[i], t.gain(i, cand.neighbor), p)
-        assert cand.direction == 1
 
 
 def test_lookup_raises_on_unknown_pair():
@@ -192,6 +190,11 @@ def test_solver_config_validation():
         SolverConfig(backtrack_tau_shrink=1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_newton_iters=0)
+    for bad in (math.nan, math.inf):
+        for name in ("gamma_init", "gamma_growth", "epsilon_decrement",
+                     "backtrack_alpha", "backtrack_tau_shrink"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: bad})
 
 
 def test_refine_simplex_and_interior():
@@ -253,8 +256,6 @@ def test_single_candidate_pinned_not_relaxed():
 
 def test_zero_power_uav_skipped():
     c = simple_candidates({1: {2: 1.0, 3: 2.0}, 2: {1: 0.5, 4: 1.5}})
-    from fanetsim.power import PowerAllocation
-
     a = PowerAllocation(
         power={1: 0.0, 2: 1.0},
         water_level_lambda=1.0,
@@ -368,3 +369,104 @@ def test_round_never_decreases_throughput_random():
                 cost += math.hypot(na.x - nb.x, na.y - nb.y)
                 node = nxt
             assert new_tree.path_cost[i] == pytest.approx(cost, rel=1e-12)
+
+
+def reference_round(L_r, c, tree, alloc, t, p):
+    """Rounding as first written: copy the parent map and re-validate the
+    whole tree for every proposal. round_and_update must agree with it."""
+    parent = dict(tree.parent)
+    proposals = []
+    for i in sorted(c.candidates):
+        cands = c.candidates[i]
+        if i in L_r.pinned:
+            best = next(cand for cand in cands if cand.neighbor == L_r.pinned[i])
+        else:
+            scored = [(L_r.L_r[(i, cand.neighbor)], cand) for cand in cands
+                      if (i, cand.neighbor) in L_r.L_r]
+            if not scored:
+                continue
+            best = max(scored, key=lambda sc: (sc[0], -sc[1].neighbor))[1]
+        current_rate = link_capacity(alloc.power[i], t.gain(i, parent[i]), p)
+        proposals.append((best.rate - current_rate, i, best))
+    proposals.sort(key=lambda pr: (-pr[0], pr[1]))
+    for gain, i, cand in proposals:
+        if gain <= 0.0:
+            continue
+        trial = dict(parent)
+        trial[i] = cand.neighbor
+        if validate_tree(RoutingTree(parent=trial, path_cost={}), t).ok:
+            parent = trial
+    throughput = math.fsum(
+        link_capacity(alloc.power[i], t.gain(i, parent[i]), p) for i in sorted(parent)
+    )
+    return parent, throughput
+
+
+@st.composite
+def rounding_instances(draw):
+    """A random valid tree with random extra links, powers, candidate lists
+    (any node id, including the UAV itself, its subtree and inadmissible
+    nodes) and relaxed values."""
+    n = draw(st.integers(2, 7))
+    gs = n + 1
+    order = draw(st.permutations(range(1, n + 1)))
+    parent = {}
+    for pos, i in enumerate(order):
+        parent[i] = draw(st.sampled_from([gs, *order[:pos]]))
+    gain = st.floats(1e-3, 1e3)
+    rows = [{} for _ in range(n)]
+    for i, j in parent.items():
+        rows[i - 1][j] = draw(gain)
+        if j != gs:
+            rows[j - 1][i] = draw(gain)
+    for i in range(1, n + 1):
+        for j in draw(st.sets(st.integers(1, gs), max_size=n)) - {i}:
+            rows[i - 1].setdefault(j, draw(gain))
+    t = synth_topology(rows)
+    p = toy_params()
+    power = {i: draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0])) for i in range(1, gs)}
+    cand_lists, L_r, pinned = {}, {}, {}
+    for i in range(1, gs):
+        ks = sorted(draw(st.sets(st.integers(1, gs), max_size=4)))
+        if not ks:
+            continue
+        cand_lists[i] = tuple(
+            Candidate(neighbor=k, rate=link_capacity(power[i], t.gain(i, k), p)
+                      if t.gain(i, k) > 0.0 else draw(st.floats(0.0, 100.0)))
+            for k in ks
+        )
+        if power[i] <= 0.0:
+            continue
+        if len(ks) == 1:
+            pinned[i] = ks[0]
+        else:
+            for k in ks:
+                L_r[(i, k)] = draw(st.floats(0.01, 0.99))
+    alloc = PowerAllocation(power=power, water_level_lambda=1.0,
+                            active_set=tuple(sorted(power)), throughput_R=0.0)
+    relaxed = RelaxedLinkMatrix(L_r=L_r, barrier_gamma=1.0, iterations=0,
+                                final_decrement=0.0, pinned=pinned)
+    tree = RoutingTree(parent=parent, path_cost={})
+    return relaxed, CandidateSet(candidates=cand_lists), tree, alloc, t, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounding_instances())
+def test_round_matches_revalidating_reference(instance):
+    relaxed, c, tree, alloc, t, p = instance
+    want_parent, want_throughput = reference_round(relaxed, c, tree, alloc, t, p)
+    got_tree, got_throughput = round_and_update(relaxed, c, tree, alloc, t, p)
+    assert got_tree.parent == want_parent
+    assert got_throughput == want_throughput
+    assert validate_tree(got_tree, t).ok
+
+
+def test_round_rejects_cyclic_tree():
+    t = full_mesh_3()
+    p = toy_params()
+    c = simple_candidates({3: {4: 1.0}})
+    relaxed = RelaxedLinkMatrix(L_r={}, barrier_gamma=1.0, iterations=0,
+                                final_decrement=0.0, pinned={3: 4})
+    cyclic = RoutingTree(parent={1: 2, 2: 1, 3: 1}, path_cost={})
+    with pytest.raises(ValueError, match="invalid"):
+        round_and_update(relaxed, c, cyclic, uniform_alloc([1, 2, 3]), t, p)

@@ -59,6 +59,16 @@ def test_params_reject_subquadratic_pathloss():
         ChannelParams(pathloss_beta=1.5)
 
 
+@pytest.mark.parametrize("field", [
+    "bandwidth_B", "noise_density_sigma2", "ref_gain_alpha0", "pathloss_beta",
+    "link_threshold_dth",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError):
+        ChannelParams(**{field: value})
+
+
 def test_channel_gain_inverse_square():
     p = ChannelParams()
     g1 = channel_gain(1000.0, p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fanetsim.model import ChannelParams, link_capacity
-from fanetsim.power import allocate_power, network_throughput
+from fanetsim.power import AllocationError, allocate_power, network_throughput
 from fanetsim.routing import RoutingTree, build_spt
 
 from conftest import chain_gains, random_cluster_topology, synth_topology, toy_params
@@ -146,8 +146,24 @@ def test_physical_scale_instance():
 
 def test_rejects_nonpositive_budget():
     t = synth_topology([{2: 1.0}])
-    with pytest.raises(ValueError):
-        allocate_power(star_tree(1), t, 0.0, toy_params())
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            allocate_power(star_tree(1), t, bad, toy_params())
+
+
+def test_clamp_threshold_scales_with_budget():
+    # a picowatt budget against milliwatt noise floors: the best link keeps
+    # the whole budget instead of falling under an absolute clamp threshold
+    t = random_cluster_topology(np.random.default_rng(0), 6)
+    tree = build_spt(t)
+    p = ChannelParams()
+    for budget in (1e-12, 1e-18):
+        a = allocate_power(tree, t, budget, p)
+        assert len(a.active_set) == 1
+        assert math.fsum(a.power.values()) == budget
+    # far below the rounding error of the floors no link survives
+    with pytest.raises(AllocationError):
+        allocate_power(tree, t, 1e-30, p)
 
 
 def test_rejects_invalid_tree():
