@@ -78,13 +78,12 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-newton-iters", type=int, help="iteration cap per barrier round")
 
 
-def _parse_int_list(text: str):
-    values = [int(v) for v in str(text).split(",") if v != ""]
-    return values[0] if len(values) == 1 else values
-
-
-def _parse_float_list(text: str):
-    values = [float(v) for v in str(text).split(",") if v != ""]
+def _parse_list(text: str, kind):
+    """One value, or a comma list of values for a sweep."""
+    try:
+        values = [kind(v) for v in str(text).split(",") if v != ""]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {text!r}: {exc}") from exc
     return values[0] if len(values) == 1 else values
 
 
@@ -151,9 +150,9 @@ def _config_from_args(args) -> ScenarioConfig:
     fields["channel"] = channel
     fields["solver"] = solver
     if args.n_uavs is not None:
-        fields["n_uavs"] = _parse_int_list(args.n_uavs)
+        fields["n_uavs"] = _parse_list(args.n_uavs, int)
     if args.pb is not None:
-        fields["power_budget_Pb"] = _parse_float_list(args.pb)
+        fields["power_budget_Pb"] = _parse_list(args.pb, float)
     for flag, name in (
         (args.area_side, "area_side"),
         (args.altitude, "altitude_H"),
@@ -170,7 +169,9 @@ def _config_from_args(args) -> ScenarioConfig:
         fields["measure_wall_time"] = False
     try:
         return ScenarioConfig(**fields)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -304,6 +305,8 @@ class _CheckFailure(Exception):
 
 
 def _cmd_validate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     checks: list[str] = []
     code = EXIT_OK

@@ -20,6 +20,7 @@ import numpy as np
 from .linksel import (
     SolverConfig,
     build_candidates,
+    is_integer,
     newton_refine,
     round_and_update,
 )
@@ -64,15 +65,29 @@ class ScenarioConfig:
     placement_retry_budget: int = 100
 
     def __post_init__(self):
+        n_entries = self.n_uavs if isinstance(self.n_uavs, (list, tuple)) else [self.n_uavs]
+        for name, value in (
+            *(("n_uavs", n) for n in n_entries),
+            ("seed", self.seed),
+            ("trials", self.trials),
+            ("placement_retry_budget", self.placement_retry_budget),
+        ):
+            if not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not 0.0 < self.area_side < math.inf:
             raise ConfigError("area_side must be positive and finite")
-        for n in self.n_values():
-            if n < 1:
-                raise ConfigError("n_uavs must be at least 1")
+        if not self.n_values():
+            raise ConfigError("n_uavs needs at least one value")
+        if min(self.n_values()) < 1:
+            raise ConfigError("n_uavs must be at least 1")
         if not 0.0 <= self.min_separation < self.area_side:
             raise ConfigError("min_separation must lie in [0, area_side)")
         if not 0.0 < self.altitude_H < math.inf:
             raise ConfigError("altitude_H must be positive and finite")
+        if not self.pb_values():
+            raise ConfigError("power_budget_Pb needs at least one value")
         for pb in self.pb_values():
             if not 0.0 < pb < math.inf:
                 raise ConfigError("power_budget_Pb values must be positive and finite")
@@ -136,16 +151,17 @@ def _gs_position(cfg: ScenarioConfig) -> tuple[float, float]:
 
 
 def _connected_to_gs(t: Topology) -> bool:
-    n = t.n_uavs
-    reached = {t.gs.id}
-    frontier = [t.gs.id]
-    while frontier:
-        node = frontier.pop()
-        for i in t.uav_ids:
-            if i not in reached and t.is_admissible(i, node):
-                reached.add(i)
-                frontier.append(i)
-    return len(reached) == n + 1
+    """Breadth-first search outward from the ground station, one hop level
+    per step: a UAV joins when it has a link to any node of the frontier."""
+    reached = np.zeros(t.n_uavs, dtype=bool)
+    frontier = np.zeros(t.n_uavs + 1, dtype=bool)
+    frontier[-1] = True
+    while frontier.any():
+        new = t.incidence[:, frontier].any(axis=1) & ~reached
+        reached |= new
+        frontier[:-1] = new
+        frontier[-1] = False
+    return bool(reached.all())
 
 
 def _sample_connected(cfg: ScenarioConfig) -> tuple[Topology, int]:
@@ -154,17 +170,20 @@ def _sample_connected(cfg: ScenarioConfig) -> tuple[Topology, int]:
     rng = np.random.default_rng(cfg.seed)
     gs_x, gs_y = _gs_position(cfg)
     min_sep_sq = cfg.min_separation**2
+    xs = np.empty(n)
+    ys = np.empty(n)
 
     for attempt in range(1, cfg.placement_retry_budget + 1):
-        xs: list[float] = []
-        ys: list[float] = []
         placed_all = True
-        for _ in range(n):
+        for k in range(n):
             for _ in range(_POINT_TRIES):
                 x, y = rng.uniform(0.0, cfg.area_side, size=2)
-                if all((x - xo) ** 2 + (y - yo) ** 2 >= min_sep_sq for xo, yo in zip(xs, ys)):
-                    xs.append(x)
-                    ys.append(y)
+                # float_power(., 2.0) is the libm pow behind np.float64 ** 2, so
+                # each accept/reject matches the per-pair scalar check exactly.
+                sep_sq = np.float_power(x - xs[:k], 2.0) + np.float_power(y - ys[:k], 2.0)
+                if (sep_sq >= min_sep_sq).all():
+                    xs[k] = x
+                    ys[k] = y
                     break
             else:
                 placed_all = False

@@ -20,6 +20,7 @@ parent's rate and keeps the tree valid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -48,6 +49,11 @@ class ConvergenceError(RuntimeError):
             f"UAV {uav_id}: Newton decrement {decrement:.3e} after "
             f"{iterations} iterations at barrier weight {gamma:g}"
         )
+
+
+def is_integer(value) -> bool:
+    """True for int and numpy integers; False for bools, floats and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,8 @@ class SolverConfig:
             raise ValueError("backtrack_alpha must lie in (0, 0.5)")
         if not 0.0 < self.backtrack_tau_shrink < 1.0:
             raise ValueError("backtrack_tau_shrink must lie in (0, 1)")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
+        if not is_integer(self.max_newton_iters) or self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be an integer of at least 1")
 
 
 @dataclass

@@ -187,20 +187,36 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     if gs_nodes[0].z != 0.0:
         raise ValueError("ground station must sit at z = 0")
 
-    incidence = np.zeros((n, n + 1), dtype=np.int8)
-    gains = np.zeros((n, n + 1), dtype=float)
-    for i, uav in enumerate(ordered[:n]):
-        for j, other in enumerate(ordered):
-            if other.id == uav.id:
-                continue
-            d = distance(uav, other, mode=mode)
-            if d == 0.0:
-                raise ValueError(
-                    f"nodes {uav.id} and {other.id} coincide; zero-distance links are undefined"
-                )
-            gains[i, j] = channel_gain(d, p)
-            if d <= p.link_threshold_dth:
-                incidence[i, j] = 1
+    if mode not in _DISTANCE_MODES:
+        raise ValueError(f"unknown distance mode {mode!r}; use one of {_DISTANCE_MODES}")
+    # Pairwise distances UAV row i to node column j, summed axis by axis in
+    # the order distance() uses, with the gain matrix as the scratch buffer.
+    axes = ("x", "y") if mode == "planar" else ("x", "y", "z")
+    d = np.zeros((n, n + 1))
+    gains = np.empty((n, n + 1))
+    for axis in axes:
+        coord = np.array([getattr(nd, axis) for nd in ordered], dtype=float)
+        np.subtract(coord[:n, None], coord, out=gains)
+        np.multiply(gains, gains, out=gains)
+        np.add(d, gains, out=d)
+    np.sqrt(d, out=d)
+    # A UAV's distance to itself becomes inf: no gain, never admissible.
+    np.fill_diagonal(d, np.inf)
+    coincident = np.flatnonzero(d == 0.0)
+    if coincident.size:
+        i, j = divmod(int(coincident[0]), n + 1)
+        raise ValueError(
+            f"nodes {i + 1} and {j + 1} coincide; zero-distance links are undefined"
+        )
+    incidence = (d <= p.link_threshold_dth).view(np.int8)
+    # float_power calls the same libm pow as CPython's float ** float; numpy's
+    # ** and np.power take a SIMD path that differs in the last bit.
+    with np.errstate(divide="ignore", over="ignore"):
+        np.float_power(d, p.pathloss_beta, out=gains)
+        np.divide(p.ref_gain_alpha0, gains, out=gains)
+    if np.max(gains, initial=0.0) == np.inf:
+        i, j = divmod(int(np.argmax(gains)), n + 1)
+        raise ValueError(f"nodes {i + 1} and {j + 1} are too close for a finite gain")
     incidence.flags.writeable = False
     gains.flags.writeable = False
     return Topology(nodes=tuple(ordered), incidence=incidence, gains=gains)

@@ -1,16 +1,25 @@
 """Shortest-path relay tree rooted at the ground station.
 
-Costs are accumulated by Bellman-Ford edge relaxation over the admissible
-links, then each UAV's parent is the neighbor realizing the shortest path,
-with ties broken toward the lower node id so runs are reproducible.
+The paper builds this tree with Bellman-Ford. Here the admissible link
+weights (planar distance or one hop) fill a dense n x (n+1) matrix, with inf
+where a link is inadmissible, and an O(n^2) Dijkstra settles one node per
+step from the ground station, relaxing every UAV with dist[u] + w[:, u]. Each
+UAV's parent is then the argmin of dist[j] + w[i, j] over its row.
+
+The tree is the Bellman-Ford tree bit for bit. Float addition of a
+nonnegative weight is monotone and never decreases a sum, so both algorithms
+reach the same floating-point minimum over paths summed outward from the
+ground station. argmin returns the first of equal costs, which is the same
+lowest-id tie-break as a strict-less scan in id order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .model import Topology, distance
+import numpy as np
+
+from .model import Topology
 
 _WEIGHT_MODES = ("distance", "hops")
 
@@ -57,57 +66,54 @@ class TreeValidationReport:
         return not (self.single_parent or self.gs_rooted or self.loop_free or self.admissible)
 
 
-def _edge_weight(t: Topology, i: int, j: int, weight: str) -> float:
-    if weight == "hops":
-        return 1.0
-    return distance(t.node(i), t.node(j))
-
-
 def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     """Shortest-path tree from every UAV to the ground station.
 
-    weight "distance" minimizes summed link length in meters; "hops"
+    weight "distance" minimizes summed planar link length in meters; "hops"
     minimizes hop count. Raises DisconnectedTopologyError when any UAV is
     cut off from the ground station.
     """
     if weight not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
-    gs_id = t.gs.id
-    dist_to_gs = {node_id: math.inf for node_id in t.uav_ids}
-    dist_to_gs[gs_id] = 0.0
+    n = t.n_uavs
+    # w[v, u]: weight of the link UAV v -> node u (index = id - 1), inf if
+    # inadmissible; the ground station is column n.
+    w = np.full((n, n + 1), np.inf)
+    rows, cols = np.nonzero(t.incidence)
+    if weight == "hops":
+        w[rows, cols] = 1.0
+    else:
+        xs = np.array([nd.x for nd in t.nodes], dtype=float)
+        ys = np.array([nd.y for nd in t.nodes], dtype=float)
+        dx = xs[rows] - xs[cols]
+        dy = ys[rows] - ys[cols]
+        w[rows, cols] = np.sqrt(dx * dx + dy * dy)
 
-    # Directed relaxation edges ending at a UAV; sorted for a fixed sweep order.
-    edges = []
-    for i in t.uav_ids:
-        for j in t.admissible_neighbors(i):
-            edges.append((j, i, _edge_weight(t, i, j, weight)))
-    edges.sort(key=lambda e: (e[0], e[1]))
-
-    for _ in range(t.n_uavs):
-        changed = False
-        for u, v, w in edges:
-            via = dist_to_gs[u] + w
-            if via < dist_to_gs[v]:
-                dist_to_gs[v] = via
-                changed = True
-        if not changed:
+    dist = np.full(n + 1, np.inf)
+    dist[n] = 0.0
+    unsettled = dist.copy()  # dist of nodes not yet settled, inf once settled
+    while True:
+        u = int(np.argmin(unsettled))
+        if unsettled[u] == np.inf:
             break
+        unsettled[u] = np.inf
+        via = dist[u] + w[:, u]
+        better = via < dist[:n]
+        dist[:n][better] = via[better]
+        unsettled[:n][better] = via[better]
 
-    stranded = [i for i in t.uav_ids if math.isinf(dist_to_gs[i])]
-    if stranded:
-        raise DisconnectedTopologyError(stranded)
+    stranded = np.flatnonzero(dist[:n] == np.inf) + 1
+    if stranded.size:
+        raise DisconnectedTopologyError(stranded.tolist())
 
-    parent = {}
-    for i in t.uav_ids:
-        best_id = None
-        best_cost = math.inf
-        for j in t.admissible_neighbors(i):
-            cost = dist_to_gs[j] + _edge_weight(t, i, j, weight)
-            if cost < best_cost:
-                best_cost = cost
-                best_id = j
-        parent[i] = best_id
-    return RoutingTree(parent=parent, path_cost={i: dist_to_gs[i] for i in t.uav_ids})
+    # argmin keeps the first minimum, so ties go to the lowest node id.
+    np.add(w, dist, out=w)
+    parent = np.argmin(w, axis=1) + 1
+    ids = t.uav_ids
+    return RoutingTree(
+        parent=dict(zip(ids, parent.tolist())),
+        path_cost=dict(zip(ids, dist[:n].tolist())),
+    )
 
 
 def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
@@ -119,13 +125,14 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
     """
     report = TreeValidationReport()
     gs_id = t.gs.id
-    valid_ids = set(t.uav_ids) | {gs_id}
+    uav_set = set(t.uav_ids)
+    valid_ids = uav_set | {gs_id}
 
     for i in t.uav_ids:
         if i not in tree.parent:
             report.single_parent.append(f"UAV {i} has no parent entry")
     for i, j in tree.parent.items():
-        if i not in set(t.uav_ids):
+        if i not in uav_set:
             report.single_parent.append(f"parent entry for unknown UAV {i}")
             continue
         if j == i:
@@ -146,6 +153,7 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
         hops = 0
         node = start
         chain = []
+        in_chain = set()
         reached_gs = False
         while hops <= t.n_uavs:
             if node == gs_id:
@@ -155,7 +163,8 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
             if nxt is None or nxt not in valid_ids:
                 break
             chain.append(node)
-            if nxt in chain:
+            in_chain.add(node)
+            if nxt in in_chain:
                 cycle = tuple(sorted(set(chain[chain.index(nxt):]) | {nxt}))
                 if cycle not in seen_cycles:
                     seen_cycles.add(cycle)

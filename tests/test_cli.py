@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config plumbing, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -121,6 +122,21 @@ def test_exit_code_config_error(tmp_path, capsys):
                         ("--epsilon", "inf"), ("--noise-dbm-hz", "5000")):
         assert main(["run", *BASE, flag, value]) == EXIT_CONFIG, (flag, value)
     assert main(["trace", *BASE, "--pb", "nan"]) == EXIT_CONFIG
+    for flag, value in (("--n-uavs", "5.5"), ("--pb", "abc"), ("--seed", "-1")):
+        assert main(["run", *BASE, flag, value]) == EXIT_CONFIG, (flag, value)
+    assert main(["validate", "--seed", "-1"]) == EXIT_CONFIG
+    assert main(["sweep", *BASE, "--n-uavs", ","]) == EXIT_CONFIG
+    assert main(["sweep", *BASE, "--pb", ","]) == EXIT_CONFIG
+    # config-file fields: non-integers and bools in integer fields, and
+    # unparseable budgets, exit 2
+    for fields in ({"n_uavs": math.nan}, {"n_uavs": 5.5}, {"n_uavs": True},
+                   {"n_uavs": [6, 6.5]}, {"seed": 1.5}, {"seed": math.nan},
+                   {"trials": 2.0}, {"placement_retry_budget": math.inf},
+                   {"solver": {"max_newton_iters": math.nan}},
+                   {"solver": {"max_newton_iters": 2.5}}, {"power_budget_Pb": "abc"}):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps(fields))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG, fields
     capsys.readouterr()
 
 

@@ -1,0 +1,211 @@
+"""The array code of the geometry layer against scalar references kept here.
+
+build_topology, build_spt and the placement connectivity check are numpy
+code; each test below re-derives the same result with the per-pair Python
+loops they replaced and demands exact equality: bit-equal gains, the same
+parents, path costs and stranded UAVs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fanetsim.harness import _connected_to_gs
+from fanetsim.model import (
+    GROUND_STATION,
+    UAV,
+    ChannelParams,
+    Node,
+    Topology,
+    build_topology,
+    channel_gain,
+    distance,
+)
+from fanetsim.routing import DisconnectedTopologyError, build_spt
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def reference_topology(nodes, p, mode):
+    """Incidence and gains from the distance/channel_gain double loop."""
+    ordered = sorted(nodes, key=lambda nd: nd.id)
+    n = len(ordered) - 1
+    incidence = np.zeros((n, n + 1), dtype=np.int8)
+    gains = np.zeros((n, n + 1), dtype=float)
+    for i, uav in enumerate(ordered[:n]):
+        for j, other in enumerate(ordered):
+            if other.id == uav.id:
+                continue
+            d = distance(uav, other, mode=mode)
+            if d == 0.0:
+                raise ValueError(
+                    f"nodes {uav.id} and {other.id} coincide; zero-distance links are undefined"
+                )
+            gains[i, j] = channel_gain(d, p)
+            if d <= p.link_threshold_dth:
+                incidence[i, j] = 1
+    return incidence, gains
+
+
+def bellman_ford_reference(t, weight):
+    """(parent, path_cost) by Bellman-Ford over sorted Python edge lists, with
+    the lowest-id parent among equal costs; raises like build_spt."""
+    gs_id = t.gs.id
+
+    def w(i, j):
+        return 1.0 if weight == "hops" else distance(t.node(i), t.node(j))
+
+    dist = {i: math.inf for i in t.uav_ids}
+    dist[gs_id] = 0.0
+    edges = sorted(
+        (j, i, w(i, j)) for i in t.uav_ids for j in t.admissible_neighbors(i)
+    )
+    for _ in range(t.n_uavs):
+        changed = False
+        for u, v, cost in edges:
+            if dist[u] + cost < dist[v]:
+                dist[v] = dist[u] + cost
+                changed = True
+        if not changed:
+            break
+    stranded = [i for i in t.uav_ids if math.isinf(dist[i])]
+    if stranded:
+        raise DisconnectedTopologyError(stranded)
+    parent = {}
+    for i in t.uav_ids:
+        best_id, best_cost = None, math.inf
+        for j in t.admissible_neighbors(i):
+            if dist[j] + w(i, j) < best_cost:
+                best_id, best_cost = j, dist[j] + w(i, j)
+        parent[i] = best_id
+    return parent, {i: dist[i] for i in t.uav_ids}
+
+
+def reference_reached(t):
+    """Node ids reachable from the ground station, one link at a time."""
+    reached = {t.gs.id}
+    frontier = [t.gs.id]
+    while frontier:
+        node = frontier.pop()
+        for i in t.uav_ids:
+            if i not in reached and t.is_admissible(i, node):
+                reached.add(i)
+                frontier.append(i)
+    return reached
+
+
+# Coordinates on a coarse integer grid tie distances and make nodes
+# coincide; real-valued ones exercise rounding in every axis.
+grid_coord = st.integers(-6, 6).map(lambda k: 1000.0 * k)
+real_coord = st.floats(-20000.0, 20000.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def layouts(draw, max_uavs=8):
+    coord = draw(st.sampled_from([grid_coord, real_coord]))
+    n = draw(st.integers(1, max_uavs))
+    altitude = draw(st.sampled_from([150.0, 1000.0, 123.456]))
+    nodes = [Node(i + 1, draw(coord), draw(coord), altitude, UAV) for i in range(n)]
+    nodes.append(Node(n + 1, draw(coord), draw(coord), 0.0, GROUND_STATION))
+    return nodes
+
+
+@PROPERTY
+@given(layouts(), st.sampled_from(["planar", "3d"]), st.sampled_from([2.0, 2.5, 3.7]),
+       st.data())
+def test_build_topology_bit_equal_to_double_loop(nodes, mode, beta, data):
+    # The threshold is one of the layout's own distances half of the time, so
+    # links sitting exactly at d_th are covered.
+    n = len(nodes) - 1
+    exact = [distance(nodes[i], nodes[j], mode=mode)
+             for i in range(n) for j in range(n + 1) if i != j]
+    exact = [d for d in exact if d > 0.0]
+    d_th = data.draw(st.sampled_from(exact) if exact and data.draw(st.booleans())
+                     else st.floats(1.0, 30000.0))
+    p = ChannelParams(pathloss_beta=beta, link_threshold_dth=d_th)
+    try:
+        ref_incidence, ref_gains = reference_topology(nodes, p, mode)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_topology(nodes, p, mode=mode)
+        assert str(got.value) == str(exc)
+        return
+    except ZeroDivisionError:
+        ref_gains = None
+    if ref_gains is None or np.isinf(ref_gains).any():
+        # separations far below a millimetre: d**beta underflows, or the
+        # gain overflows
+        with pytest.raises(ValueError, match="too close for a finite gain"):
+            build_topology(nodes, p, mode=mode)
+        return
+    t = build_topology(nodes, p, mode=mode)
+    assert t.incidence.dtype == ref_incidence.dtype
+    assert np.array_equal(t.incidence, ref_incidence)
+    assert t.gains.dtype == ref_gains.dtype
+    assert t.gains.tobytes() == ref_gains.tobytes()
+
+
+@pytest.mark.parametrize("gap, beta", [(1e-150, 3.7), (1e-158, 2.0)])
+def test_build_topology_rejects_infinite_gain(gap, beta):
+    # At 1e-150 m d**3.7 underflows to 0 and the scalar loop divided by zero;
+    # at 1e-158 m alpha0 / d**2 overflows and the scalar loop stored inf.
+    nodes = [Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 0.0, gap, 150.0, UAV),
+             Node(3, 100.0, 0.0, 0.0, GROUND_STATION)]
+    p = ChannelParams(pathloss_beta=beta)
+    with pytest.raises(ValueError, match="nodes 1 and 2 are too close for a finite gain"):
+        build_topology(nodes, p)
+
+
+def test_build_topology_unknown_mode_rejected():
+    nodes = [Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 100.0, 0.0, 0.0, GROUND_STATION)]
+    with pytest.raises(ValueError, match="unknown distance mode 'manhattan'"):
+        build_topology(nodes, ChannelParams(), mode="manhattan")
+
+
+@PROPERTY
+@given(layouts(max_uavs=12), st.sampled_from(["distance", "hops"]),
+       st.floats(1500.0, 12000.0))
+def test_build_spt_equals_bellman_ford(nodes, weight, d_th):
+    try:
+        t = build_topology(nodes, ChannelParams(link_threshold_dth=d_th))
+    except ValueError:
+        return  # coincident nodes; covered by the topology test above
+    try:
+        ref_parent, ref_cost = bellman_ford_reference(t, weight)
+    except DisconnectedTopologyError as exc:
+        with pytest.raises(DisconnectedTopologyError) as got:
+            build_spt(t, weight=weight)
+        assert got.value.stranded_ids == exc.stranded_ids
+        return
+    tree = build_spt(t, weight=weight)
+    assert tree.parent == ref_parent
+    assert tree.path_cost == ref_cost
+    assert all(type(c) is float for c in tree.path_cost.values())
+
+
+@st.composite
+def incidence_topologies(draw):
+    """Topologies with arbitrary, possibly one-way, admissibility."""
+    n = draw(st.integers(1, 10))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n + 1), max_size=n * (n + 1)))
+    incidence = np.array(bits, dtype=np.int8).reshape(n, n + 1)
+    np.fill_diagonal(incidence, 0)
+    nodes = tuple([Node(i + 1, float(i), 0.0, 150.0, UAV) for i in range(n)]
+                  + [Node(n + 1, -1.0, -1.0, 0.0, GROUND_STATION)])
+    return Topology(nodes=nodes, incidence=incidence, gains=incidence.astype(float))
+
+
+@PROPERTY
+@given(incidence_topologies())
+def test_connected_to_gs_agrees_with_reference_search(t):
+    reached = reference_reached(t)
+    assert _connected_to_gs(t) == (len(reached) == t.n_uavs + 1)
+    stranded = sorted(set(t.uav_ids) - reached)
+    if stranded:
+        with pytest.raises(DisconnectedTopologyError) as got:
+            build_spt(t, weight="hops")
+        assert got.value.stranded_ids == stranded
+    else:
+        assert build_spt(t, weight="hops").parent == bellman_ford_reference(t, "hops")[0]

@@ -27,6 +27,18 @@ CASES = {
          "--tree-dump", "{tree_dump.csv}"],
         ("tree_dump.csv",),
     ),
+    "run-large-fleet": (
+        ["run", "--n-uavs", "200", "--area-side", "40000", "--min-separation", "300",
+         "--pb", "0.001", "--seed", "0", "--tree-dump", "{large_fleet_tree_dump.csv}"],
+        ("large_fleet_tree_dump.csv",),
+    ),
+    # hop counts tie constantly, so this locks the lowest-id parent tie-break
+    "run-large-fleet-hops": (
+        ["run", "--n-uavs", "200", "--area-side", "40000", "--min-separation", "300",
+         "--pb", "0.001", "--seed", "0", "--spt-weight", "hops",
+         "--tree-dump", "{large_fleet_hops_tree_dump.csv}"],
+        ("large_fleet_hops_tree_dump.csv",),
+    ),
     "trace": (
         ["trace", "--n-uavs", "10", "--pb", "1", "--seed", "3", "--out", "{trace.csv}"],
         ("trace.csv",),

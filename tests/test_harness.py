@@ -52,6 +52,20 @@ def test_config_validation():
                 ScenarioConfig(**{name: bad})
         with pytest.raises(ConfigError):
             ScenarioConfig(power_budget_Pb=[1.0, bad])
+    # integer fields, as a --config JSON file can spell them
+    for name in ("n_uavs", "seed", "trials", "placement_retry_budget"):
+        for bad in (math.nan, math.inf, 5.5, 5.0, True, "5", None):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**{name: bad})
+    for bad in ([5, 6.5], [5, True], (5, math.nan)):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(n_uavs=bad)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(seed=-1)
+    for name in ("n_uavs", "power_budget_Pb"):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**{name: []})
+    assert ScenarioConfig(n_uavs=np.int64(5), seed=np.int64(3)).n_values() == [5]
 
 
 def test_scalar_accessors_reject_sweep_lists():

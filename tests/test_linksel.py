@@ -195,6 +195,10 @@ def test_solver_config_validation():
                      "backtrack_alpha", "backtrack_tau_shrink"):
             with pytest.raises(ValueError):
                 SolverConfig(**{name: bad})
+    for bad in (math.nan, math.inf, 2.5, 80.0, True, "80"):
+        with pytest.raises(ValueError):
+            SolverConfig(max_newton_iters=bad)
+    assert SolverConfig(max_newton_iters=np.int64(80)).max_newton_iters == 80
 
 
 def test_refine_simplex_and_interior():
