@@ -33,7 +33,6 @@ from .linksel import ConvergenceError, SolverConfig
 from .model import (
     ChannelParams,
     link_capacity,
-    distance,
     noise_density_from_dbm_per_hz,
     reference_gain_from_frequency,
 )
@@ -198,7 +197,7 @@ def _cmd_run(args) -> int:
         with open(args.tree_dump, "w") as fh:
             fh.write(TREE_DUMP_HEADER + "\n")
             for i, j in sorted(row.refined_tree.parent.items()):
-                d = distance(topo.node(i), topo.node(j))
+                d = topo.distance(i, j)
                 h = topo.gain(i, j)
                 watts = row.allocation.power[i]
                 rate = link_capacity(watts, h, cfg.channel)

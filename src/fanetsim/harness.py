@@ -17,14 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .linksel import (
-    SolverConfig,
-    build_candidates,
+from .linksel import SolverConfig, build_candidates, newton_refine, round_and_update
+from .model import (
+    ChannelParams,
+    Node,
+    Topology,
+    GROUND_STATION,
+    UAV,
+    build_topology,
     is_integer,
-    newton_refine,
-    round_and_update,
+    is_real,
 )
-from .model import ChannelParams, Node, Topology, GROUND_STATION, UAV, build_topology
 from .power import PowerAllocation, allocate_power
 from .routing import RoutingTree, build_spt
 
@@ -74,6 +77,22 @@ class ScenarioConfig:
         ):
             if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        pb_entries = (self.power_budget_Pb if isinstance(self.power_budget_Pb, (list, tuple))
+                      else [self.power_budget_Pb])
+        for name, value in (
+            ("area_side", self.area_side),
+            ("altitude_H", self.altitude_H),
+            ("min_separation", self.min_separation),
+            *(("power_budget_Pb", pb) for pb in pb_entries),
+            *(() if self.gs_x is None else (("gs_x", self.gs_x),)),
+            ("gs_y", self.gs_y),
+        ):
+            if not is_real(value):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.measure_wall_time, bool):
+            raise ConfigError(
+                f"measure_wall_time must be true or false, got {self.measure_wall_time!r}"
+            )
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if not 0.0 < self.area_side < math.inf:

@@ -20,15 +20,14 @@ parent's rate and keeps the tree valid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .model import ChannelParams, Topology, distance, link_capacity
-from .power import PowerAllocation
-from .routing import RoutingTree, validate_tree
+from .model import ChannelParams, Topology, is_integer, is_real, link_capacity
+from .power import PowerAllocation, network_throughput
+from .routing import RoutingTree, path_costs, validate_tree
 
 # Barrier weight schedule: gamma_init, then gamma_growth-fold per round.
 BARRIER_ROUNDS = 3
@@ -49,11 +48,6 @@ class ConvergenceError(RuntimeError):
             f"UAV {uav_id}: Newton decrement {decrement:.3e} after "
             f"{iterations} iterations at barrier weight {gamma:g}"
         )
-
-
-def is_integer(value) -> bool:
-    """True for int and numpy integers; False for bools, floats and the rest."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -96,8 +90,22 @@ class SolverConfig:
     max_newton_iters: int = 100
 
     def __post_init__(self):
+        for name in ("gamma_init", "gamma_growth", "epsilon_decrement",
+                     "backtrack_alpha", "backtrack_tau_shrink"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.gamma_init < math.inf and 1.0 <= self.gamma_growth < math.inf):
             raise ValueError("barrier schedule must start positive, not shrink, and stay finite")
+        try:
+            final_gamma = self.final_gamma
+        except OverflowError:
+            final_gamma = math.inf
+        if final_gamma == math.inf:
+            raise ValueError(
+                f"barrier schedule overflows: gamma_init * gamma_growth**{BARRIER_ROUNDS - 1} "
+                "must be finite"
+            )
         if not 0.0 < self.epsilon_decrement < math.inf:
             raise ValueError("epsilon_decrement must be positive and finite")
         if not 0.0 < self.backtrack_alpha < 0.5:
@@ -106,6 +114,11 @@ class SolverConfig:
             raise ValueError("backtrack_tau_shrink must lie in (0, 1)")
         if not is_integer(self.max_newton_iters) or self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be an integer of at least 1")
+
+    @property
+    def final_gamma(self) -> float:
+        """Barrier weight of the last round."""
+        return self.gamma_init * self.gamma_growth ** (BARRIER_ROUNDS - 1)
 
 
 @dataclass
@@ -320,8 +333,6 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     pinned: dict[int, int] = {}
     total_iters = 0
     worst_decrement = 0.0
-    final_gamma = cfg.gamma_init * cfg.gamma_growth ** (BARRIER_ROUNDS - 1)
-
     for i in sorted(c.candidates):
         cands = c.candidates[i]
         power = alloc.power[i]
@@ -339,7 +350,7 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
 
     return RelaxedLinkMatrix(
         L_r=L_r,
-        barrier_gamma=final_gamma,
+        barrier_gamma=cfg.final_gamma,
         iterations=total_iters,
         final_decrement=worst_decrement,
         pinned=pinned,
@@ -354,16 +365,14 @@ def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,
     A swap is taken only when the candidate's rate strictly beats the current
     parent link at the UAV's frozen power and the swapped tree is still a
     valid tree, so total throughput never decreases; an invalid input tree
-    raises ValueError. Returns the updated tree (path costs recomputed as
-    summed link meters) and its throughput.
+    raises ValueError. Returns the updated tree, with path costs in the input
+    tree's weight, and its throughput.
     """
     report = validate_tree(tree, t)
     if not report.ok:
         raise ValueError(f"routing tree is invalid: {report}")
     parent = dict(tree.parent)
-    before = math.fsum(
-        link_capacity(alloc.power[i], t.gain(i, parent[i]), p) for i in sorted(parent)
-    )
+    before = network_throughput(alloc, tree, t, p)
 
     proposals = []
     for i in sorted(c.candidates):
@@ -394,27 +403,11 @@ def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,
         if node != i:
             parent[i] = cand.neighbor
 
-    path_cost = {}
-    for i in sorted(parent):
-        cost = 0.0
-        node = i
-        while node != t.gs.id:
-            nxt = parent[node]
-            cost += _link_meters(t, node, nxt)
-            node = nxt
-        path_cost[i] = cost
-
-    refined = RoutingTree(parent=parent, path_cost=path_cost)
-    after = math.fsum(
-        link_capacity(alloc.power[i], t.gain(i, parent[i]), p) for i in sorted(parent)
-    )
+    refined = RoutingTree(parent, path_costs(parent, t, tree.weight), tree.weight)
+    after = network_throughput(alloc, refined, t, p)
     if after < before:
         raise ValueError(
             f"rounding lowered throughput from {before!r} to {after!r}: "
             "candidate rates disagree with the allocation"
         )
     return refined, after
-
-
-def _link_meters(t: Topology, i: int, j: int) -> float:
-    return distance(t.node(i), t.node(j))

@@ -8,7 +8,8 @@ configuration boundary via the helpers below and never inside the math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,8 +23,20 @@ SPEED_OF_LIGHT_M_S = 3.0e8
 _DISTANCE_MODES = ("planar", "3d")
 
 
+def is_integer(value) -> bool:
+    """True for int and numpy integers; False for bools, floats and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for ints, floats and numpy numbers; False for bools, strings and the rest."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def reference_gain_from_frequency(freq_hz: float) -> float:
     """Received power at the 1 m reference distance for an isotropic free-space link."""
+    if not is_real(freq_hz):
+        raise ValueError(f"carrier frequency must be a real number, got {freq_hz!r}")
     if freq_hz <= 0.0:
         raise ValueError("carrier frequency must be positive")
     return (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * freq_hz)) ** 2
@@ -31,6 +44,8 @@ def reference_gain_from_frequency(freq_hz: float) -> float:
 
 def noise_density_from_dbm_per_hz(dbm_per_hz: float) -> float:
     """Convert a noise power spectral density from dBm/Hz to W/Hz."""
+    if not is_real(dbm_per_hz):
+        raise ValueError(f"noise density must be a real number, got {dbm_per_hz!r}")
     return 10.0 ** ((dbm_per_hz - 30.0) / 10.0)
 
 
@@ -60,6 +75,10 @@ class ChannelParams:
     link_threshold_dth: float = 6000.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not is_real(value):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if not 0.0 < self.bandwidth_B < math.inf:
             raise ValueError("bandwidth_B must be positive and finite")
         if not 0.0 < self.noise_density_sigma2 < math.inf:
@@ -118,18 +137,20 @@ def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> flo
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable snapshot of node placement, admissibility, and link gains.
+    """Immutable snapshot of node placement, admissibility, link gains and lengths.
 
     ``nodes`` holds UAVs with ids 1..n followed by the ground station with
     id n+1. ``incidence`` is the n x (n+1) 0/1 admissibility matrix (row i-1
-    is UAV i, column j-1 is node j) and ``gains`` the matching channel gains.
-    Gains are populated for every distinct pair so that out-of-range links
+    is UAV i, column j-1 is node j), ``gains`` the matching channel gains and
+    ``distances`` the link lengths in meters (inf on a UAV's own column).
+    Both are populated for every distinct pair so that out-of-range links
     can still be inspected; admissibility lives only in ``incidence``.
     """
 
     nodes: tuple[Node, ...]
     incidence: np.ndarray
     gains: np.ndarray
+    distances: np.ndarray
 
     @property
     def n_uavs(self) -> int:
@@ -149,6 +170,9 @@ class Topology:
     def gain(self, uav_id: int, other_id: int) -> float:
         return float(self.gains[uav_id - 1, other_id - 1])
 
+    def distance(self, uav_id: int, other_id: int) -> float:
+        return float(self.distances[uav_id - 1, other_id - 1])
+
     def is_admissible(self, uav_id: int, other_id: int) -> bool:
         return bool(self.incidence[uav_id - 1, other_id - 1])
 
@@ -163,7 +187,9 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
 
     Expects UAV ids 1..n plus a single ground station with id n+1. Raises on
     duplicate ids, coincident coordinates (zero distance has no finite gain),
-    mixed UAV altitudes, or a ground station off the ground.
+    mixed UAV altitudes, or a ground station off the ground. A link is
+    admissible when it lies within the threshold and its gain is positive:
+    where d**beta overflows the gain is 0.0 and no power can use the link.
     """
     if not nodes:
         raise ValueError("node list is empty")
@@ -208,7 +234,6 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
         raise ValueError(
             f"nodes {i + 1} and {j + 1} coincide; zero-distance links are undefined"
         )
-    incidence = (d <= p.link_threshold_dth).view(np.int8)
     # float_power calls the same libm pow as CPython's float ** float; numpy's
     # ** and np.power take a SIMD path that differs in the last bit.
     with np.errstate(divide="ignore", over="ignore"):
@@ -217,6 +242,7 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     if np.max(gains, initial=0.0) == np.inf:
         i, j = divmod(int(np.argmax(gains)), n + 1)
         raise ValueError(f"nodes {i + 1} and {j + 1} are too close for a finite gain")
-    incidence.flags.writeable = False
-    gains.flags.writeable = False
-    return Topology(nodes=tuple(ordered), incidence=incidence, gains=gains)
+    incidence = ((d <= p.link_threshold_dth) & (gains > 0.0)).view(np.int8)
+    for arr in (incidence, gains, d):
+        arr.flags.writeable = False
+    return Topology(nodes=tuple(ordered), incidence=incidence, gains=gains, distances=d)

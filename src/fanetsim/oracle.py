@@ -102,8 +102,7 @@ def _valid_assignment_mask(parents: np.ndarray, gs_id: int) -> np.ndarray:
     return np.all(current == gs_id, axis=1)
 
 
-def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams,
-                     alloc_rule: str = "waterfill") -> OracleResult:
+def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> OracleResult:
     """Throughput of the best relay tree over all valid parent assignments.
 
     Every combination of per-UAV parent choices over admissible links is
@@ -116,8 +115,6 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams,
     a monotone scalar equation, run in parallel across trees. Returns the
     best tree with its powers; ``evaluations`` counts the valid trees.
     """
-    if alloc_rule != "waterfill":
-        raise ValueError(f"unknown allocation rule {alloc_rule!r}")
     if total_budget_w <= 0.0:
         raise ValueError("total power budget must be strictly positive")
     n = t.n_uavs

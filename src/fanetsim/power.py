@@ -25,8 +25,9 @@ CLAMP_TOLERANCE = 1e-12
 
 
 class AllocationError(ArithmeticError):
-    """Water-filling clamped every link: the budget is below the rounding
-    error of the links' noise floors."""
+    """Water-filling cannot place the budget: it is below the rounding error
+    of the links' noise floors, so every link clamps or the rounding
+    correction cancels the budget."""
 
 
 @dataclass
@@ -85,21 +86,22 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     residual = total_budget_w - math.fsum(allocation[i] for i in uavs)
     top = max(active, key=lambda i: (allocation[i], -i))
     allocation[top] += residual
+    if not allocation[top] > 0.0:
+        # The active powers were rounding noise far above the budget.
+        raise AllocationError(
+            f"noise floors swamp a budget of {total_budget_w!r} W: no link keeps any power"
+        )
 
-    throughput = math.fsum(
-        link_capacity(allocation[i], gain[i], p) for i in uavs
-    )
-    return PowerAllocation(
-        power=allocation,
-        water_level_lambda=water_level,
-        active_set=tuple(sorted(active)),
-        throughput_R=throughput,
-    )
+    alloc = PowerAllocation(power=allocation, water_level_lambda=water_level,
+                            active_set=tuple(sorted(active)), throughput_R=math.nan)
+    alloc.throughput_R = network_throughput(alloc, tree, t, p)
+    return alloc
 
 
 def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
                        p: ChannelParams) -> float:
-    """Recompute the summed rate of ``alloc`` over the tree's parent links."""
+    """Summed rate of ``alloc`` over the tree's parent links: the one sum of a
+    tree's throughput."""
     return math.fsum(
         link_capacity(alloc.power[i], t.gain(i, tree.parent[i]), p)
         for i in sorted(tree.parent)

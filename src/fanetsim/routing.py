@@ -1,7 +1,7 @@
 """Shortest-path relay tree rooted at the ground station.
 
 The paper builds this tree with Bellman-Ford. Here the admissible link
-weights (planar distance or one hop) fill a dense n x (n+1) matrix, with inf
+weights (link length or one hop) fill a dense n x (n+1) matrix, with inf
 where a link is inadmissible, and an O(n^2) Dijkstra settles one node per
 step from the ground station, relaxing every UAV with dist[u] + w[:, u]. Each
 UAV's parent is then the argmin of dist[j] + w[i, j] over its row.
@@ -11,6 +11,10 @@ nonnegative weight is monotone and never decreases a sum, so both algorithms
 reach the same floating-point minimum over paths summed outward from the
 ground station. argmin returns the first of equal costs, which is the same
 lowest-id tie-break as a strict-less scan in id order.
+
+path_costs sums outward too, cost[i] = cost[parent[i]] + w[i, parent[i]]. The
+argmin attains dist[i], so on the tree's own parent map it returns the
+tree's path costs bit for bit.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ class DisconnectedTopologyError(RuntimeError):
 class RoutingTree:
     """Parent pointers toward the ground station plus the realized path costs.
 
-    ``path_cost`` is in the units of the weight that built the tree: meters
-    for "distance", hop count for "hops".
+    ``path_cost`` is in the units of ``weight``, the weight that built the
+    tree: meters for "distance", hop count for "hops".
     """
 
     parent: dict[int, int]
     path_cost: dict[int, float]
+    weight: str = "distance"
 
 
 @dataclass
@@ -69,25 +74,16 @@ class TreeValidationReport:
 def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     """Shortest-path tree from every UAV to the ground station.
 
-    weight "distance" minimizes summed planar link length in meters; "hops"
-    minimizes hop count. Raises DisconnectedTopologyError when any UAV is
-    cut off from the ground station.
+    weight "distance" minimizes the topology's summed link length in meters;
+    "hops" minimizes hop count. Raises DisconnectedTopologyError when any UAV
+    is cut off from the ground station.
     """
     if weight not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
     n = t.n_uavs
     # w[v, u]: weight of the link UAV v -> node u (index = id - 1), inf if
     # inadmissible; the ground station is column n.
-    w = np.full((n, n + 1), np.inf)
-    rows, cols = np.nonzero(t.incidence)
-    if weight == "hops":
-        w[rows, cols] = 1.0
-    else:
-        xs = np.array([nd.x for nd in t.nodes], dtype=float)
-        ys = np.array([nd.y for nd in t.nodes], dtype=float)
-        dx = xs[rows] - xs[cols]
-        dy = ys[rows] - ys[cols]
-        w[rows, cols] = np.sqrt(dx * dx + dy * dy)
+    w = np.where(t.incidence != 0, 1.0 if weight == "hops" else t.distances, np.inf)
 
     dist = np.full(n + 1, np.inf)
     dist[n] = 0.0
@@ -113,7 +109,28 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     return RoutingTree(
         parent=dict(zip(ids, parent.tolist())),
         path_cost=dict(zip(ids, dist[:n].tolist())),
+        weight=weight,
     )
+
+
+def path_costs(parent: dict[int, int], t: Topology, weight: str) -> dict[int, float]:
+    """Summed ``weight`` of the links from each UAV to the ground station along
+    ``parent``; raises ValueError when the parent map loops."""
+    if weight not in _WEIGHT_MODES:
+        raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
+    cost = {t.gs.id: 0.0}
+    for start in sorted(parent):
+        chain = []
+        node = start
+        while node not in cost:
+            if len(chain) > t.n_uavs:
+                raise ValueError(f"the parent walk from UAV {start} loops")
+            chain.append(node)
+            node = parent[node]
+        for node in reversed(chain):
+            up = parent[node]
+            cost[node] = cost[up] + (1.0 if weight == "hops" else t.distance(node, up))
+    return {i: cost[i] for i in sorted(parent)}
 
 
 def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:

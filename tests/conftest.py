@@ -27,8 +27,10 @@ def synth_topology(gain_rows, params=None):
 
     gain_rows: list of dicts, one per UAV (id = index+1), mapping neighbor
     node id -> gain.  Ground station gets id n+1.  Absent entries are
-    inadmissible.  Positions are placeholders; nothing downstream of the
-    Topology object looks at coordinates.
+    inadmissible.  Every listed link is 1 m long and unlisted pairs are inf,
+    so the distance-weighted tree is the hop tree.  Positions are
+    placeholders; nothing downstream of the Topology object looks at
+    coordinates.
     """
     n = len(gain_rows)
     gs_id = n + 1
@@ -42,9 +44,10 @@ def synth_topology(gain_rows, params=None):
         for j, g in row.items():
             incidence[i, j - 1] = True
             gains[i, j - 1] = g
-    incidence.setflags(write=False)
-    gains.setflags(write=False)
-    return Topology(nodes=nodes, incidence=incidence, gains=gains)
+    distances = np.where(incidence, 1.0, np.inf)
+    for arr in (incidence, gains, distances):
+        arr.setflags(write=False)
+    return Topology(nodes=nodes, incidence=incidence, gains=gains, distances=distances)
 
 
 def chain_gains(gain_list):

@@ -11,6 +11,7 @@ from fanetsim.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_DISCONNECTED,
+    EXIT_NO_CONVERGENCE,
     TRACE_HEADER,
     TREE_DUMP_HEADER,
     main,
@@ -117,6 +118,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     bad.write_text("not json {")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["run", *BASE, "--gamma-init", "-1"]) == EXIT_CONFIG
+    assert main(["run", *BASE, "--gamma-growth", "1e300"]) == EXIT_CONFIG
     for flag, value in (("--pb", "nan"), ("--pb", "inf"), ("--area-side", "nan"),
                         ("--gs-x", "inf"), ("--bandwidth-hz", "nan"),
                         ("--epsilon", "inf"), ("--noise-dbm-hz", "5000")):
@@ -127,16 +129,33 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["validate", "--seed", "-1"]) == EXIT_CONFIG
     assert main(["sweep", *BASE, "--n-uavs", ","]) == EXIT_CONFIG
     assert main(["sweep", *BASE, "--pb", ","]) == EXIT_CONFIG
-    # config-file fields: non-integers and bools in integer fields, and
-    # unparseable budgets, exit 2
+    # config-file fields: non-integers and bools in integer fields, bools and
+    # strings in real fields, and a non-bool wall-time switch, exit 2
     for fields in ({"n_uavs": math.nan}, {"n_uavs": 5.5}, {"n_uavs": True},
                    {"n_uavs": [6, 6.5]}, {"seed": 1.5}, {"seed": math.nan},
                    {"trials": 2.0}, {"placement_retry_budget": math.inf},
                    {"solver": {"max_newton_iters": math.nan}},
-                   {"solver": {"max_newton_iters": 2.5}}, {"power_budget_Pb": "abc"}):
+                   {"solver": {"max_newton_iters": 2.5}}, {"power_budget_Pb": "abc"},
+                   {"power_budget_Pb": True}, {"power_budget_Pb": "2"},
+                   {"power_budget_Pb": [1.0, True]}, {"altitude_H": True},
+                   {"gs_x": True}, {"channel": {"bandwidth_B": True}},
+                   {"channel": {"freq_hz": True}}, {"channel": {"noise_dbm_per_hz": "-174"}},
+                   {"solver": {"gamma_growth": True}}, {"measure_wall_time": "no"}):
         path = tmp_path / "fields.json"
         path.write_text(json.dumps(fields))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG, fields
+    capsys.readouterr()
+
+
+def test_exit_code_degenerate_channel(capsys):
+    # At these path-loss exponents d**beta overflows on long links, whose gain
+    # is then 0.0 and which therefore are not admissible.
+    area = ["--n-uavs", "6", "--area-side", "8000", "--min-separation", "300"]
+    assert main(["run", *area, "--pathloss-beta", "85"]) == EXIT_NO_CONVERGENCE
+    assert main(["run", *BASE, "--pathloss-beta", "85"]) == EXIT_NO_CONVERGENCE
+    assert main(["sweep", *area, "--trials", "1", "--pathloss-beta", "100"]) == EXIT_DISCONNECTED
+    # a huge threshold keeps every link whose gain is positive
+    assert main(["run", *area, "--d-th", "1e300"]) == 0
     capsys.readouterr()
 
 

@@ -2,8 +2,9 @@
 
 build_topology, build_spt and the placement connectivity check are numpy
 code; each test below re-derives the same result with the per-pair Python
-loops they replaced and demands exact equality: bit-equal gains, the same
-parents, path costs and stranded UAVs.
+loops they replaced and demands exact equality: bit-equal gains and link
+lengths, the same parents, path costs and stranded UAVs. path_costs must
+return the shortest-path tree's own costs bit for bit.
 """
 
 import math
@@ -23,17 +24,19 @@ from fanetsim.model import (
     channel_gain,
     distance,
 )
-from fanetsim.routing import DisconnectedTopologyError, build_spt
+from fanetsim.routing import DisconnectedTopologyError, build_spt, path_costs
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
 def reference_topology(nodes, p, mode):
-    """Incidence and gains from the distance/channel_gain double loop."""
+    """Incidence, gains and link lengths from the distance/channel_gain double
+    loop; a UAV's length to itself is inf."""
     ordered = sorted(nodes, key=lambda nd: nd.id)
     n = len(ordered) - 1
     incidence = np.zeros((n, n + 1), dtype=np.int8)
     gains = np.zeros((n, n + 1), dtype=float)
+    distances = np.full((n, n + 1), np.inf)
     for i, uav in enumerate(ordered[:n]):
         for j, other in enumerate(ordered):
             if other.id == uav.id:
@@ -43,10 +46,11 @@ def reference_topology(nodes, p, mode):
                 raise ValueError(
                     f"nodes {uav.id} and {other.id} coincide; zero-distance links are undefined"
                 )
+            distances[i, j] = d
             gains[i, j] = channel_gain(d, p)
-            if d <= p.link_threshold_dth:
+            if d <= p.link_threshold_dth and gains[i, j] > 0.0:
                 incidence[i, j] = 1
-    return incidence, gains
+    return incidence, gains, distances
 
 
 def bellman_ford_reference(t, weight):
@@ -55,7 +59,7 @@ def bellman_ford_reference(t, weight):
     gs_id = t.gs.id
 
     def w(i, j):
-        return 1.0 if weight == "hops" else distance(t.node(i), t.node(j))
+        return 1.0 if weight == "hops" else t.distance(i, j)
 
     dist = {i: math.inf for i in t.uav_ids}
     dist[gs_id] = 0.0
@@ -126,7 +130,7 @@ def test_build_topology_bit_equal_to_double_loop(nodes, mode, beta, data):
                      else st.floats(1.0, 30000.0))
     p = ChannelParams(pathloss_beta=beta, link_threshold_dth=d_th)
     try:
-        ref_incidence, ref_gains = reference_topology(nodes, p, mode)
+        ref_incidence, ref_gains, ref_distances = reference_topology(nodes, p, mode)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             build_topology(nodes, p, mode=mode)
@@ -145,6 +149,10 @@ def test_build_topology_bit_equal_to_double_loop(nodes, mode, beta, data):
     assert np.array_equal(t.incidence, ref_incidence)
     assert t.gains.dtype == ref_gains.dtype
     assert t.gains.tobytes() == ref_gains.tobytes()
+    assert t.distances.dtype == ref_distances.dtype
+    assert t.distances.tobytes() == ref_distances.tobytes()
+    assert all(t.distance(i, j) == ref_distances[i - 1, j - 1]
+               for i in t.uav_ids for j in range(1, n + 2))
 
 
 @pytest.mark.parametrize("gap, beta", [(1e-150, 3.7), (1e-158, 2.0)])
@@ -156,6 +164,20 @@ def test_build_topology_rejects_infinite_gain(gap, beta):
     p = ChannelParams(pathloss_beta=beta)
     with pytest.raises(ValueError, match="nodes 1 and 2 are too close for a finite gain"):
         build_topology(nodes, p)
+
+
+def test_zero_gain_link_is_inadmissible():
+    # At beta=85, (5 km)**85 overflows, so the gain is 0.0 although the link
+    # is within d_th; 1 km and 4 km keep a positive gain.
+    nodes = [Node(1, 0.0, 1000.0, 150.0, UAV), Node(2, 0.0, 5000.0, 150.0, UAV),
+             Node(3, 0.0, 0.0, 0.0, GROUND_STATION)]
+    t = build_topology(nodes, ChannelParams(pathloss_beta=85.0))
+    assert t.gain(2, 3) == 0.0
+    assert t.distance(2, 3) == 5000.0
+    assert not t.is_admissible(2, 3)
+    assert t.gain(2, 1) > 0.0
+    assert t.admissible_neighbors(1) == (2, 3)
+    assert t.admissible_neighbors(2) == (1,)
 
 
 def test_build_topology_unknown_mode_rejected():
@@ -183,6 +205,39 @@ def test_build_spt_equals_bellman_ford(nodes, weight, d_th):
     assert tree.parent == ref_parent
     assert tree.path_cost == ref_cost
     assert all(type(c) is float for c in tree.path_cost.values())
+    assert tree.weight == weight
+
+
+@PROPERTY
+@given(layouts(max_uavs=12), st.sampled_from(["planar", "3d"]), st.floats(1500.0, 12000.0))
+def test_path_costs_of_spt_equal_its_costs(nodes, mode, d_th):
+    # Exact equality holds because each parent attains its UAV's minimum; the
+    # 3d lengths decide the tree as well as admissibility.
+    try:
+        t = build_topology(nodes, ChannelParams(link_threshold_dth=d_th), mode=mode)
+    except ValueError:
+        return
+    for weight in ("distance", "hops"):
+        try:
+            tree = build_spt(t, weight=weight)
+        except DisconnectedTopologyError:
+            return
+        costs = path_costs(tree.parent, t, weight)
+        assert costs == tree.path_cost
+        assert list(costs) == list(tree.path_cost)
+        assert all(type(c) is float for c in costs.values())
+
+
+def test_path_costs_rejects_loops_and_unknown_weight():
+    nodes = [Node(1, 0.0, 1000.0, 150.0, UAV), Node(2, 0.0, 2000.0, 150.0, UAV),
+             Node(3, 0.0, 0.0, 0.0, GROUND_STATION)]
+    t = build_topology(nodes, ChannelParams())
+    with pytest.raises(ValueError, match="loops"):
+        path_costs({1: 2, 2: 1}, t, "distance")
+    with pytest.raises(ValueError, match="unknown weight 'meters'"):
+        path_costs({1: 3, 2: 1}, t, "meters")
+    assert path_costs({1: 3, 2: 1}, t, "hops") == {1: 1.0, 2: 2.0}
+    assert path_costs({1: 3, 2: 1}, t, "distance") == {1: 1000.0, 2: 2000.0}
 
 
 @st.composite
@@ -194,7 +249,8 @@ def incidence_topologies(draw):
     np.fill_diagonal(incidence, 0)
     nodes = tuple([Node(i + 1, float(i), 0.0, 150.0, UAV) for i in range(n)]
                   + [Node(n + 1, -1.0, -1.0, 0.0, GROUND_STATION)])
-    return Topology(nodes=nodes, incidence=incidence, gains=incidence.astype(float))
+    return Topology(nodes=nodes, incidence=incidence, gains=incidence.astype(float),
+                    distances=np.where(incidence, 1.0, np.inf))
 
 
 @PROPERTY

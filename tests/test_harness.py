@@ -19,6 +19,7 @@ from fanetsim.harness import (
     write_rows_csv,
 )
 from fanetsim.model import ChannelParams
+from fanetsim.routing import build_spt
 
 
 def small_cfg(**kw):
@@ -52,6 +53,18 @@ def test_config_validation():
                 ScenarioConfig(**{name: bad})
         with pytest.raises(ConfigError):
             ScenarioConfig(power_budget_Pb=[1.0, bad])
+    # real fields, as a --config JSON file can spell them
+    for bad in (True, "2"):
+        for name in ("area_side", "altitude_H", "min_separation", "power_budget_Pb",
+                     "gs_x", "gs_y"):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**{name: bad})
+        with pytest.raises(ConfigError):
+            ScenarioConfig(power_budget_Pb=[1.0, bad])
+    for bad in ("no", 0, None):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(measure_wall_time=bad)
+    assert ScenarioConfig(power_budget_Pb=2, area_side=np.float64(9000.0)).pb_values() == [2.0]
     # integer fields, as a --config JSON file can spell them
     for name in ("n_uavs", "seed", "trials", "placement_retry_budget"):
         for bad in (math.nan, math.inf, 5.5, 5.0, True, "5", None):
@@ -252,3 +265,36 @@ def test_channel_override_flows_through():
         for j in t.admissible_neighbors(i):
             a, b = t.node(i), t.node(j)
             assert math.hypot(a.x - b.x, a.y - b.y) <= 3000.0
+
+
+def _path(parent, i, gs_id):
+    nodes = [i]
+    while nodes[-1] != gs_id:
+        nodes.append(parent[nodes[-1]])
+    return nodes
+
+
+def test_refined_path_costs_in_tree_weight():
+    # hops: every refined cost is the UAV's hop depth in the refined tree
+    cfg = ScenarioConfig(n_uavs=25, seed=7, power_budget_Pb=1.0, spt_weight="hops",
+                         measure_wall_time=False)
+    t = generate_scenario(cfg)
+    refined = run_pipeline(t, cfg).refined_tree
+    assert refined.parent != build_spt(t, weight="hops").parent
+    assert refined.weight == "hops"
+    for i in t.uav_ids:
+        assert refined.path_cost[i] == len(_path(refined.parent, i, t.gs.id)) - 1
+
+    # distance: a UAV whose whole path survives rounding keeps the SPT's cost
+    # bit for bit
+    cfg = ScenarioConfig(n_uavs=200, area_side=40000.0, min_separation=300.0, seed=0,
+                         power_budget_Pb=1e-3, measure_wall_time=False)
+    t = generate_scenario(cfg)
+    spt = build_spt(t)
+    refined = run_pipeline(t, cfg).refined_tree
+    assert refined.weight == "distance"
+    unchanged = [i for i in t.uav_ids
+                 if _path(refined.parent, i, t.gs.id) == _path(spt.parent, i, t.gs.id)]
+    assert 0 < len(unchanged) < t.n_uavs
+    for i in unchanged:
+        assert refined.path_cost[i] == spt.path_cost[i], i

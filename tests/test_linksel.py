@@ -190,7 +190,7 @@ def test_solver_config_validation():
         SolverConfig(backtrack_tau_shrink=1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_newton_iters=0)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, True, "0.25", None):
         for name in ("gamma_init", "gamma_growth", "epsilon_decrement",
                      "backtrack_alpha", "backtrack_tau_shrink"):
             with pytest.raises(ValueError):
@@ -199,6 +199,11 @@ def test_solver_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(max_newton_iters=bad)
     assert SolverConfig(max_newton_iters=np.int64(80)).max_newton_iters == 80
+    # the last barrier weight must be finite
+    for init, growth in ((10.0, 1e300), (1e300, 1e10), (10.0, 10**400)):
+        with pytest.raises(ValueError, match="barrier schedule overflows"):
+            SolverConfig(gamma_init=init, gamma_growth=growth)
+    assert SolverConfig(gamma_init=2.0, gamma_growth=3.0).final_gamma == 18.0
 
 
 def test_refine_simplex_and_interior():

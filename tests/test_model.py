@@ -11,7 +11,10 @@ from fanetsim.model import (
     build_topology,
     channel_gain,
     distance,
+    is_integer,
+    is_real,
     link_capacity,
+    noise_density_from_dbm_per_hz,
     reference_gain_from_frequency,
 )
 
@@ -63,10 +66,23 @@ def test_params_reject_subquadratic_pathloss():
     "bandwidth_B", "noise_density_sigma2", "ref_gain_alpha0", "pathloss_beta",
     "link_threshold_dth",
 ])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, "2.0", None])
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError):
         ChannelParams(**{field: value})
+
+
+def test_real_and_integer_predicates():
+    for value in (1, 1.5, np.float64(2.0), np.int64(3), np.float32(0.5)):
+        assert is_real(value)
+    for value in (True, np.bool_(True), "1", None, 1j):
+        assert not is_real(value)
+    assert is_integer(3) and is_integer(np.int64(3))
+    assert not any(is_integer(v) for v in (True, 3.0, "3"))
+    for convert in (reference_gain_from_frequency, noise_density_from_dbm_per_hz):
+        for bad in (True, "1e9"):
+            with pytest.raises(ValueError):
+                convert(bad)
 
 
 def test_channel_gain_inverse_square():

@@ -181,12 +181,6 @@ def test_tree_enum_raises_when_disconnected():
         tree_enum_oracle(t, 1.0, toy_params())
 
 
-def test_tree_enum_rejects_unknown_rule():
-    t = synth_topology([{2: 1.0}])
-    with pytest.raises(ValueError):
-        tree_enum_oracle(t, 1.0, toy_params(), alloc_rule="uniform")
-
-
 def test_oracle_result_shape():
     t = synth_topology([{2: 1.0}])
     res = tree_enum_oracle(t, 1.0, toy_params())

@@ -171,3 +171,15 @@ def test_rejects_invalid_tree():
     bad = RoutingTree(parent={1: 3}, path_cost={1: 1.0})  # uav2 missing
     with pytest.raises(ValueError):
         allocate_power(bad, t, 1.0, toy_params())
+
+
+def test_budget_swamped_by_noise_floors():
+    # At beta=85 the parent links' noise floors are 1e264..1e293 W, so the
+    # closed-form powers are rounding noise and the budget cannot be placed.
+    from fanetsim.harness import ScenarioConfig, generate_scenario
+
+    p = ChannelParams(pathloss_beta=85.0)
+    cfg = ScenarioConfig(n_uavs=6, area_side=8000.0, min_separation=300.0, channel=p)
+    t = generate_scenario(cfg)
+    with pytest.raises(AllocationError, match="noise floors swamp"):
+        allocate_power(build_spt(t), t, 1.0, p)
