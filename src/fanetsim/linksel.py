@@ -15,6 +15,26 @@ on the constraint plane, with Armijo backtracking, a growing barrier weight
 schedule, and the Newton decrement as the stopping statistic. Rounding then
 adopts each UAV's heaviest candidate when it strictly beats the current
 parent's rate and keeps the tree valid.
+
+The per-UAV problems are independent and have the same form, so every UAV
+with exactly m >= 2 candidates is solved as one row of a (G, m) array, in
+lock step: each pass gives every live row one Newton iteration at its own
+barrier weight, converged rows move on to their next round, and finished
+rows leave the block. Each row's arithmetic is the same, bit for bit, as
+solving that UAV alone on its own length-m vectors:
+
+- rows are never padded, so every dot product and sum runs over exactly m
+  elements (padding would move elements across OpenBLAS ``ddot``'s 16-wide
+  blocks and numpy's 8-wide pairwise-sum blocks);
+- per-row dot products use ``np.vecdot``, which calls the same ``ddot`` per
+  row as ``@`` on one vector (``einsum`` sums in another order), and per-row
+  sums use ``sum(axis=1)``, the same pairwise sum per row;
+- elementwise expressions keep one evaluation order, and the barrier
+  weights are the Python floats ``gamma_init * gamma_growth**r``.
+
+A UAV's outcome therefore does not depend on which other UAVs share its
+block, and ``newton_refine`` reports the UAVs in id order, raising the lowest
+failing UAV's error.
 """
 
 from __future__ import annotations
@@ -229,93 +249,184 @@ def gradient_hessian(L_r, c: CandidateSet, gamma: float):
     return grad, hess
 
 
-def _phi_scaled(x: np.ndarray, rates: np.ndarray, inv_gamma_scaled: float) -> float:
-    """Rate-normalized phi for one UAV; -inf outside the open box."""
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        return -math.inf
-    return float(rates @ x + inv_gamma_scaled * np.sum(np.log(x) + np.log1p(-x)))
+def _phi_rows(x: np.ndarray, rates: np.ndarray, inv_gamma_scaled: np.ndarray) -> np.ndarray:
+    """Rate-normalized phi per row; -inf for a row outside the open box."""
+    if x.min() > 0.0 and x.max() < 1.0:
+        return np.vecdot(rates, x) + inv_gamma_scaled * (np.log(x) + np.log1p(-x)).sum(axis=1)
+    inside = ~((x <= 0.0).any(axis=1) | (x >= 1.0).any(axis=1))
+    phi = np.full(x.shape[0], -math.inf)
+    xi = x[inside]
+    phi[inside] = (np.vecdot(rates[inside], xi)
+                   + inv_gamma_scaled[inside] * (np.log(xi) + np.log1p(-xi)).sum(axis=1))
+    return phi
 
 
-def _solve_uav(uav_id: int, rates_raw: np.ndarray, power: float, cfg: SolverConfig,
-               trace) -> tuple[np.ndarray, int, float]:
-    """Barrier-scheduled projected Newton ascent for one UAV's simplex block.
+def _armijo_steps(x: np.ndarray, omx: np.ndarray, step: np.ndarray, rates: np.ndarray,
+                  inv_gamma_scaled: np.ndarray, slope: np.ndarray, phi0: np.ndarray,
+                  cfg: SolverConfig) -> np.ndarray:
+    """Per-row backtracked step fraction, below _MIN_STEP_FRACTION where the search gave up.
 
-    Works on phi divided by the largest candidate-rate magnitude so the
-    decrement target is scale-free; the Newton iterates are unchanged by
-    that normalization. Returns the final interior point, accepted-iteration
-    count, and the last decrement.
+    Every row tries its longest step that stays inside the open box; only
+    the rows that fail the Armijo test shrink and try again.
     """
-    m = rates_raw.size
-    scale = float(np.max(np.abs(rates_raw)))
-    if scale == 0.0:
-        scale = 1.0
-    rates = rates_raw / scale
-    p_vec = np.full(m, power)
-    p_dot_p = float(p_vec @ p_vec)
+    room = np.divide(np.where(step > 0.0, omx, x), np.abs(step),
+                     out=np.full(step.shape, math.inf), where=step != 0.0)
+    # fmin, like Python's min(1.0, cap), takes 1.0 when cap is nan.
+    tau = np.fmin(0.99 * room.min(axis=1), 1.0)
+
+    def armijo(rows):
+        t = tau[rows]
+        return (_phi_rows(x[rows] + t[:, None] * step[rows], rates[rows], inv_gamma_scaled[rows])
+                >= phi0[rows] + cfg.backtrack_alpha * t * slope[rows])
+
+    ok = armijo(slice(None))
+    if ok.all():
+        return tau
+    rejected = np.flatnonzero(~ok)
+    while rejected.size:
+        tau[rejected] *= cfg.backtrack_tau_shrink
+        rejected = rejected[tau[rejected] >= _MIN_STEP_FRACTION]
+        if rejected.size:
+            rejected = rejected[~armijo(rejected)]
+    return tau
+
+
+def _float_division_error() -> ZeroDivisionError:
+    """What Python's float division by zero raises."""
+    try:
+        1.0 / 0.0
+    except ZeroDivisionError as err:
+        return err
+
+
+def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg: SolverConfig,
+                 solved: dict, traces: dict | None) -> None:
+    """Barrier-scheduled projected Newton ascent for UAVs with equally many candidates.
+
+    Row g of the (G, m) ``rates_raw`` and ``powers[g]`` belong to UAV
+    ``ids[g]``. Each row works on phi divided by its largest candidate-rate
+    magnitude so the decrement target is scale-free; the Newton iterates are
+    unchanged by that normalization. Every pass gives each live row one
+    iteration at its own barrier weight: converged rows move to their next
+    round and finished rows leave the block. ``solved[uav]`` receives
+    (final interior point, accepted-iteration count, last decrement) or the
+    exception that stopped the UAV; ``traces[uav]``, when given, receives its
+    per-iteration rows.
+    """
+    n_rows, m = rates_raw.shape
+    p_vec = np.repeat(powers, m).reshape(n_rows, m)
+    p_dot_p = np.vecdot(p_vec, p_vec)
+    if not p_dot_p.all():
+        # p.p underflowed to zero, and the first projection divides by it.
+        zero = p_dot_p == 0.0
+        for g in np.flatnonzero(zero):
+            solved[ids[g]] = _float_division_error()
+        keep = np.flatnonzero(~zero)
+        if keep.size:
+            _solve_block([ids[g] for g in keep], rates_raw[keep], powers[keep], cfg, solved, traces)
+        return
+    scale = np.abs(rates_raw).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    rates = rates_raw / scale[:, None]
+    gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
+    inv_by_round = np.array([[1.0 / (gamma * s) for gamma in gammas] for s in scale.tolist()])
 
     # Start from the all-ones point of the power identity, pulled to the
     # margin and projected onto the constraint plane: lands at uniform 1/m.
-    x = np.clip(np.ones(m), INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN)
-    x = x + ((power - float(p_vec @ x)) / p_dot_p) * p_vec
+    x = np.full((n_rows, m), 1.0 - INTERIOR_MARGIN)
+    x = x + ((powers - np.vecdot(p_vec, x)) / p_dot_p)[:, None] * p_vec
     x = np.clip(x, INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN)
 
-    total_iters = 0
-    decrement = math.inf
-    for round_idx in range(BARRIER_ROUNDS):
-        gamma = cfg.gamma_init * cfg.gamma_growth**round_idx
-        inv_gs = 1.0 / (gamma * scale)
-        converged = False
-        for it in range(cfg.max_newton_iters):
-            grad = rates + inv_gs * (1.0 / x - 1.0 / (1.0 - x))
-            hess = -inv_gs * (1.0 / x**2 + 1.0 / (1.0 - x) ** 2)
-            hinv_g = grad / hess
-            hinv_p = p_vec / hess
-            nu = float(p_vec @ hinv_g) / float(p_vec @ hinv_p)
-            step = -hinv_g + nu * hinv_p
-            decrement = math.sqrt(max(float(grad @ step), 0.0))
+    inv = inv_by_round[:, 0].copy()
+    rnd = np.zeros(n_rows, dtype=np.intp)
+    it = np.zeros(n_rows, dtype=np.intp)
+    total = np.zeros(n_rows, dtype=np.intp)
+    row = np.arange(n_rows)
+    leaving = None
+    while True:
+        if leaving is not None and leaving.any():
+            keep = ~leaving
+            (x, rates, p_vec, powers, p_dot_p, scale, inv_by_round, inv, rnd, it, total,
+             row) = (a[keep] for a in (x, rates, p_vec, powers, p_dot_p, scale, inv_by_round,
+                                       inv, rnd, it, total, row))
+        if not row.size:
+            return
+        leaving = None
 
-            residual = abs(float(p_vec @ x) - power) / max(abs(power), 1e-300)
-            if trace is not None:
-                trace.append({
-                    "uav_id": uav_id,
-                    "gamma": gamma,
-                    "iteration": it,
-                    "phi": scale * _phi_scaled(x, rates, inv_gs),
-                    "decrement": decrement,
-                    "step_size": 0.0,
-                    "constraint_residual": residual,
-                })
-            if decrement <= cfg.epsilon_decrement:
-                converged = True
-                break
+        omx = 1.0 - x
+        inv_col = inv[:, None]
+        grad = rates + inv_col * (1.0 / x - 1.0 / omx)
+        hess = -inv_col * (1.0 / x**2 + 1.0 / omx**2)
+        hinv_g = grad / hess
+        hinv_p = p_vec / hess
+        p_hinv_p = np.vecdot(p_vec, hinv_p)
+        if not p_hinv_p.all():
+            leaving = p_hinv_p == 0.0
+            for g in np.flatnonzero(leaving):
+                solved[ids[row[g]]] = _float_division_error()
+            continue
+        nu = np.vecdot(p_vec, hinv_g) / p_hinv_p
+        step = -hinv_g + nu[:, None] * hinv_p
+        slope = np.vecdot(grad, step)
+        decrement = np.sqrt(np.where(slope < 0.0, 0.0, slope))
 
-            # Largest fraction of the step that stays inside the open box.
-            tau_cap = 1.0
-            pos = step > 0.0
-            neg = step < 0.0
-            if np.any(pos):
-                tau_cap = min(tau_cap, 0.99 * float(np.min((1.0 - x[pos]) / step[pos])))
-            if np.any(neg):
-                tau_cap = min(tau_cap, 0.99 * float(np.min(x[neg] / -step[neg])))
-            tau = min(1.0, tau_cap)
-            phi0 = _phi_scaled(x, rates, inv_gs)
-            slope = float(grad @ step)
-            while tau >= _MIN_STEP_FRACTION:
-                if _phi_scaled(x + tau * step, rates, inv_gs) >= phi0 + cfg.backtrack_alpha * tau * slope:
-                    break
-                tau *= cfg.backtrack_tau_shrink
-            if tau < _MIN_STEP_FRACTION:
-                raise ConvergenceError(uav_id, gamma, decrement, total_iters)
-            x = x + tau * step
-            # The step is constraint-tangent by construction; shave off the
-            # accumulated rounding drift so the residual stays at noise level.
-            x = x + ((power - float(p_vec @ x)) / p_dot_p) * p_vec
-            total_iters += 1
-            if trace is not None:
-                trace[-1]["step_size"] = tau
-        if not converged:
-            raise ConvergenceError(uav_id, gamma, decrement, cfg.max_newton_iters)
-    return x, total_iters, decrement
+        phi = None
+        if traces is not None:
+            phi = _phi_rows(x, rates, inv)
+            residual = np.abs(np.vecdot(p_vec, x) - powers) / np.maximum(np.abs(powers), 1e-300)
+            pass_rows = [{
+                "uav_id": ids[row[g]],
+                "gamma": gammas[rnd[g]],
+                "iteration": int(it[g]),
+                "phi": float(scale[g] * phi[g]),
+                "decrement": float(decrement[g]),
+                "step_size": 0.0,
+                "constraint_residual": float(residual[g]),
+            } for g in range(row.size)]
+            for trace_row in pass_rows:
+                traces[trace_row["uav_id"]].append(trace_row)
+
+        converged = decrement <= cfg.epsilon_decrement
+        moving = slice(None)
+        if converged.any():
+            rnd += converged
+            it[converged] = 0
+            leaving = rnd == BARRIER_ROUNDS
+            for g in np.flatnonzero(leaving):
+                solved[ids[row[g]]] = (x[g].tolist(), int(total[g]), float(decrement[g]))
+            advanced = converged & ~leaving
+            inv[advanced] = inv_by_round[advanced, rnd[advanced]]
+            if converged.all():
+                continue
+            moving = np.flatnonzero(~converged)
+
+        x_m, step_m, rates_m, inv_m = x[moving], step[moving], rates[moving], inv[moving]
+        phi0 = _phi_rows(x_m, rates_m, inv_m) if phi is None else phi[moving]
+        tau = _armijo_steps(x_m, omx[moving], step_m, rates_m, inv_m, slope[moving], phi0, cfg)
+        x_m = x_m + tau[:, None] * step_m
+        # The step is constraint-tangent by construction; shave off the
+        # accumulated rounding drift so the residual stays at noise level.
+        p_m = p_vec[moving]
+        x[moving] = x_m + ((powers[moving] - np.vecdot(p_m, x_m)) / p_dot_p[moving])[:, None] * p_m
+        accepted = tau >= _MIN_STEP_FRACTION
+        total[moving] += accepted
+        it[moving] += accepted
+        if traces is not None:
+            for g, step_size, ok in zip(np.arange(row.size)[moving], tau.tolist(),
+                                        accepted.tolist()):
+                if ok:
+                    pass_rows[g]["step_size"] = step_size
+
+        # A row fails when its line search gives up or its round runs out of
+        # iterations.
+        if it.max() == cfg.max_newton_iters or not accepted.all():
+            failed = it == cfg.max_newton_iters
+            failed[moving] |= ~accepted
+            for g in np.flatnonzero(failed):
+                iterations = cfg.max_newton_iters if it[g] == cfg.max_newton_iters else int(total[g])
+                solved[ids[row[g]]] = ConvergenceError(
+                    ids[row[g]], gammas[rnd[g]], float(decrement[g]), iterations)
+            leaving = failed if leaving is None else leaving | failed
 
 
 def newton_refine(c: CandidateSet, alloc: PowerAllocation,
@@ -325,28 +436,43 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     UAVs with zero allocated power are skipped (every candidate rate is zero,
     so reselection cannot help them); UAVs with a single candidate have no
     strict-interior point on the constraint plane and are recorded in
-    ``pinned`` for deterministic handling at rounding. Raises
+    ``pinned`` for deterministic handling at rounding. The others are solved
+    in one block per candidate count. Raises the lowest failing UAV's
     ConvergenceError when any UAV exhausts max_newton_iters in some barrier
-    round; pass a list as ``trace`` to collect per-iteration rows.
+    round; pass a list as ``trace`` to collect per-iteration rows, in UAV id
+    order (up to and including a failing UAV).
     """
-    L_r: dict[tuple[int, int], float] = {}
     pinned: dict[int, int] = {}
-    total_iters = 0
-    worst_decrement = 0.0
+    blocks: dict[int, list[int]] = {}
     for i in sorted(c.candidates):
         cands = c.candidates[i]
-        power = alloc.power[i]
-        if power <= 0.0:
+        if alloc.power[i] <= 0.0:
             continue
         if len(cands) == 1:
             pinned[i] = cands[0].neighbor
             continue
-        rates_raw = np.array([cand.rate for cand in cands], dtype=float)
-        x, iters, decrement = _solve_uav(i, rates_raw, power, cfg, trace)
+        blocks.setdefault(len(cands), []).append(i)
+
+    solved: dict[int, tuple[list[float], int, float] | Exception] = {}
+    traces = None if trace is None else {i: [] for ids in blocks.values() for i in ids}
+    for ids in blocks.values():
+        rates_raw = np.array([[cand.rate for cand in c.candidates[i]] for i in ids], dtype=float)
+        powers = np.array([alloc.power[i] for i in ids], dtype=float)
+        _solve_block(ids, rates_raw, powers, cfg, solved, traces)
+
+    L_r: dict[tuple[int, int], float] = {}
+    total_iters = 0
+    worst_decrement = 0.0
+    for i in sorted(solved):
+        if trace is not None:
+            trace.extend(traces[i])
+        if isinstance(solved[i], Exception):
+            raise solved[i]
+        x, iters, decrement = solved[i]
         total_iters += iters
         worst_decrement = max(worst_decrement, decrement)
-        for cand, value in zip(cands, x):
-            L_r[(i, cand.neighbor)] = float(value)
+        for cand, value in zip(c.candidates[i], x):
+            L_r[(i, cand.neighbor)] = value
 
     return RelaxedLinkMatrix(
         L_r=L_r,

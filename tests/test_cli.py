@@ -210,6 +210,18 @@ def test_exit_code_disconnected(capsys):
     assert "connectivity error" in err
 
 
+def test_exit_code_no_convergence(capsys):
+    # n=200 on 40 km at 1 W, seed 10: UAV 55 spends its first barrier round's
+    # 100 iterations and stops just above the 1e-8 decrement target
+    rc = main(["run", "--n-uavs", "200", "--area-side", "40000", "--min-separation", "300",
+               "--pb", "1", "--seed", "10"])
+    assert rc == EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("solver error: UAV 55: Newton decrement 1.546e-08 after "
+                            "100 iterations at barrier weight 10\n")
+
+
 def test_validate_passes(capsys):
     assert main(["validate", "--seed", "0"]) == 0
     out = capsys.readouterr().out

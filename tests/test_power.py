@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanetsim.model import ChannelParams, link_capacity
 from fanetsim.power import AllocationError, allocate_power, network_throughput
@@ -183,3 +184,37 @@ def test_budget_swamped_by_noise_floors():
     t = generate_scenario(cfg)
     with pytest.raises(AllocationError, match="noise floors swamp"):
         allocate_power(build_spt(t), t, 1.0, p)
+
+
+@st.composite
+def allocation_instances(draw):
+    """Random relay trees with log-uniform gains, noise densities, bandwidths
+    and budgets; a few shared gains give tied noise floors."""
+    n = draw(st.integers(1, 12))
+    log_gain = st.floats(-16.0, 2.0)
+    shared = draw(st.lists(log_gain, min_size=1, max_size=3))
+    parent, rows = {}, []
+    for i in range(1, n + 1):
+        parent[i] = draw(st.sampled_from([n + 1, *range(1, i)]))
+        rows.append({parent[i]: 10.0 ** draw(st.sampled_from(shared) | log_gain)})
+    p = ChannelParams(
+        bandwidth_B=10.0 ** draw(st.floats(0.0, 8.0)),
+        noise_density_sigma2=10.0 ** draw(st.floats(-24.0, -8.0)),
+    )
+    tree = RoutingTree(parent=parent, path_cost={i: 1.0 for i in parent})
+    budget = 10.0 ** draw(st.floats(-15.0, 6.0))
+    return tree, synth_topology(rows, p), budget, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(allocation_instances())
+def test_allocation_conserves_budget(instance):
+    tree, t, budget, p = instance
+    try:
+        a = allocate_power(tree, t, budget, p)
+    except AllocationError:
+        return
+    powers = [a.power[i] for i in sorted(tree.parent)]
+    assert all(power >= 0.0 for power in powers)
+    assert math.isclose(math.fsum(powers), budget, rel_tol=1e-9, abs_tol=0.0)
+    assert a.throughput_R == network_throughput(a, tree, t, p)
