@@ -361,6 +361,7 @@ def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg:
         hinv_p = p_vec / hess
         p_hinv_p = np.vecdot(p_vec, hinv_p)
         if not p_hinv_p.all():
+            # p.H^-1.p underflowed to zero, and nu divides by it.
             leaving = p_hinv_p == 0.0
             for g in np.flatnonzero(leaving):
                 solved[ids[row[g]]] = _float_division_error()
