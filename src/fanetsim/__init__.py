@@ -2,6 +2,7 @@
 
 from .model import (
     ChannelParams,
+    CoincidentNodesError,
     Node,
     Topology,
     build_topology,
@@ -41,6 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
+    "CoincidentNodesError",
     "Node",
     "Topology",
     "build_topology",

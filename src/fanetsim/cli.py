@@ -5,8 +5,8 @@ Subcommands: `run` (single scenario summary, optional tree dump), `sweep`
 `trace` (per-iteration solver rows). Scenario fields come from an optional
 JSON config file with individual flags taking precedence. Exit codes:
 0 success, 1 failed validation checks, 2 bad configuration, 3 placement or
-connectivity failure, 4 solver non-convergence or a budget too small for
-water-filling to resolve.
+connectivity failure, 4 solver non-convergence or a budget too small or too
+large for water-filling to resolve in floats.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import numpy as np
 from .linksel import SolverConfig, build_candidates, newton_refine, round_and_update
 from .model import (
     ChannelParams,
+    CoincidentNodesError,
     Node,
     Topology,
     GROUND_STATION,
@@ -38,6 +39,12 @@ AGGREGATE_CSV_HEADER = (
 
 # Distinct draws of a single coordinate before a layout attempt is abandoned.
 _POINT_TRIES = 200
+# Placement draws per batch; draws a batch does not use are rewound.
+_BATCH = 32
+# Squared separations within this relative distance of the threshold are
+# decided again with libm pow (see _far_enough).
+_SEP_BAND = 1e-12
+_TINY = float(np.finfo(float).tiny)
 
 
 class ConfigError(ValueError):
@@ -45,7 +52,8 @@ class ConfigError(ValueError):
 
 
 class PlacementError(RuntimeError):
-    """Rejection sampling could not produce a connected, separated layout."""
+    """Rejection sampling could not produce a connected, separated layout
+    with a finite gain on every link."""
 
 
 @dataclass(frozen=True)
@@ -183,38 +191,91 @@ def _connected_to_gs(t: Topology) -> bool:
     return bool(reached.all())
 
 
+def _far_enough(dx: np.ndarray, dy: np.ndarray, min_sep_sq: float) -> np.ndarray:
+    """Elementwise ``dx**2 + dy**2 >= min_sep_sq``, decided as libm pow decides it.
+
+    float_power(., 2.0) is the libm pow behind np.float64 ** 2. The products
+    dx*dx and dy*dy are within 1 ulp of its squares, so the two sums can
+    disagree only within a few ulps of the threshold; entries inside a band
+    around it (relative, plus the smallest normal float for subnormal
+    squares) are decided again with float_power.
+    """
+    with np.errstate(over="ignore"):  # an overflowing square is inf: far enough
+        sep_sq = dx * dx + dy * dy
+        far = sep_sq >= min_sep_sq
+        near = np.abs(sep_sq - min_sep_sq) <= _SEP_BAND * min_sep_sq + _TINY
+        if near.any():
+            far[near] = np.float_power(dx[near], 2.0) + np.float_power(dy[near], 2.0) >= min_sep_sq
+    return far
+
+
 def _sample_connected(cfg: ScenarioConfig) -> tuple[Topology, int]:
-    """Draw layouts until one is separated and GS-connected; returns attempts used."""
+    """Draw layouts until one is separated and GS-connected; returns attempts used.
+
+    UAV k takes the first uniform draw at least min_separation from UAVs
+    1..k-1, with at most _POINT_TRIES draws per UAV. Draws are made _BATCH
+    points at a time: the leading draws too close to a placed UAV are
+    rejected tries, the next draw is placed, and so are the draws after it
+    up to the first one too close to a placed UAV or to an earlier placed
+    draw of the batch, which is rejected. The stream is then rewound to just
+    after the last draw used, so every layout is the one that drawing one
+    point at a time gives.
+    """
     n = cfg.scalar_n()
     rng = np.random.default_rng(cfg.seed)
+    bitgen = rng.bit_generator
     gs_x, gs_y = _gs_position(cfg)
     min_sep_sq = cfg.min_separation**2
     xs = np.empty(n)
     ys = np.empty(n)
 
     for attempt in range(1, cfg.placement_retry_budget + 1):
-        placed_all = True
-        for k in range(n):
-            for _ in range(_POINT_TRIES):
-                x, y = rng.uniform(0.0, cfg.area_side, size=2)
-                # float_power(., 2.0) is the libm pow behind np.float64 ** 2, so
-                # each accept/reject matches the per-pair scalar check exactly.
-                sep_sq = np.float_power(x - xs[:k], 2.0) + np.float_power(y - ys[:k], 2.0)
-                if (sep_sq >= min_sep_sq).all():
-                    xs[k] = x
-                    ys[k] = y
-                    break
+        k = 0  # UAVs placed
+        tries = 0  # rejected draws for UAV k
+        while k < n and tries < _POINT_TRIES:
+            state = bitgen.state
+            bx, by = rng.uniform(0.0, cfg.area_side, size=2 * _BATCH).reshape(_BATCH, 2).T
+            clear = _far_enough(bx[:, None] - xs[:k], by[:, None] - ys[:k], min_sep_sq).all(axis=1)
+            first = int(np.argmax(clear)) if clear.any() else _BATCH
+            if tries + first >= _POINT_TRIES:
+                used = _POINT_TRIES - tries
+                tries = _POINT_TRIES
+            elif first == _BATCH:
+                used = _BATCH
+                tries += _BATCH
             else:
-                placed_all = False
-                break
-        if not placed_all:
+                # Draws first.. are placed while each clears the placed UAVs
+                # and the batch's earlier placed draws.
+                bx, by = bx[first:], by[first:]
+                clash = ~_far_enough(bx[:, None] - bx, by[:, None] - by, min_sep_sq)
+                ok = clear[first:] & ~np.tril(clash, -1).any(axis=1)
+                placed = int(np.argmin(ok)) if not ok.all() else ok.size
+                if placed >= n - k:
+                    placed = n - k
+                    used = first + placed
+                elif placed < ok.size:
+                    used = first + placed + 1
+                    tries = 1
+                else:
+                    used = _BATCH
+                    tries = 0
+                xs[k:k + placed] = bx[:placed]
+                ys[k:k + placed] = by[:placed]
+                k += placed
+            if used < _BATCH:
+                bitgen.state = state
+                bitgen.advance(2 * used)
+        if k < n:
             continue
         nodes = [
             Node(id=i + 1, x=xs[i], y=ys[i], z=cfg.altitude_H, role=UAV)
             for i in range(n)
         ]
         nodes.append(Node(id=n + 1, x=gs_x, y=gs_y, z=0.0, role=GROUND_STATION))
-        topo = build_topology(nodes, cfg.channel)
+        try:
+            topo = build_topology(nodes, cfg.channel)
+        except CoincidentNodesError:
+            continue  # no finite gain between two nodes: not a usable layout
         if _connected_to_gs(topo):
             return topo, attempt
     raise PlacementError(

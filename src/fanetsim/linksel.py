@@ -2,8 +2,10 @@
 
 Each UAV i that holds power P_i > 0 gets a candidate list of alternative
 parents (in-range nodes whose adoption keeps the relay structure a tree,
-excluding the current parent). The binary reselection is relaxed to interior
-variables L in (0,1) per candidate with log barriers at both ends,
+excluding the current parent), read for all such UAVs at once from one mask
+over the incidence matrix and the tree's preorder intervals. The binary
+reselection is relaxed to interior variables L in (0,1) per candidate with
+log barriers at both ends,
 
     phi(L) = sum_ik L_ik * R_ik * D_ik
              + (1/gamma) * sum_ik [ log(L_ik) + log(1 - L_ik) ],
@@ -58,7 +60,12 @@ _MIN_STEP_FRACTION = 1e-14
 
 
 class ConvergenceError(RuntimeError):
-    """Newton refinement failed to reach the decrement target."""
+    """Newton refinement failed to reach the decrement target.
+
+    The decrement is nan where the Newton system itself degenerated: p.p or
+    p.H^-1.p underflowed to zero (powers below about 1e-161 W, or barrier
+    weights so small that 1/(gamma*scale) overflows).
+    """
 
     def __init__(self, uav_id: int, gamma: float, decrement: float, iterations: int):
         self.uav_id = uav_id
@@ -80,7 +87,11 @@ class Candidate:
 
 @dataclass
 class CandidateSet:
-    """Per-UAV candidate lists, sorted by neighbor id."""
+    """Per-UAV candidate lists, sorted by neighbor id.
+
+    build_candidates lists only UAVs that hold power and have at least one
+    candidate; at zero power every rate is 0.0 and no decision reads them.
+    """
 
     candidates: dict[int, tuple[Candidate, ...]]
 
@@ -159,44 +170,70 @@ class RelaxedLinkMatrix:
     pinned: dict[int, int] = field(default_factory=dict)
 
 
-def _subtree_ids(children: dict[int, list[int]], root: int) -> set[int]:
-    """UAV ids in the subtree hanging below ``root`` (root included)."""
-    out = {root}
-    stack = [root]
+def _euler_intervals(parent: dict[int, int], n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder entry and exit numbers of a parent map, by node index id - 1.
+
+    The root is the last node (the ground station). Node k lies in node i's
+    subtree exactly when tin[i] <= tin[k] < tout[i]; nodes that the root does
+    not reach keep tin = tout = -1.
+    """
+    children: dict[int, list[int]] = {}
+    for child, par in parent.items():
+        children.setdefault(par, []).append(child)
+    tin = np.full(n_nodes, -1, dtype=np.intp)
+    tout = np.full(n_nodes, -1, dtype=np.intp)
+    order = []
+    stack = [n_nodes]
     while stack:
         node = stack.pop()
-        for child in children.get(node, ()):
-            if child not in out:
-                out.add(child)
-                stack.append(child)
-    return out
+        tin[node - 1] = len(order)
+        order.append(node)
+        stack.extend(children.get(node, ()))
+    # A preorder numbers each subtree contiguously: tout = tin + subtree size.
+    size = dict.fromkeys(order, 1)
+    for node in reversed(order[1:]):
+        size[parent[node]] += size[node]
+    for node in order:
+        tout[node - 1] = tin[node - 1] + size[node]
+    return tin, tout
 
 
 def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
                      p: ChannelParams) -> CandidateSet:
-    """Alternative parents for every UAV at its frozen power.
+    """Alternative parents for every UAV that holds power, at its frozen power.
 
     A neighbor k qualifies when the link is admissible, k is not the current
     parent, and re-parenting onto k keeps the relay structure a tree, i.e. k
     is outside the UAV's own subtree. Each candidate carries the rate the UAV
-    would see on that link at its current power.
+    would see on that link at its current power. UAVs at zero power are not
+    listed: every rate would be 0.0, so neither the solver nor rounding could
+    act on them. Raises ValueError when a listed UAV is not reached from the
+    ground station.
     """
-    children: dict[int, list[int]] = {}
-    for child, par in tree.parent.items():
-        children.setdefault(par, []).append(child)
-    out: dict[int, tuple[Candidate, ...]] = {}
-    for i in sorted(tree.parent):
-        blocked = _subtree_ids(children, i)
-        power = alloc.power[i]
-        cands = []
-        for k in t.admissible_neighbors(i):
-            if k == tree.parent[i] or k in blocked:
-                continue
-            cands.append(
-                Candidate(neighbor=k, rate=link_capacity(power, t.gain(i, k), p))
-            )
-        if cands:
-            out[i] = tuple(cands)
+    powered = [i for i in sorted(tree.parent) if alloc.power[i] > 0.0]
+    if not powered:
+        return CandidateSet(candidates={})
+    tin, tout = _euler_intervals(tree.parent, t.n_uavs + 1)
+    rows = np.array(powered) - 1
+    unreached = rows[tin[rows] < 0]
+    if unreached.size:
+        raise ValueError(
+            f"routing tree is invalid: UAV(s) {(unreached + 1).tolist()} "
+            "not reached from the ground station"
+        )
+    # k is a candidate of i when the link is admissible, k is not i's parent,
+    # and k lies outside i's subtree: not tin[i] <= tin[k] < tout[i].
+    row_of, cols = np.nonzero(t.incidence[rows])
+    at = rows[row_of]
+    parent_col = np.array([tree.parent[i] for i in powered])[row_of] - 1
+    keep = ((tin[cols] < tin[at]) | (tin[cols] >= tout[at])) & (cols != parent_col)
+    row_of, cols = row_of[keep], cols[keep]
+    powers = np.array([alloc.power[i] for i in powered])[row_of].tolist()
+    rates = [link_capacity(pw, g, p) for pw, g in zip(powers, t.gains[at[keep], cols].tolist())]
+    cands = list(map(Candidate, (cols + 1).tolist(), rates))
+    bounds = np.searchsorted(row_of, np.arange(rows.size + 1)).tolist()
+    out = {i: tuple(cands[lo:hi])
+           for i, lo, hi in zip(powered, bounds, bounds[1:]) if lo < hi}
     return CandidateSet(candidates=out)
 
 
@@ -291,14 +328,6 @@ def _armijo_steps(x: np.ndarray, omx: np.ndarray, step: np.ndarray, rates: np.nd
     return tau
 
 
-def _float_division_error() -> ZeroDivisionError:
-    """What Python's float division by zero raises."""
-    try:
-        1.0 / 0.0
-    except ZeroDivisionError as err:
-        return err
-
-
 def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg: SolverConfig,
                  solved: dict, traces: dict | None) -> None:
     """Barrier-scheduled projected Newton ascent for UAVs with equally many candidates.
@@ -314,13 +343,15 @@ def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg:
     per-iteration rows.
     """
     n_rows, m = rates_raw.shape
+    gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
     p_vec = np.repeat(powers, m).reshape(n_rows, m)
     p_dot_p = np.vecdot(p_vec, p_vec)
     if not p_dot_p.all():
-        # p.p underflowed to zero, and the first projection divides by it.
+        # p.p underflowed to zero, so the projection onto the constraint
+        # plane does not exist and the UAV fails before its first iteration.
         zero = p_dot_p == 0.0
         for g in np.flatnonzero(zero):
-            solved[ids[g]] = _float_division_error()
+            solved[ids[g]] = ConvergenceError(ids[g], gammas[0], math.nan, 0)
         keep = np.flatnonzero(~zero)
         if keep.size:
             _solve_block([ids[g] for g in keep], rates_raw[keep], powers[keep], cfg, solved, traces)
@@ -328,7 +359,6 @@ def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg:
     scale = np.abs(rates_raw).max(axis=1)
     scale[scale == 0.0] = 1.0
     rates = rates_raw / scale[:, None]
-    gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
     inv_by_round = np.array([[1.0 / (gamma * s) for gamma in gammas] for s in scale.tolist()])
 
     # Start from the all-ones point of the power identity, pulled to the
@@ -361,10 +391,11 @@ def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg:
         hinv_p = p_vec / hess
         p_hinv_p = np.vecdot(p_vec, hinv_p)
         if not p_hinv_p.all():
-            # p.H^-1.p underflowed to zero, and nu divides by it.
+            # p.H^-1.p underflowed to zero, so the Newton step does not exist.
             leaving = p_hinv_p == 0.0
             for g in np.flatnonzero(leaving):
-                solved[ids[row[g]]] = _float_division_error()
+                solved[ids[row[g]]] = ConvergenceError(
+                    ids[row[g]], gammas[rnd[g]], math.nan, int(total[g]))
             continue
         nu = np.vecdot(p_vec, hinv_g) / p_hinv_p
         step = -hinv_g + nu[:, None] * hinv_p
@@ -440,8 +471,9 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     ``pinned`` for deterministic handling at rounding. The others are solved
     in one block per candidate count. Raises the lowest failing UAV's
     ConvergenceError when any UAV exhausts max_newton_iters in some barrier
-    round; pass a list as ``trace`` to collect per-iteration rows, in UAV id
-    order (up to and including a failing UAV).
+    round, gives up its line search, or meets a degenerate Newton system;
+    pass a list as ``trace`` to collect per-iteration rows, in UAV id order
+    (up to and including a failing UAV).
     """
     pinned: dict[int, int] = {}
     blocks: dict[int, list[int]] = {}

@@ -49,6 +49,10 @@ def noise_density_from_dbm_per_hz(dbm_per_hz: float) -> float:
     return 10.0 ** ((dbm_per_hz - 30.0) / 10.0)
 
 
+class CoincidentNodesError(ValueError):
+    """Two nodes coincide or lie too close together for a finite channel gain."""
+
+
 @dataclass(frozen=True)
 class Node:
     """A network node placed in Cartesian coordinates (meters)."""
@@ -89,6 +93,8 @@ class ChannelParams:
             raise ValueError("pathloss_beta must be at least 2 and finite")
         if not 0.0 < self.link_threshold_dth < math.inf:
             raise ValueError("link_threshold_dth must be positive and finite")
+        if self.noise_power == 0.0:
+            raise ValueError("noise power sigma^2 * B underflows to zero")
 
     @property
     def noise_power(self) -> float:
@@ -143,8 +149,10 @@ class Topology:
     id n+1. ``incidence`` is the n x (n+1) 0/1 admissibility matrix (row i-1
     is UAV i, column j-1 is node j), ``gains`` the matching channel gains and
     ``distances`` the link lengths in meters (inf on a UAV's own column).
-    Both are populated for every distinct pair so that out-of-range links
-    can still be inspected; admissibility lives only in ``incidence``.
+    ``distances`` covers every distinct pair. ``gains`` is populated only on
+    in-range links (d <= d_th) and holds 0.0 beyond the threshold, so every
+    reader takes gains of admissible links only; admissibility lives in
+    ``incidence``, which is 1 exactly where the gain is positive.
     """
 
     nodes: tuple[Node, ...]
@@ -216,33 +224,44 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     if mode not in _DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {mode!r}; use one of {_DISTANCE_MODES}")
     # Pairwise distances UAV row i to node column j, summed axis by axis in
-    # the order distance() uses, with the gain matrix as the scratch buffer.
+    # the order distance() uses. A length beyond the float range is inf, as
+    # in distance(), and so out of range.
     axes = ("x", "y") if mode == "planar" else ("x", "y", "z")
     d = np.zeros((n, n + 1))
-    gains = np.empty((n, n + 1))
-    for axis in axes:
-        coord = np.array([getattr(nd, axis) for nd in ordered], dtype=float)
-        np.subtract(coord[:n, None], coord, out=gains)
-        np.multiply(gains, gains, out=gains)
-        np.add(d, gains, out=d)
+    delta = np.empty((n, n + 1))
+    with np.errstate(over="ignore"):
+        for axis in axes:
+            coord = np.array([getattr(nd, axis) for nd in ordered], dtype=float)
+            np.subtract(coord[:n, None], coord, out=delta)
+            np.multiply(delta, delta, out=delta)
+            np.add(d, delta, out=d)
     np.sqrt(d, out=d)
     # A UAV's distance to itself becomes inf: no gain, never admissible.
     np.fill_diagonal(d, np.inf)
     coincident = np.flatnonzero(d == 0.0)
     if coincident.size:
         i, j = divmod(int(coincident[0]), n + 1)
-        raise ValueError(
+        raise CoincidentNodesError(
             f"nodes {i + 1} and {j + 1} coincide; zero-distance links are undefined"
         )
+    # Gains are evaluated on in-range pairs only and stay 0.0 elsewhere.
+    # alpha0 is finite and d**beta >= 1 from 1 m on, so only pairs closer than
+    # 1 m can have an infinite gain; below a 1 m threshold all of those are
+    # evaluated, the out-of-range ones for the check alone.
+    d_th = p.link_threshold_dth
+    evaluated = np.flatnonzero(d <= d_th if d_th >= 1.0 else d < 1.0)
     # float_power calls the same libm pow as CPython's float ** float; numpy's
     # ** and np.power take a SIMD path that differs in the last bit.
     with np.errstate(divide="ignore", over="ignore"):
-        np.float_power(d, p.pathloss_beta, out=gains)
-        np.divide(p.ref_gain_alpha0, gains, out=gains)
-    if np.max(gains, initial=0.0) == np.inf:
-        i, j = divmod(int(np.argmax(gains)), n + 1)
-        raise ValueError(f"nodes {i + 1} and {j + 1} are too close for a finite gain")
-    incidence = ((d <= p.link_threshold_dth) & (gains > 0.0)).view(np.int8)
+        values = p.ref_gain_alpha0 / np.float_power(d.ravel()[evaluated], p.pathloss_beta)
+    if np.max(values, initial=0.0) == np.inf:
+        i, j = divmod(int(evaluated[np.argmax(values)]), n + 1)
+        raise CoincidentNodesError(f"nodes {i + 1} and {j + 1} are too close for a finite gain")
+    if d_th < 1.0:
+        values[d.ravel()[evaluated] > d_th] = 0.0
+    gains = np.zeros((n, n + 1))
+    gains.ravel()[evaluated] = values
+    incidence = (gains > 0.0).view(np.int8)
     for arr in (incidence, gains, d):
         arr.flags.writeable = False
     return Topology(nodes=tuple(ordered), incidence=incidence, gains=gains, distances=d)

@@ -25,9 +25,18 @@ CLAMP_TOLERANCE = 1e-12
 
 
 class AllocationError(ArithmeticError):
-    """Water-filling cannot place the budget: it is below the rounding error
-    of the links' noise floors, so every link clamps or the rounding
-    correction cancels the budget."""
+    """Water-filling cannot place the budget within the float range: it is
+    below the rounding error of the links' noise floors, so every link clamps
+    or the rounding correction cancels the budget, or it is so large that a
+    link's SNR, the water level or a sum overflows."""
+
+
+def _fsum(values) -> float:
+    """math.fsum, reporting a sum beyond the float range as AllocationError."""
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise AllocationError(f"water-filling overflows the float range: {exc}") from exc
 
 
 @dataclass
@@ -55,6 +64,12 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     if not report.ok:
         raise ValueError(f"routing tree is invalid: {report}")
 
+    # Every rate the pipeline evaluates is at a power within the budget on an
+    # admissible link.
+    if total_budget_w * float(t.gains.max(initial=0.0)) / p.noise_power == math.inf:
+        raise AllocationError(
+            f"a budget of {total_budget_w!r} W overflows the SNR of the strongest link"
+        )
     uavs = sorted(tree.parent)
     gain = {i: t.gain(i, tree.parent[i]) for i in uavs}
     for i in uavs:
@@ -70,8 +85,13 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
         m = len(active)
         water_level = m / (
             total_budget_w / p.bandwidth_B
-            + math.fsum(p.noise_density_sigma2 / gain[i] for i in sorted(active))
+            + _fsum(p.noise_density_sigma2 / gain[i] for i in sorted(active))
         )
+        if water_level == 0.0:
+            raise AllocationError(
+                f"a budget of {total_budget_w!r} W over a bandwidth of {p.bandwidth_B!r} Hz "
+                "overflows the water level"
+            )
         powers = {i: p.bandwidth_B / water_level - floor[i] for i in active}
         drop = {i for i in active if powers[i] <= CLAMP_TOLERANCE * total_budget_w}
         if not drop:
@@ -83,7 +103,7 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     allocation = {i: 0.0 for i in uavs}
     allocation.update({i: powers[i] for i in active})
     # One rounding correction on the largest share keeps the budget exact.
-    residual = total_budget_w - math.fsum(allocation[i] for i in uavs)
+    residual = total_budget_w - _fsum(allocation[i] for i in uavs)
     top = max(active, key=lambda i: (allocation[i], -i))
     allocation[top] += residual
     if not allocation[top] > 0.0:
@@ -102,7 +122,7 @@ def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
                        p: ChannelParams) -> float:
     """Summed rate of ``alloc`` over the tree's parent links: the one sum of a
     tree's throughput."""
-    return math.fsum(
+    return _fsum(
         link_capacity(alloc.power[i], t.gain(i, tree.parent[i]), p)
         for i in sorted(tree.parent)
     )

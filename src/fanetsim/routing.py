@@ -4,13 +4,20 @@ The paper builds this tree with Bellman-Ford. Here the admissible link
 weights (link length or one hop) fill a dense n x (n+1) matrix, with inf
 where a link is inadmissible, and an O(n^2) Dijkstra settles one node per
 step from the ground station, relaxing every UAV with dist[u] + w[:, u]. Each
-UAV's parent is then the argmin of dist[j] + w[i, j] over its row.
+UAV's parent is then the argmin of dist[j] + w[i, j] over the nodes settled
+before it.
 
-The tree is the Bellman-Ford tree bit for bit. Float addition of a
+The distances are Bellman-Ford's bit for bit. Float addition of a
 nonnegative weight is monotone and never decreases a sum, so both algorithms
 reach the same floating-point minimum over paths summed outward from the
 ground station. argmin returns the first of equal costs, which is the same
-lowest-id tie-break as a strict-less scan in id order.
+lowest-id tie-break as a strict-less scan in id order, so the parents are
+Bellman-Ford's too wherever no link weight vanishes in dist[j] + w[i, j]:
+a tight predecessor j then lies strictly closer than i and settled before it.
+Where a weight does vanish (two UAVs a few ulps of distance apart), two
+equally distant UAVs are tight for each other, and the lowest-id rule could
+make each the other's parent; taking parents only among earlier-settled
+nodes keeps the map a tree.
 
 path_costs sums outward too, cost[i] = cost[parent[i]] + w[i, parent[i]]. The
 argmin attains dist[i], so on the tree's own parent map it returns the
@@ -88,10 +95,12 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     dist = np.full(n + 1, np.inf)
     dist[n] = 0.0
     unsettled = dist.copy()  # dist of nodes not yet settled, inf once settled
-    while True:
+    rank = np.empty(n + 1, dtype=np.intp)  # settle order
+    for step in range(n + 1):
         u = int(np.argmin(unsettled))
         if unsettled[u] == np.inf:
             break
+        rank[u] = step
         unsettled[u] = np.inf
         via = dist[u] + w[:, u]
         better = via < dist[:n]
@@ -102,8 +111,13 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     if stranded.size:
         raise DisconnectedTopologyError(stranded.tolist())
 
-    # argmin keeps the first minimum, so ties go to the lowest node id.
+    # A parent must have settled before its child. Where weights do not
+    # vanish in dist + w this excludes no tight predecessor, which then lies
+    # strictly closer; where one does, it breaks the tie that would let two
+    # equally distant UAVs parent each other.
     np.add(w, dist, out=w)
+    np.putmask(w, rank >= rank[:n, None], np.inf)
+    # argmin keeps the first minimum, so ties go to the lowest node id.
     parent = np.argmin(w, axis=1) + 1
     ids = t.uav_ids
     return RoutingTree(

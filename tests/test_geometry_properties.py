@@ -2,16 +2,16 @@
 
 build_topology, build_spt and the placement connectivity check are numpy
 code; each test below re-derives the same result with the per-pair Python
-loops they replaced and demands exact equality: bit-equal gains and link
-lengths, the same parents, path costs and stranded UAVs. path_costs must
-return the shortest-path tree's own costs bit for bit.
+loops they replaced and demands exact equality: bit-equal link lengths and
+admissible gains, the same parents, path costs and stranded UAVs.
+path_costs must return the shortest-path tree's own costs bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.harness import _connected_to_gs
 from fanetsim.model import (
@@ -24,7 +24,7 @@ from fanetsim.model import (
     channel_gain,
     distance,
 )
-from fanetsim.routing import DisconnectedTopologyError, build_spt, path_costs
+from fanetsim.routing import DisconnectedTopologyError, build_spt, path_costs, validate_tree
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -55,7 +55,9 @@ def reference_topology(nodes, p, mode):
 
 def bellman_ford_reference(t, weight):
     """(parent, path_cost) by Bellman-Ford over sorted Python edge lists, with
-    the lowest-id parent among equal costs; raises like build_spt."""
+    the lowest-id parent among equal costs; raises like build_spt. Where a
+    link weight vanishes next to an equal path cost the lowest-id rule may
+    return a cyclic map; see has_vanishing_tie."""
     gs_id = t.gs.id
 
     def w(i, j):
@@ -85,6 +87,18 @@ def bellman_ford_reference(t, weight):
                 best_id, best_cost = j, dist[j] + w(i, j)
         parent[i] = best_id
     return parent, {i: dist[i] for i in t.uav_ids}
+
+
+def has_vanishing_tie(t, weight, cost):
+    """True when some UAV i has a neighbor j at i's own path cost whose link
+    weight vanishes in cost[j] + w: j and i are then tight for each other,
+    and Bellman-Ford's lowest-id parent is not build_spt's."""
+    for i in t.uav_ids:
+        for j in t.admissible_neighbors(i):
+            w = 1.0 if weight == "hops" else t.distance(i, j)
+            if cost[j] == cost[i] and cost[j] + w == cost[i]:
+                return True
+    return False
 
 
 def reference_reached(t):
@@ -147,8 +161,12 @@ def test_build_topology_bit_equal_to_double_loop(nodes, mode, beta, data):
     t = build_topology(nodes, p, mode=mode)
     assert t.incidence.dtype == ref_incidence.dtype
     assert np.array_equal(t.incidence, ref_incidence)
+    # Gains are evaluated on in-range links only; every reader takes the gain
+    # of an admissible link, and the rest hold 0.0.
+    admissible = ref_incidence == 1
     assert t.gains.dtype == ref_gains.dtype
-    assert t.gains.tobytes() == ref_gains.tobytes()
+    assert t.gains[admissible].tobytes() == ref_gains[admissible].tobytes()
+    assert not t.gains[~admissible].any()
     assert t.distances.dtype == ref_distances.dtype
     assert t.distances.tobytes() == ref_distances.tobytes()
     assert all(t.distance(i, j) == ref_distances[i - 1, j - 1]
@@ -189,6 +207,9 @@ def test_build_topology_unknown_mode_rejected():
 @PROPERTY
 @given(layouts(max_uavs=12), st.sampled_from(["distance", "hops"]),
        st.floats(1500.0, 12000.0))
+@example(nodes=[Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 3.27e-24, 0.0, 150.0, UAV),
+                Node(3, 100.0, 0.0, 0.0, GROUND_STATION)],
+         weight="distance", d_th=1500.0)
 def test_build_spt_equals_bellman_ford(nodes, weight, d_th):
     try:
         t = build_topology(nodes, ChannelParams(link_threshold_dth=d_th))
@@ -202,8 +223,13 @@ def test_build_spt_equals_bellman_ford(nodes, weight, d_th):
         assert got.value.stranded_ids == exc.stranded_ids
         return
     tree = build_spt(t, weight=weight)
-    assert tree.parent == ref_parent
     assert tree.path_cost == ref_cost
+    if has_vanishing_tie(t, weight, {**ref_cost, t.gs.id: 0.0}):
+        # Every parent is still tight and the map is a tree.
+        assert validate_tree(tree, t).ok
+        assert path_costs(tree.parent, t, weight) == ref_cost
+    else:
+        assert tree.parent == ref_parent
     assert all(type(c) is float for c in tree.path_cost.values())
     assert tree.weight == weight
 

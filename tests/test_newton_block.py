@@ -4,7 +4,10 @@
 scalar solver and its driving loop, copied verbatim (only the loop's name
 changed). The block solver must reproduce them bit for bit: every
 ``RelaxedLinkMatrix`` field, every trace row, and the type and message of the
-first failure, with the trace rows written up to it.
+first failure, with the trace rows written up to it. The one intended
+difference: where the scalar solver's projection divided by zero and raised
+a bare ZeroDivisionError, the block solver raises ConvergenceError for that
+UAV (see ``typed_reference``).
 """
 
 import math
@@ -155,6 +158,31 @@ def reference_refine(c: CandidateSet, alloc: PowerAllocation,
     )
 
 
+def typed_reference(c, alloc, cfg, trace=None):
+    """reference_refine, with its ZeroDivisionError reported as the block
+    solver reports it: a ConvergenceError for the UAV whose Newton system
+    degenerated, at the barrier weight of its current round, with a nan
+    decrement and its accepted iterations."""
+    try:
+        return reference_refine(c, alloc, cfg, trace=trace)
+    except ZeroDivisionError:
+        pass
+    for i in sorted(c.candidates):
+        cands = c.candidates[i]
+        if alloc.power[i] <= 0.0 or len(cands) == 1:
+            continue
+        rows = []
+        try:
+            _solve_uav(i, np.array([cand.rate for cand in cands], dtype=float),
+                       alloc.power[i], cfg, rows)
+        except ZeroDivisionError:
+            # A row keeps step_size 0.0 only where its round converged.
+            rounds = sum(row["step_size"] == 0.0 for row in rows)
+            raise ConvergenceError(i, cfg.gamma_init * cfg.gamma_growth**rounds, math.nan,
+                                   len(rows) - rounds) from None
+    raise AssertionError("no UAV divided by zero")
+
+
 # A few rates shared within an instance give ties; zeros and the extremes
 # of the physical range come up often. One instance in five also draws
 # powers so small that p.p or the Newton system's p.H^-1.p underflows to
@@ -199,7 +227,7 @@ def outcome(refine, c, alloc, cfg, trace):
         warnings.simplefilter("always", RuntimeWarning)
         try:
             out = refine(c, alloc, cfg, trace=trace)
-        except (ConvergenceError, ZeroDivisionError) as err:
+        except ConvergenceError as err:
             result = (type(err), str(err), repr(vars(err)))
         else:
             result = (type(out), repr(list(out.L_r.items())), repr(out.barrier_gamma),
@@ -212,7 +240,7 @@ def outcome(refine, c, alloc, cfg, trace):
 @given(instances())
 def test_block_solver_matches_scalar_reference(instance):
     c, alloc, cfg = instance
-    want, want_trace, ref_warned = outcome(reference_refine, c, alloc, cfg, [])
+    want, want_trace, ref_warned = outcome(typed_reference, c, alloc, cfg, [])
     got, got_trace, warned = outcome(newton_refine, c, alloc, cfg, [])
     assert got == want
     assert got_trace == want_trace

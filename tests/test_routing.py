@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fanetsim.model import Node
+from fanetsim.model import GROUND_STATION, UAV, ChannelParams, Node, build_topology
 from fanetsim.routing import DisconnectedTopologyError, build_spt, validate_tree
 from fanetsim.routing import RoutingTree
 
@@ -95,6 +95,20 @@ def test_tie_breaks_lowest_id():
     )
     tree = build_spt(t, weight="hops")
     assert tree.parent[3] == 1
+
+
+def test_vanishing_link_weight_keeps_a_tree():
+    # The two UAVs are 3.27e-24 m apart, so that link's weight vanishes in
+    # dist + w: both reach the ground station at 150.0 and each is tight for
+    # the other. The lowest-id rule alone gave the cycle {1: 2, 2: 1}; only
+    # UAV 1, settled first, may parent UAV 2.
+    nodes = [Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 0.0, 3.27e-24, 150.0, UAV),
+             Node(3, 0.0, 0.0, 0.0, GROUND_STATION)]
+    t = build_topology(nodes, ChannelParams(link_threshold_dth=1500.0), mode="3d")
+    tree = build_spt(t)
+    assert tree.parent == {1: 3, 2: 1}
+    assert tree.path_cost == {1: 150.0, 2: 150.0}
+    assert validate_tree(tree, t).ok
 
 
 def test_disconnected_raises_with_stranded_ids():
