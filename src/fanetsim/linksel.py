@@ -19,23 +19,34 @@ adopts each UAV's heaviest candidate when it strictly beats the current
 parent's rate and keeps the tree valid.
 
 The per-UAV problems are independent and have the same form, so every UAV
-with exactly m >= 2 candidates is solved as one row of a (G, m) array, in
-lock step: each pass gives every live row one Newton iteration at its own
-barrier weight, converged rows move on to their next round, and finished
-rows leave the block. Each row's arithmetic is the same, bit for bit, as
-solving that UAV alone on its own length-m vectors:
+with m >= 2 candidates is solved as one row of a flat array that holds all
+their candidates end to end, rows sorted by (m, UAV id), in lock step: each
+pass gives every live row one Newton iteration at its own barrier weight,
+converged rows move on to their next round, and finished rows leave. An
+op's Newton cost thus follows its slowest UAV's pass count, not the sum of
+such counts over candidate counts. Each row's arithmetic is the same, bit
+for bit, as solving that UAV alone on its own length-m vectors:
 
 - rows are never padded, so every dot product and sum runs over exactly m
   elements (padding would move elements across OpenBLAS ``ddot``'s 16-wide
-  blocks and numpy's 8-wide pairwise-sum blocks);
-- per-row dot products use ``np.vecdot``, which calls the same ``ddot`` per
-  row as ``@`` on one vector (``einsum`` sums in another order), and per-row
-  sums use ``sum(axis=1)``, the same pairwise sum per row;
-- elementwise expressions keep one evaluation order, and the barrier
-  weights are the Python floats ``gamma_init * gamma_growth**r``.
+  blocks and numpy's 8-wide pairwise-sum blocks), and rows leave by
+  boolean compaction;
+- elementwise work runs once on the flat array, with each row's scalars
+  repeated across its m entries, in one evaluation order; the barrier
+  weights are the Python floats ``gamma_init * gamma_growth**r``;
+- reductions whose value does not depend on the order of their elements
+  (the box-cap min, the largest rate magnitude, the outside-the-box test)
+  are one ``ufunc.reduceat`` over the row starts;
+- dot products and sums run once per run of equal-width rows, on that
+  run's contiguous (G_m, m) view: ``np.vecdot`` calls the same ``ddot`` per
+  row as ``@`` on one vector (``einsum`` sums in another order), and
+  ``np.add.reduce`` the same pairwise sum per row as ``np.sum``. Dots that
+  share an operand (p.H^-1.g with p.H^-1.p; phi at the iterate with phi at
+  the first trial point) are stacked on a leading axis, one ``ddot`` per
+  row each.
 
-A UAV's outcome therefore does not depend on which other UAVs share its
-block, and ``newton_refine`` reports the UAVs in id order, raising the lowest
+A UAV's outcome therefore does not depend on which other UAVs share the
+array, and ``newton_refine`` reports the UAVs in id order, raising the lowest
 failing UAV's error.
 """
 
@@ -286,166 +297,239 @@ def gradient_hessian(L_r, c: CandidateSet, gamma: float):
     return grad, hess
 
 
-def _phi_rows(x: np.ndarray, rates: np.ndarray, inv_gamma_scaled: np.ndarray) -> np.ndarray:
-    """Rate-normalized phi per row; -inf for a row outside the open box."""
+class _RaggedRows:
+    """Rows of varying widths packed end to end in one flat array.
+
+    Rows come sorted by width, so each width is one run of adjacent rows.
+
+    Elementwise work runs on the flat array, with per-row scalars broadcast
+    by ``repeat``. The order-free reductions (min, max, any) are one
+    ``ufunc.reduceat`` each. Dot products and sums, whose result depends on
+    the order of the additions, run once per run of equal-width rows on that
+    run's contiguous (rows, width) view, so each row gets the ``ddot`` or the
+    pairwise sum that it gets alone. Their packed operands may carry leading
+    axes (shape (..., size)), which the result keeps.
+    """
+
+    def __init__(self, widths: np.ndarray):
+        self.widths = widths
+        self.n_rows = widths.size
+        ends = np.cumsum(widths)
+        self.starts = ends - widths
+        self.size = int(ends[-1]) if widths.size else 0
+        cuts = (np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()
+        ends, width = ends.tolist(), widths.tolist()
+        # (first element, end element, rows, width) per run of equal widths
+        self.runs = [(ends[lo] - width[lo], ends[hi - 1], hi - lo, width[lo])
+                     for lo, hi in zip([0, *cuts], [*cuts, self.n_rows]) if lo < hi]
+
+    def take(self, keep: np.ndarray) -> tuple[_RaggedRows, np.ndarray]:
+        """The rows where the boolean row mask ``keep`` holds, and their element mask."""
+        return _RaggedRows(self.widths[keep]), np.repeat(keep, self.widths)
+
+    def repeat(self, per_row: np.ndarray) -> np.ndarray:
+        return np.repeat(per_row, self.widths)
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        lead = b.shape[:-1]
+        if not self.runs:
+            return np.empty((*lead, 0))
+        return np.concatenate([
+            np.vecdot(a[lo:hi].reshape(g, m), b[..., lo:hi].reshape(*lead, g, m))
+            for lo, hi, g, m in self.runs], axis=-1)
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        lead = a.shape[:-1]
+        if not self.runs:
+            return np.empty((*lead, 0))
+        return np.concatenate([np.add.reduce(a[..., lo:hi].reshape(*lead, g, m), axis=-1)
+                               for lo, hi, g, m in self.runs], axis=-1)
+
+    def min(self, a: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(a, self.starts)
+
+    def max(self, a: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(a, self.starts)
+
+    def any(self, a: np.ndarray) -> np.ndarray:
+        return np.logical_or.reduceat(a, self.starts)
+
+
+def _phi_rows(rows: _RaggedRows, x: np.ndarray, rates: np.ndarray,
+              inv_gamma_scaled: np.ndarray) -> np.ndarray:
+    """Rate-normalized phi per row; -inf for a row outside the open box.
+
+    ``x`` may stack several points per row, shape (k, size); phi is then (k, rows).
+    """
     if x.min() > 0.0 and x.max() < 1.0:
-        return np.vecdot(rates, x) + inv_gamma_scaled * (np.log(x) + np.log1p(-x)).sum(axis=1)
-    inside = ~((x <= 0.0).any(axis=1) | (x >= 1.0).any(axis=1))
-    phi = np.full(x.shape[0], -math.inf)
-    xi = x[inside]
-    phi[inside] = (np.vecdot(rates[inside], xi)
-                   + inv_gamma_scaled[inside] * (np.log(xi) + np.log1p(-xi)).sum(axis=1))
+        return rows.dot(rates, x) + inv_gamma_scaled * rows.sum(np.log(x) + np.log1p(-x))
+    if x.ndim > 1:
+        return np.stack([_phi_rows(rows, point, rates, inv_gamma_scaled) for point in x])
+    inside = ~rows.any((x <= 0.0) | (x >= 1.0))
+    phi = np.full(rows.n_rows, -math.inf)
+    sub, elems = rows.take(inside)
+    xi = x[elems]
+    phi[inside] = (sub.dot(rates[elems], xi)
+                   + inv_gamma_scaled[inside] * sub.sum(np.log(xi) + np.log1p(-xi)))
     return phi
 
 
-def _armijo_steps(x: np.ndarray, omx: np.ndarray, step: np.ndarray, rates: np.ndarray,
-                  inv_gamma_scaled: np.ndarray, slope: np.ndarray, phi0: np.ndarray,
-                  cfg: SolverConfig) -> np.ndarray:
+def _armijo_steps(rows: _RaggedRows, x: np.ndarray, omx: np.ndarray, step: np.ndarray,
+                  rates: np.ndarray, inv_gamma_scaled: np.ndarray, slope: np.ndarray,
+                  phi0: np.ndarray | None, cfg: SolverConfig) -> np.ndarray:
     """Per-row backtracked step fraction, below _MIN_STEP_FRACTION where the search gave up.
 
     Every row tries its longest step that stays inside the open box; only
-    the rows that fail the Armijo test shrink and try again.
+    the rows that fail the Armijo test shrink and try again. Without a given
+    ``phi0``, phi at ``x`` is evaluated together with the first trial point.
     """
     room = np.divide(np.where(step > 0.0, omx, x), np.abs(step),
                      out=np.full(step.shape, math.inf), where=step != 0.0)
     # fmin, like Python's min(1.0, cap), takes 1.0 when cap is nan.
-    tau = np.fmin(0.99 * room.min(axis=1), 1.0)
+    tau = np.fmin(0.99 * rows.min(room), 1.0)
 
-    def armijo(rows):
-        t = tau[rows]
-        return (_phi_rows(x[rows] + t[:, None] * step[rows], rates[rows], inv_gamma_scaled[rows])
-                >= phi0[rows] + cfg.backtrack_alpha * t * slope[rows])
+    def armijo(keep):
+        sub, elems = rows.take(keep)
+        t = tau[keep]
+        return (_phi_rows(sub, x[elems] + sub.repeat(t) * step[elems], rates[elems],
+                          inv_gamma_scaled[keep])
+                >= phi0[keep] + cfg.backtrack_alpha * t * slope[keep])
 
-    ok = armijo(slice(None))
-    if ok.all():
-        return tau
-    rejected = np.flatnonzero(~ok)
-    while rejected.size:
+    trial = x + rows.repeat(tau) * step
+    if phi0 is None:
+        phi0, phi = _phi_rows(rows, np.stack((x, trial)), rates, inv_gamma_scaled)
+    else:
+        phi = _phi_rows(rows, trial, rates, inv_gamma_scaled)
+    rejected = ~(phi >= phi0 + cfg.backtrack_alpha * tau * slope)
+    while rejected.any():
         tau[rejected] *= cfg.backtrack_tau_shrink
-        rejected = rejected[tau[rejected] >= _MIN_STEP_FRACTION]
-        if rejected.size:
-            rejected = rejected[~armijo(rejected)]
+        rejected &= tau >= _MIN_STEP_FRACTION
+        if rejected.any():
+            rejected[rejected] = ~armijo(rejected)
     return tau
 
 
-def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg: SolverConfig,
-                 solved: dict, traces: dict | None) -> None:
-    """Barrier-scheduled projected Newton ascent for UAVs with equally many candidates.
+def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, powers: np.ndarray,
+                cfg: SolverConfig, solved: dict, traces: dict | None) -> None:
+    """Barrier-scheduled projected Newton ascent for every relaxed UAV at once.
 
-    Row g of the (G, m) ``rates_raw`` and ``powers[g]`` belong to UAV
-    ``ids[g]``. Each row works on phi divided by its largest candidate-rate
-    magnitude so the decrement target is scale-free; the Newton iterates are
-    unchanged by that normalization. Every pass gives each live row one
-    iteration at its own barrier weight: converged rows move to their next
-    round and finished rows leave the block. ``solved[uav]`` receives
-    (final interior point, accepted-iteration count, last decrement) or the
-    exception that stopped the UAV; ``traces[uav]``, when given, receives its
-    per-iteration rows.
+    Row g of ``rows``, with its slice of the flat ``rates_raw`` and
+    ``powers[g]``, belongs to UAV ``uav[g]``. Each row works on phi divided
+    by its largest candidate-rate magnitude so the decrement target is
+    scale-free; the Newton iterates are unchanged by that normalization.
+    Every pass gives each live row one iteration at its own barrier weight:
+    converged rows move to their next round and finished rows leave.
+    ``solved[uav]`` receives (final interior point, accepted-iteration count,
+    last decrement) or the exception that stopped the UAV; ``traces[uav]``,
+    when given, receives its per-iteration rows.
     """
-    n_rows, m = rates_raw.shape
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
-    p_vec = np.repeat(powers, m).reshape(n_rows, m)
-    p_dot_p = np.vecdot(p_vec, p_vec)
-    if not p_dot_p.all():
+    p_vec = rows.repeat(powers)
+    p_dot_p = rows.dot(p_vec, p_vec)
+    leaving = p_dot_p == 0.0
+    if leaving.any():
         # p.p underflowed to zero, so the projection onto the constraint
         # plane does not exist and the UAV fails before its first iteration.
-        zero = p_dot_p == 0.0
-        for g in np.flatnonzero(zero):
-            solved[ids[g]] = ConvergenceError(ids[g], gammas[0], math.nan, 0)
-        keep = np.flatnonzero(~zero)
-        if keep.size:
-            _solve_block([ids[g] for g in keep], rates_raw[keep], powers[keep], cfg, solved, traces)
+        for g in np.flatnonzero(leaving):
+            solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
+        keep = ~leaving
+        rows, elems = rows.take(keep)
+        uav, rates_raw, powers, p_vec, p_dot_p = (
+            uav[keep], rates_raw[elems], powers[keep], p_vec[elems], p_dot_p[keep])
+    if not rows.n_rows:
         return
-    scale = np.abs(rates_raw).max(axis=1)
+    scale = rows.max(np.abs(rates_raw))
     scale[scale == 0.0] = 1.0
-    rates = rates_raw / scale[:, None]
+    rates = rates_raw / rows.repeat(scale)
     inv_by_round = np.array([[1.0 / (gamma * s) for gamma in gammas] for s in scale.tolist()])
 
     # Start from the all-ones point of the power identity, pulled to the
     # margin and projected onto the constraint plane: lands at uniform 1/m.
-    x = np.full((n_rows, m), 1.0 - INTERIOR_MARGIN)
-    x = x + ((powers - np.vecdot(p_vec, x)) / p_dot_p)[:, None] * p_vec
+    x = np.full(rows.size, 1.0 - INTERIOR_MARGIN)
+    x = x + rows.repeat((powers - rows.dot(p_vec, x)) / p_dot_p) * p_vec
     x = np.clip(x, INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN)
 
     inv = inv_by_round[:, 0].copy()
-    rnd = np.zeros(n_rows, dtype=np.intp)
-    it = np.zeros(n_rows, dtype=np.intp)
-    total = np.zeros(n_rows, dtype=np.intp)
-    row = np.arange(n_rows)
+    rnd = np.zeros(rows.n_rows, dtype=np.intp)
+    it = np.zeros(rows.n_rows, dtype=np.intp)
+    total = np.zeros(rows.n_rows, dtype=np.intp)
     leaving = None
     while True:
         if leaving is not None and leaving.any():
             keep = ~leaving
-            (x, rates, p_vec, powers, p_dot_p, scale, inv_by_round, inv, rnd, it, total,
-             row) = (a[keep] for a in (x, rates, p_vec, powers, p_dot_p, scale, inv_by_round,
-                                       inv, rnd, it, total, row))
-        if not row.size:
+            rows, elems = rows.take(keep)
+            x, rates, p_vec = x[elems], rates[elems], p_vec[elems]
+            (uav, powers, p_dot_p, scale, inv_by_round, inv, rnd, it, total) = (
+                a[keep] for a in (uav, powers, p_dot_p, scale, inv_by_round, inv, rnd, it, total))
+        if not rows.n_rows:
             return
         leaving = None
 
         omx = 1.0 - x
-        inv_col = inv[:, None]
-        grad = rates + inv_col * (1.0 / x - 1.0 / omx)
-        hess = -inv_col * (1.0 / x**2 + 1.0 / omx**2)
-        hinv_g = grad / hess
-        hinv_p = p_vec / hess
-        p_hinv_p = np.vecdot(p_vec, hinv_p)
+        inv_e = rows.repeat(inv)
+        grad = rates + inv_e * (1.0 / x - 1.0 / omx)
+        hess = -inv_e * (1.0 / x**2 + 1.0 / omx**2)
+        hinv_g, hinv_p = hinv = np.stack((grad, p_vec)) / hess
+        p_hinv_g, p_hinv_p = rows.dot(p_vec, hinv)
         if not p_hinv_p.all():
             # p.H^-1.p underflowed to zero, so the Newton step does not exist.
             leaving = p_hinv_p == 0.0
             for g in np.flatnonzero(leaving):
-                solved[ids[row[g]]] = ConvergenceError(
-                    ids[row[g]], gammas[rnd[g]], math.nan, int(total[g]))
+                solved[int(uav[g])] = ConvergenceError(
+                    int(uav[g]), gammas[rnd[g]], math.nan, int(total[g]))
             continue
-        nu = np.vecdot(p_vec, hinv_g) / p_hinv_p
-        step = -hinv_g + nu[:, None] * hinv_p
-        slope = np.vecdot(grad, step)
+        nu = p_hinv_g / p_hinv_p
+        step = -hinv_g + rows.repeat(nu) * hinv_p
+        slope = rows.dot(grad, step)
         decrement = np.sqrt(np.where(slope < 0.0, 0.0, slope))
 
         phi = None
         if traces is not None:
-            phi = _phi_rows(x, rates, inv)
-            residual = np.abs(np.vecdot(p_vec, x) - powers) / np.maximum(np.abs(powers), 1e-300)
+            phi = _phi_rows(rows, x, rates, inv)
+            residual = np.abs(rows.dot(p_vec, x) - powers) / np.maximum(np.abs(powers), 1e-300)
             pass_rows = [{
-                "uav_id": ids[row[g]],
+                "uav_id": int(uav[g]),
                 "gamma": gammas[rnd[g]],
                 "iteration": int(it[g]),
                 "phi": float(scale[g] * phi[g]),
                 "decrement": float(decrement[g]),
                 "step_size": 0.0,
                 "constraint_residual": float(residual[g]),
-            } for g in range(row.size)]
+            } for g in range(rows.n_rows)]
             for trace_row in pass_rows:
                 traces[trace_row["uav_id"]].append(trace_row)
 
         converged = decrement <= cfg.epsilon_decrement
-        moving = slice(None)
+        moving = np.ones(rows.n_rows, dtype=bool)
+        m_rows, m_elems = rows, slice(None)
         if converged.any():
             rnd += converged
             it[converged] = 0
             leaving = rnd == BARRIER_ROUNDS
             for g in np.flatnonzero(leaving):
-                solved[ids[row[g]]] = (x[g].tolist(), int(total[g]), float(decrement[g]))
+                solved[int(uav[g])] = (x[rows.starts[g]:rows.starts[g] + rows.widths[g]].tolist(),
+                                       int(total[g]), float(decrement[g]))
             advanced = converged & ~leaving
             inv[advanced] = inv_by_round[advanced, rnd[advanced]]
             if converged.all():
                 continue
-            moving = np.flatnonzero(~converged)
+            moving = ~converged
+            m_rows, m_elems = rows.take(moving)
 
-        x_m, step_m, rates_m, inv_m = x[moving], step[moving], rates[moving], inv[moving]
-        phi0 = _phi_rows(x_m, rates_m, inv_m) if phi is None else phi[moving]
-        tau = _armijo_steps(x_m, omx[moving], step_m, rates_m, inv_m, slope[moving], phi0, cfg)
-        x_m = x_m + tau[:, None] * step_m
+        x_m, step_m, rates_m, inv_m = x[m_elems], step[m_elems], rates[m_elems], inv[moving]
+        tau = _armijo_steps(m_rows, x_m, omx[m_elems], step_m, rates_m, inv_m, slope[moving],
+                            None if phi is None else phi[moving], cfg)
+        x_m = x_m + m_rows.repeat(tau) * step_m
         # The step is constraint-tangent by construction; shave off the
         # accumulated rounding drift so the residual stays at noise level.
-        p_m = p_vec[moving]
-        x[moving] = x_m + ((powers[moving] - np.vecdot(p_m, x_m)) / p_dot_p[moving])[:, None] * p_m
+        p_m = p_vec[m_elems]
+        x[m_elems] = x_m + m_rows.repeat(
+            (powers[moving] - m_rows.dot(p_m, x_m)) / p_dot_p[moving]) * p_m
         accepted = tau >= _MIN_STEP_FRACTION
         total[moving] += accepted
         it[moving] += accepted
         if traces is not None:
-            for g, step_size, ok in zip(np.arange(row.size)[moving], tau.tolist(),
-                                        accepted.tolist()):
+            for g, step_size, ok in zip(np.flatnonzero(moving), tau.tolist(), accepted.tolist()):
                 if ok:
                     pass_rows[g]["step_size"] = step_size
 
@@ -456,8 +540,8 @@ def _solve_block(ids: list[int], rates_raw: np.ndarray, powers: np.ndarray, cfg:
             failed[moving] |= ~accepted
             for g in np.flatnonzero(failed):
                 iterations = cfg.max_newton_iters if it[g] == cfg.max_newton_iters else int(total[g])
-                solved[ids[row[g]]] = ConvergenceError(
-                    ids[row[g]], gammas[rnd[g]], float(decrement[g]), iterations)
+                solved[int(uav[g])] = ConvergenceError(
+                    int(uav[g]), gammas[rnd[g]], float(decrement[g]), iterations)
             leaving = failed if leaving is None else leaving | failed
 
 
@@ -469,14 +553,14 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     so reselection cannot help them); UAVs with a single candidate have no
     strict-interior point on the constraint plane and are recorded in
     ``pinned`` for deterministic handling at rounding. The others are solved
-    in one block per candidate count. Raises the lowest failing UAV's
-    ConvergenceError when any UAV exhausts max_newton_iters in some barrier
-    round, gives up its line search, or meets a degenerate Newton system;
-    pass a list as ``trace`` to collect per-iteration rows, in UAV id order
-    (up to and including a failing UAV).
+    in one lock-step loop over all their candidates. Raises the lowest
+    failing UAV's ConvergenceError when any UAV exhausts max_newton_iters in
+    some barrier round, gives up its line search, or meets a degenerate
+    Newton system; pass a list as ``trace`` to collect per-iteration rows,
+    in UAV id order (up to and including a failing UAV).
     """
     pinned: dict[int, int] = {}
-    blocks: dict[int, list[int]] = {}
+    relaxed = []
     for i in sorted(c.candidates):
         cands = c.candidates[i]
         if alloc.power[i] <= 0.0:
@@ -484,14 +568,15 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
         if len(cands) == 1:
             pinned[i] = cands[0].neighbor
             continue
-        blocks.setdefault(len(cands), []).append(i)
+        relaxed.append(i)
+    relaxed.sort(key=lambda i: len(c.candidates[i]))
 
     solved: dict[int, tuple[list[float], int, float] | Exception] = {}
-    traces = None if trace is None else {i: [] for ids in blocks.values() for i in ids}
-    for ids in blocks.values():
-        rates_raw = np.array([[cand.rate for cand in c.candidates[i]] for i in ids], dtype=float)
-        powers = np.array([alloc.power[i] for i in ids], dtype=float)
-        _solve_block(ids, rates_raw, powers, cfg, solved, traces)
+    traces = None if trace is None else {i: [] for i in relaxed}
+    rows = _RaggedRows(np.array([len(c.candidates[i]) for i in relaxed], dtype=np.intp))
+    rates_raw = np.array([cand.rate for i in relaxed for cand in c.candidates[i]], dtype=float)
+    powers = np.array([alloc.power[i] for i in relaxed], dtype=float)
+    _solve_rows(np.array(relaxed, dtype=np.intp), rows, rates_raw, powers, cfg, solved, traces)
 
     L_r: dict[tuple[int, int], float] = {}
     total_iters = 0

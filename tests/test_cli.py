@@ -226,6 +226,18 @@ def test_exit_code_no_convergence(capsys):
                             "100 iterations at barrier weight 10\n")
 
 
+def test_exit_code_barrier_weight_out_of_range(capsys):
+    # At gamma_init 1e300, gamma*scale overflows and the barrier term
+    # vanishes; the error is the lowest failing UAV's, with its iteration count
+    rc = main(["run", "--n-uavs", "6", "--area-side", "8000", "--min-separation", "300",
+               "--gamma-init", "1e300"])
+    assert rc == EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("solver error: UAV 1: Newton decrement 4.398e+152 after "
+                            "0 iterations at barrier weight 1e+300\n")
+
+
 def test_validate_passes(capsys):
     assert main(["validate", "--seed", "0"]) == 0
     out = capsys.readouterr().out

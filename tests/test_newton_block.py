@@ -1,13 +1,14 @@
-"""The lock-step block solver against the scalar per-UAV solver it replaced.
+"""The lock-step solver against the scalar per-UAV solver it replaced.
 
 ``_phi_scaled``, ``_solve_uav`` and ``reference_refine`` below are the
 scalar solver and its driving loop, copied verbatim (only the loop's name
-changed). The block solver must reproduce them bit for bit: every
+changed). ``newton_refine`` must reproduce them bit for bit: every
 ``RelaxedLinkMatrix`` field, every trace row, and the type and message of the
 first failure, with the trace rows written up to it. The one intended
 difference: where the scalar solver's projection divided by zero and raised
-a bare ZeroDivisionError, the block solver raises ConvergenceError for that
-UAV (see ``typed_reference``).
+a bare ZeroDivisionError, ``newton_refine`` raises ConvergenceError for that
+UAV (see ``typed_reference``). The row reductions it is built on are checked
+against each row alone in ``test_ragged_rows_reduce_each_row_as_alone``.
 """
 
 import math
@@ -15,6 +16,7 @@ import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fanetsim.linksel import (
     BARRIER_ROUNDS,
@@ -25,6 +27,7 @@ from fanetsim.linksel import (
     ConvergenceError,
     RelaxedLinkMatrix,
     SolverConfig,
+    _RaggedRows,
     newton_refine,
 )
 from fanetsim.power import PowerAllocation
@@ -159,8 +162,8 @@ def reference_refine(c: CandidateSet, alloc: PowerAllocation,
 
 
 def typed_reference(c, alloc, cfg, trace=None):
-    """reference_refine, with its ZeroDivisionError reported as the block
-    solver reports it: a ConvergenceError for the UAV whose Newton system
+    """reference_refine, with its ZeroDivisionError reported as newton_refine
+    reports it: a ConvergenceError for the UAV whose Newton system
     degenerated, at the barrier weight of its current round, with a nan
     decrement and its accepted iterations."""
     try:
@@ -184,9 +187,11 @@ def typed_reference(c, alloc, cfg, trace=None):
 
 
 # A few rates shared within an instance give ties; zeros and the extremes
-# of the physical range come up often. One instance in five also draws
-# powers so small that p.p or the Newton system's p.H^-1.p underflows to
-# zero, where the scalar solver's float division raised.
+# of the physical range come up often. Up to 7 distinct widths up to 40
+# cross numpy's 8-wide pairwise-sum blocks and ddot's 16- and 32-wide
+# blocks, and up to 30 UAVs give several rows per width. One instance in
+# five also draws powers so small that p.p or the Newton system's p.H^-1.p
+# underflows to zero, where the scalar solver's float division raised.
 @st.composite
 def instances(draw):
     shared = draw(st.lists(st.floats(0.0, 1e9), min_size=1, max_size=3)) + [0.0, 1e9]
@@ -194,8 +199,8 @@ def instances(draw):
     power = st.just(0.0) | st.just(1.0) | st.floats(1e-15, 1e6)
     if draw(st.integers(0, 4)) == 0:
         power = power | st.sampled_from([1e-165, 3e-162, 1e-150])
-    widths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
-    ids = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=10)))
+    widths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True))
+    ids = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=30)))
     candidates, powers = {}, {}
     for i in ids:
         m = draw(st.sampled_from(widths))
@@ -245,7 +250,58 @@ def test_block_solver_matches_scalar_reference(instance):
     assert got == want
     assert got_trace == want_trace
     assert outcome(newton_refine, c, alloc, cfg, None)[0] == want
-    # The block also solves UAVs past the scalar loop's first failure, so it
-    # may warn where the reference stopped early, but never stays silent
+    # newton_refine also solves UAVs past the scalar loop's first failure, so
+    # it may warn where the reference stopped early, but never stays silent
     # where the reference warned.
     assert warned or not ref_warned
+
+
+# Widths on both sides of numpy's 8-wide pairwise-sum blocks and ddot's 16-
+# and 32-wide blocks.
+RAGGED_WIDTHS = [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+
+
+@st.composite
+def ragged_rows(draw):
+    """Packed rows of sorted widths, two operands, and row masks applied in
+    turn as rows leave; masks may keep every row, one row or none."""
+    widths = sorted(draw(st.lists(st.sampled_from(RAGGED_WIDTHS), max_size=12)))
+    value = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, 1e-300, 1e150])
+    a, b = (draw(arrays(np.float64, sum(widths), elements=value)) for _ in range(2))
+    masks, n = [], len(widths)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["any", "one", "none"]))
+        if kind == "any" or n == 0:
+            mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        else:
+            mask = np.zeros(n, dtype=bool)
+            if kind == "one":
+                mask[draw(st.integers(0, n - 1))] = True
+        masks.append(mask)
+        n = int(mask.sum())
+    return np.array(widths, dtype=np.intp), a, b, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged_rows())
+def test_ragged_rows_reduce_each_row_as_alone(case):
+    widths, a, b, masks = case
+    rows = _RaggedRows(widths)
+    for mask in [None, *masks]:
+        if mask is not None:
+            rows, elems = rows.take(mask)
+            a, b = a[elems], b[elems]
+        bounds = np.cumsum([0, *rows.widths.tolist()]).tolist()
+        row_a = [a[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        row_b = [b[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        assert rows.size == a.size
+        dots = [float(x @ y) for x, y in zip(row_a, row_b)]
+        assert repr(rows.dot(a, b).tolist()) == repr(dots)
+        assert repr(rows.sum(a).tolist()) == repr([float(np.sum(x)) for x in row_a])
+        assert repr(rows.min(a).tolist()) == repr([float(x.min()) for x in row_a])
+        assert repr(rows.max(a).tolist()) == repr([float(x.max()) for x in row_a])
+        # Operands with a leading axis reduce each of their rows the same way.
+        assert repr(rows.dot(a, np.stack((b, a))).tolist()) == repr(
+            [dots, [float(x @ x) for x in row_a]])
+        assert repr(rows.sum(np.stack((b, a))).tolist()) == repr(
+            [[float(np.sum(y)) for y in row_b], [float(np.sum(x)) for x in row_a]])
