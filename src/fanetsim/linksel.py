@@ -22,28 +22,33 @@ The per-UAV problems are independent and have the same form, so every UAV
 with m >= 2 candidates is solved as one row of a flat array that holds all
 their candidates end to end, rows sorted by (m, UAV id), in lock step: each
 pass gives every live row one Newton iteration at its own barrier weight,
-converged rows move on to their next round, and finished rows leave. An
+converged rows move on to their next round, and finished rows retire. An
 op's Newton cost thus follows its slowest UAV's pass count, not the sum of
-such counts over candidate counts. Each row's arithmetic is the same, bit
-for bit, as solving that UAV alone on its own length-m vectors:
+such counts over candidate counts. The state lives in flat buffers
+allocated once; retired rows stay in place behind a mask, on harmless
+values, so no pass compacts or copies the live rows. Each row's arithmetic
+is the same, bit for bit, as solving that UAV alone on its own length-m
+vectors:
 
 - rows are never padded, so every dot product and sum runs over exactly m
   elements (padding would move elements across OpenBLAS ``ddot``'s 16-wide
-  blocks and numpy's 8-wide pairwise-sum blocks), and rows leave by
-  boolean compaction;
-- elementwise work runs once on the flat array, with each row's scalars
-  repeated across its m entries, in one evaluation order; the barrier
-  weights are the Python floats ``gamma_init * gamma_growth**r``;
+  blocks and numpy's 8-wide pairwise-sum blocks);
+- elementwise work runs on the flat buffers, with each row's scalars
+  repeated across its m entries, one ufunc at a time in the order of the
+  scalar expression; the barrier weights are the Python floats
+  ``gamma_init * gamma_growth**r``;
 - reductions whose value does not depend on the order of their elements
   (the box-cap min, the largest rate magnitude, the outside-the-box test)
   are one ``ufunc.reduceat`` over the row starts;
 - dot products and sums run once per run of equal-width rows, on that
-  run's contiguous (G_m, m) view: ``np.vecdot`` calls the same ``ddot`` per
-  row as ``@`` on one vector (``einsum`` sums in another order), and
-  ``np.add.reduce`` the same pairwise sum per row as ``np.sum``. Dots that
-  share an operand (p.H^-1.g with p.H^-1.p; phi at the iterate with phi at
-  the first trial point) are stacked on a leading axis, one ``ddot`` per
-  row each.
+  run's contiguous (G_m, m) view of a buffer, built once: ``np.vecdot``
+  calls the same ``ddot`` per row as ``@`` on one vector (``einsum`` sums in
+  another order), and ``np.add.reduce`` the same pairwise sum per row as
+  ``np.sum``. Dots that share a pass are stacked on leading axes, one
+  ``ddot`` per row each: p.H^-1.p with p.H^-1.g, and (rates, p) with
+  (x, trial point), which gives phi's linear terms and the p.trial that the
+  drift correction reuses for rows that took their first trial step;
+- only the Armijo retries run on a compacted copy of the rows they concern.
 
 A UAV's outcome therefore does not depend on which other UAVs share the
 array, and ``newton_refine`` reports the UAVs in id order, raising the lowest
@@ -75,7 +80,8 @@ class ConvergenceError(RuntimeError):
 
     The decrement is nan where the Newton system itself degenerated: p.p or
     p.H^-1.p underflowed to zero (powers below about 1e-161 W, or barrier
-    weights so small that 1/(gamma*scale) overflows).
+    weights so small that 1/(gamma*scale) overflows) or left the float range
+    (powers above about 1e150 W).
     """
 
     def __init__(self, uav_id: int, gamma: float, decrement: float, iterations: int):
@@ -307,8 +313,10 @@ class _RaggedRows:
     ``ufunc.reduceat`` each. Dot products and sums, whose result depends on
     the order of the additions, run once per run of equal-width rows on that
     run's contiguous (rows, width) view, so each row gets the ``ddot`` or the
-    pairwise sum that it gets alone. Their packed operands may carry leading
-    axes (shape (..., size)), which the result keeps.
+    pairwise sum that it gets alone. Their packed operands (shape
+    (..., size)) may carry leading axes, which broadcast against each other
+    and which the result keeps. ``bind_dot`` and ``bind_sum`` build those
+    views once, for a loop that reduces the same buffers pass after pass.
     """
 
     def __init__(self, widths: np.ndarray):
@@ -318,9 +326,9 @@ class _RaggedRows:
         self.starts = ends - widths
         self.size = int(ends[-1]) if widths.size else 0
         cuts = (np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()
-        ends, width = ends.tolist(), widths.tolist()
-        # (first element, end element, rows, width) per run of equal widths
-        self.runs = [(ends[lo] - width[lo], ends[hi - 1], hi - lo, width[lo])
+        first, width = self.starts.tolist(), widths.tolist()
+        # (first row, end row, first element, width) per run of equal widths
+        self.runs = [(lo, hi, first[lo], width[lo])
                      for lo, hi in zip([0, *cuts], [*cuts, self.n_rows]) if lo < hi]
 
     def take(self, keep: np.ndarray) -> tuple[_RaggedRows, np.ndarray]:
@@ -328,22 +336,46 @@ class _RaggedRows:
         return _RaggedRows(self.widths[keep]), np.repeat(keep, self.widths)
 
     def repeat(self, per_row: np.ndarray) -> np.ndarray:
-        return np.repeat(per_row, self.widths)
+        return per_row.repeat(self.widths)
+
+    def views(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Each run's (..., rows, width) view of a packed (..., size) array."""
+        lead = packed.shape[:-1]
+        return [packed[..., e:e + (hi - lo) * m].reshape(*lead, hi - lo, m)
+                for lo, hi, e, m in self.runs]
+
+    def row_views(self, per_row: np.ndarray) -> list[np.ndarray]:
+        """Each run's (..., rows) slice of a per-row (..., n_rows) array."""
+        return [per_row[..., lo:hi] for lo, hi, _, _ in self.runs]
+
+    def bind_dot(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
+        """A call that writes each row's dot product of ``a`` and ``b`` into
+        ``out`` and returns ``out``. The views are built here, once; each
+        call reads what the buffers hold at that moment."""
+        views = list(zip(self.views(a), self.views(b), self.row_views(out)))
+
+        def dot() -> np.ndarray:
+            for va, vb, vo in views:
+                np.vecdot(va, vb, out=vo)
+            return out
+        return dot
+
+    def bind_sum(self, a: np.ndarray, out: np.ndarray):
+        """A call that writes each row's sum of ``a`` into ``out`` and returns it."""
+        views = list(zip(self.views(a), self.row_views(out)))
+
+        def total() -> np.ndarray:
+            for va, vo in views:
+                np.add.reduce(va, axis=-1, out=vo)
+            return out
+        return total
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lead = b.shape[:-1]
-        if not self.runs:
-            return np.empty((*lead, 0))
-        return np.concatenate([
-            np.vecdot(a[lo:hi].reshape(g, m), b[..., lo:hi].reshape(*lead, g, m))
-            for lo, hi, g, m in self.runs], axis=-1)
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        return self.bind_dot(a, b, np.empty((*lead, self.n_rows)))()
 
     def sum(self, a: np.ndarray) -> np.ndarray:
-        lead = a.shape[:-1]
-        if not self.runs:
-            return np.empty((*lead, 0))
-        return np.concatenate([np.add.reduce(a[..., lo:hi].reshape(*lead, g, m), axis=-1)
-                               for lo, hi, g, m in self.runs], axis=-1)
+        return self.bind_sum(a, np.empty((*a.shape[:-1], self.n_rows)))()
 
     def min(self, a: np.ndarray) -> np.ndarray:
         return np.minimum.reduceat(a, self.starts)
@@ -374,39 +406,28 @@ def _phi_rows(rows: _RaggedRows, x: np.ndarray, rates: np.ndarray,
     return phi
 
 
-def _armijo_steps(rows: _RaggedRows, x: np.ndarray, omx: np.ndarray, step: np.ndarray,
-                  rates: np.ndarray, inv_gamma_scaled: np.ndarray, slope: np.ndarray,
-                  phi0: np.ndarray | None, cfg: SolverConfig) -> np.ndarray:
-    """Per-row backtracked step fraction, below _MIN_STEP_FRACTION where the search gave up.
-
-    Every row tries its longest step that stays inside the open box; only
-    the rows that fail the Armijo test shrink and try again. Without a given
-    ``phi0``, phi at ``x`` is evaluated together with the first trial point.
-    """
-    room = np.divide(np.where(step > 0.0, omx, x), np.abs(step),
-                     out=np.full(step.shape, math.inf), where=step != 0.0)
-    # fmin, like Python's min(1.0, cap), takes 1.0 when cap is nan.
-    tau = np.fmin(0.99 * rows.min(room), 1.0)
-
-    def armijo(keep):
-        sub, elems = rows.take(keep)
-        t = tau[keep]
-        return (_phi_rows(sub, x[elems] + sub.repeat(t) * step[elems], rates[elems],
-                          inv_gamma_scaled[keep])
-                >= phi0[keep] + cfg.backtrack_alpha * t * slope[keep])
-
-    trial = x + rows.repeat(tau) * step
-    if phi0 is None:
-        phi0, phi = _phi_rows(rows, np.stack((x, trial)), rates, inv_gamma_scaled)
-    else:
-        phi = _phi_rows(rows, trial, rates, inv_gamma_scaled)
-    rejected = ~(phi >= phi0 + cfg.backtrack_alpha * tau * slope)
+def _backtrack(rows: _RaggedRows, x: np.ndarray, step: np.ndarray, rates: np.ndarray,
+               inv_gamma_scaled: np.ndarray, slope: np.ndarray, phi0: np.ndarray,
+               tau: np.ndarray, rejected: np.ndarray, cfg: SolverConfig) -> None:
+    """Shrink ``tau`` in place on the rows that rejected their first trial
+    point, until each passes the Armijo test or falls below
+    _MIN_STEP_FRACTION. Each retry evaluates phi on the still-rejected rows
+    alone."""
     while rejected.any():
         tau[rejected] *= cfg.backtrack_tau_shrink
         rejected &= tau >= _MIN_STEP_FRACTION
         if rejected.any():
-            rejected[rejected] = ~armijo(rejected)
-    return tau
+            sub, elems = rows.take(rejected)
+            t = tau[rejected]
+            phi = _phi_rows(sub, x[elems] + sub.repeat(t) * step[elems], rates[elems],
+                            inv_gamma_scaled[rejected])
+            rejected[rejected] = ~(phi >= phi0[rejected]
+                                   + cfg.backtrack_alpha * t * slope[rejected])
+
+
+def _degenerate(v: np.ndarray) -> np.ndarray:
+    """Where a projection's denominator p.p or p.H^-1.p is zero or not finite."""
+    return (v == 0.0) | ~np.isfinite(v)
 
 
 def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, powers: np.ndarray,
@@ -418,131 +439,210 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
     by its largest candidate-rate magnitude so the decrement target is
     scale-free; the Newton iterates are unchanged by that normalization.
     Every pass gives each live row one iteration at its own barrier weight:
-    converged rows move to their next round and finished rows leave.
-    ``solved[uav]`` receives (final interior point, accepted-iteration count,
-    last decrement) or the exception that stopped the UAV; ``traces[uav]``,
-    when given, receives its per-iteration rows.
+    converged rows move to their next round, and rows that finish or fail
+    retire in place behind the ``alive`` mask.
+
+    The state lives in flat buffers allocated once, and each reduction is
+    bound once to its buffers' per-run views. A pass writes into those
+    buffers and allocates per-row arrays and one element mask; only Armijo
+    retries evaluate phi on copies of the rejected rows, and p.trial is
+    reduced again only on passes that had retries. ``solved[uav]`` receives
+    (final interior point, accepted-iteration count, last decrement) or the
+    exception that stopped the UAV; ``traces[uav]``, when given, receives
+    its per-iteration rows.
     """
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
     p_vec = rows.repeat(powers)
-    p_dot_p = rows.dot(p_vec, p_vec)
-    leaving = p_dot_p == 0.0
-    if leaving.any():
-        # p.p underflowed to zero, so the projection onto the constraint
-        # plane does not exist and the UAV fails before its first iteration.
-        for g in np.flatnonzero(leaving):
+    with np.errstate(over="ignore"):
+        p_dot_p = rows.dot(p_vec, p_vec)
+    failing = _degenerate(p_dot_p)
+    if failing.any():
+        # p.p underflowed to zero or overflowed, so the projection onto the
+        # constraint plane is lost and the UAV fails before its first iteration.
+        for g in np.flatnonzero(failing):
             solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
-        keep = ~leaving
+        keep = ~failing
         rows, elems = rows.take(keep)
-        uav, rates_raw, powers, p_vec, p_dot_p = (
-            uav[keep], rates_raw[elems], powers[keep], p_vec[elems], p_dot_p[keep])
+        uav, rates_raw, powers, p_dot_p = uav[keep], rates_raw[elems], powers[keep], p_dot_p[keep]
     if not rows.n_rows:
         return
+    n, size = rows.n_rows, rows.size
+    row_of = rows.repeat(np.arange(n))
+
+    def spread(per_row, out):
+        """Each row's scalar repeated over its elements, into ``out``."""
+        return per_row.take(row_of, out=out, mode="clip")
+
     scale = rows.max(np.abs(rates_raw))
     scale[scale == 0.0] = 1.0
-    rates = rates_raw / rows.repeat(scale)
     inv_by_round = np.array([[1.0 / (gamma * s) for gamma in gammas] for s in scale.tolist()])
+    powers = powers.copy()
+
+    # Per-element buffers, stacked where one call serves several operands:
+    # (rates, p) meet (x, trial) in phi, and (p, grad) are divided by hess.
+    rpg = np.empty((3, size))
+    rates, p_vec, grad = rpg
+    np.divide(rates_raw, rows.repeat(scale), out=rates)
+    spread(powers, p_vec)
+    xt = np.empty((2, size))
+    x, trial = xt
+    hinv = np.empty((2, size))  # H^-1.p, H^-1.g
+    logs, log1p_terms, neg = np.empty((3, 2, size))
+    omx, inv_e, hess, step, room, t1, t2 = np.empty((7, size))
+    positive, nonzero = np.empty((2, size), dtype=bool)
+    # Per-row results and the reductions that fill them.
+    p_hinv = np.empty((2, n))  # p.H^-1.p, p.H^-1.g
+    slope = np.empty(n)
+    dots = np.empty((2, 2, n))  # (rates, p) . (x, trial)
+    log_sums = np.empty((2, n))
+    reduce_p_hinv = rows.bind_dot(p_vec, hinv, p_hinv)
+    reduce_slope = rows.bind_dot(grad, step, slope)
+    reduce_dots = rows.bind_dot(rpg[:2, None], xt, dots)
+    reduce_p_dots = rows.bind_dot(p_vec, xt, dots[1])
+    reduce_log_sums = rows.bind_sum(logs, log_sums)
 
     # Start from the all-ones point of the power identity, pulled to the
     # margin and projected onto the constraint plane: lands at uniform 1/m.
-    x = np.full(rows.size, 1.0 - INTERIOR_MARGIN)
-    x = x + rows.repeat((powers - rows.dot(p_vec, x)) / p_dot_p) * p_vec
-    x = np.clip(x, INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN)
+    x.fill(1.0 - INTERIOR_MARGIN)
+    np.clip(x + rows.repeat((powers - rows.dot(p_vec, x)) / p_dot_p) * p_vec,
+            INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN, out=x)
 
     inv = inv_by_round[:, 0].copy()
-    rnd = np.zeros(rows.n_rows, dtype=np.intp)
-    it = np.zeros(rows.n_rows, dtype=np.intp)
-    total = np.zeros(rows.n_rows, dtype=np.intp)
-    leaving = None
-    while True:
-        if leaving is not None and leaving.any():
-            keep = ~leaving
-            rows, elems = rows.take(keep)
-            x, rates, p_vec = x[elems], rates[elems], p_vec[elems]
-            (uav, powers, p_dot_p, scale, inv_by_round, inv, rnd, it, total) = (
-                a[keep] for a in (uav, powers, p_dot_p, scale, inv_by_round, inv, rnd, it, total))
-        if not rows.n_rows:
-            return
-        leaving = None
+    rnd = np.zeros(n, dtype=np.intp)
+    it = np.zeros(n, dtype=np.intp)
+    total = np.zeros(n, dtype=np.intp)
+    alive = np.ones(n, dtype=bool)
 
-        omx = 1.0 - x
-        inv_e = rows.repeat(inv)
-        grad = rates + inv_e * (1.0 / x - 1.0 / omx)
-        hess = -inv_e * (1.0 / x**2 + 1.0 / omx**2)
-        hinv_g, hinv_p = hinv = np.stack((grad, p_vec)) / hess
-        p_hinv_g, p_hinv_p = rows.dot(p_vec, hinv)
-        if not p_hinv_p.all():
-            # p.H^-1.p underflowed to zero, so the Newton step does not exist.
-            leaving = p_hinv_p == 0.0
-            for g in np.flatnonzero(leaving):
+    def retire(dead):
+        # A retired row keeps running on harmless values (the box's centre,
+        # zero rates, unit powers and barrier weight) that no result reads
+        # and that raise no floating-point warning.
+        alive[dead] = False
+        elems = rows.repeat(dead)
+        x[elems] = 0.5
+        rates[elems] = 0.0
+        p_vec[elems] = 1.0
+        inv[dead] = 1.0
+        powers[dead] = 1.0
+        p_dot_p[dead] = rows.widths[dead]
+
+    while alive.any():
+        # grad = rates + inv * (1/x - 1/(1-x)), hess = -inv * (1/x**2 + 1/(1-x)**2)
+        np.subtract(1.0, x, out=omx)
+        spread(inv, inv_e)
+        np.divide(1.0, x, out=t1)
+        np.divide(1.0, omx, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.multiply(inv_e, t1, out=t1)
+        np.add(rates, t1, out=grad)
+        np.square(x, out=t1)
+        np.divide(1.0, t1, out=t1)
+        np.square(omx, out=t2)
+        np.divide(1.0, t2, out=t2)
+        np.add(t1, t2, out=t1)
+        np.negative(inv_e, out=hess)
+        np.multiply(hess, t1, out=hess)
+        np.divide(rpg[1:], hess, out=hinv)
+        with np.errstate(over="ignore"):
+            reduce_p_hinv()
+        failing = alive & _degenerate(p_hinv[0])
+        if failing.any():
+            # p.H^-1.p underflowed to zero or left the float range, so the
+            # Newton step does not exist.
+            for g in np.flatnonzero(failing):
                 solved[int(uav[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], math.nan, int(total[g]))
+            retire(failing)
             continue
-        nu = p_hinv_g / p_hinv_p
-        step = -hinv_g + rows.repeat(nu) * hinv_p
-        slope = rows.dot(grad, step)
+        # step = -H^-1.g + nu * H^-1.p, with nu = p.H^-1.g / p.H^-1.p
+        spread(p_hinv[1] / p_hinv[0], t1)
+        np.multiply(t1, hinv[0], out=t1)
+        np.negative(hinv[1], out=step)
+        np.add(step, t1, out=step)
+        reduce_slope()
         decrement = np.sqrt(np.where(slope < 0.0, 0.0, slope))
 
-        phi = None
+        # The longest step fraction that stays inside the open box; fmin,
+        # like Python's min(1.0, cap), takes 1.0 when cap is nan.
+        np.greater(step, 0.0, out=positive)
+        np.copyto(t1, x)
+        np.copyto(t1, omx, where=positive)
+        np.abs(step, out=t2)
+        np.not_equal(step, 0.0, out=nonzero)
+        room.fill(math.inf)
+        np.divide(t1, t2, out=room, where=nonzero)
+        tau = np.fmin(0.99 * rows.min(room), 1.0)
+        spread(tau, t1)
+        np.multiply(t1, step, out=t1)
+        np.add(x, t1, out=trial)
+        # phi at x and at the trial point, and p.x, p.trial with them.
+        if xt.min() > 0.0 and xt.max() < 1.0:
+            np.log(xt, out=logs)
+            np.negative(xt, out=neg)
+            np.log1p(neg, out=log1p_terms)
+            np.add(logs, log1p_terms, out=logs)
+            reduce_dots()
+            phi = dots[0] + inv * reduce_log_sums()
+        else:
+            phi = _phi_rows(rows, xt, rates, inv)
+            reduce_p_dots()
+
         if traces is not None:
-            phi = _phi_rows(rows, x, rates, inv)
-            residual = np.abs(rows.dot(p_vec, x) - powers) / np.maximum(np.abs(powers), 1e-300)
-            pass_rows = [{
+            residual = np.abs(dots[1, 0] - powers) / np.maximum(np.abs(powers), 1e-300)
+            pass_rows = {g: {
                 "uav_id": int(uav[g]),
                 "gamma": gammas[rnd[g]],
                 "iteration": int(it[g]),
-                "phi": float(scale[g] * phi[g]),
+                "phi": float(scale[g] * phi[0, g]),
                 "decrement": float(decrement[g]),
                 "step_size": 0.0,
                 "constraint_residual": float(residual[g]),
-            } for g in range(rows.n_rows)]
-            for trace_row in pass_rows:
+            } for g in np.flatnonzero(alive).tolist()}
+            for trace_row in pass_rows.values():
                 traces[trace_row["uav_id"]].append(trace_row)
 
-        converged = decrement <= cfg.epsilon_decrement
-        moving = np.ones(rows.n_rows, dtype=bool)
-        m_rows, m_elems = rows, slice(None)
+        converged = alive & (decrement <= cfg.epsilon_decrement)
+        moving = alive & ~converged
+        finished = converged & (rnd == BARRIER_ROUNDS - 1)
         if converged.any():
             rnd += converged
             it[converged] = 0
-            leaving = rnd == BARRIER_ROUNDS
-            for g in np.flatnonzero(leaving):
+            for g in np.flatnonzero(finished):
                 solved[int(uav[g])] = (x[rows.starts[g]:rows.starts[g] + rows.widths[g]].tolist(),
                                        int(total[g]), float(decrement[g]))
-            advanced = converged & ~leaving
+            advanced = converged & ~finished
             inv[advanced] = inv_by_round[advanced, rnd[advanced]]
-            if converged.all():
-                continue
-            moving = ~converged
-            m_rows, m_elems = rows.take(moving)
 
-        x_m, step_m, rates_m, inv_m = x[m_elems], step[m_elems], rates[m_elems], inv[moving]
-        tau = _armijo_steps(m_rows, x_m, omx[m_elems], step_m, rates_m, inv_m, slope[moving],
-                            None if phi is None else phi[moving], cfg)
-        x_m = x_m + m_rows.repeat(tau) * step_m
+        rejected = moving & ~(phi[1] >= phi[0] + cfg.backtrack_alpha * tau * slope)
+        if rejected.any():
+            _backtrack(rows, x, step, rates, inv, slope, phi[0], tau, rejected, cfg)
+            spread(tau, t1)
+            np.multiply(t1, step, out=t1)
+            np.add(x, t1, out=trial)
+            reduce_p_dots()
         # The step is constraint-tangent by construction; shave off the
         # accumulated rounding drift so the residual stays at noise level.
-        p_m = p_vec[m_elems]
-        x[m_elems] = x_m + m_rows.repeat(
-            (powers[moving] - m_rows.dot(p_m, x_m)) / p_dot_p[moving]) * p_m
-        accepted = tau >= _MIN_STEP_FRACTION
-        total[moving] += accepted
-        it[moving] += accepted
+        spread((powers - dots[1, 1]) / p_dot_p, t1)
+        np.multiply(t1, p_vec, out=t1)
+        np.add(trial, t1, out=trial)
+        np.copyto(x, trial, where=rows.repeat(moving))
+        accepted = moving & (tau >= _MIN_STEP_FRACTION)
+        total += accepted
+        it += accepted
         if traces is not None:
-            for g, step_size, ok in zip(np.flatnonzero(moving), tau.tolist(), accepted.tolist()):
-                if ok:
-                    pass_rows[g]["step_size"] = step_size
+            for g in np.flatnonzero(accepted).tolist():
+                pass_rows[g]["step_size"] = float(tau[g])
 
         # A row fails when its line search gives up or its round runs out of
         # iterations.
-        if it.max() == cfg.max_newton_iters or not accepted.all():
-            failed = it == cfg.max_newton_iters
-            failed[moving] |= ~accepted
+        failed = (alive & (it == cfg.max_newton_iters)) | (moving & ~accepted)
+        dead = finished | failed
+        if dead.any():
             for g in np.flatnonzero(failed):
                 iterations = cfg.max_newton_iters if it[g] == cfg.max_newton_iters else int(total[g])
                 solved[int(uav[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], float(decrement[g]), iterations)
-            leaving = failed if leaving is None else leaving | failed
+            retire(dead)
 
 
 def newton_refine(c: CandidateSet, alloc: PowerAllocation,

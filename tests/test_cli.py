@@ -287,11 +287,13 @@ def test_usage_error_without_subcommand():
     # squared offsets to a far ground station overflow: out of range, not an error
     (["run", "--n-uavs", "2", "--gs-x", "1e300"], EXIT_DISCONNECTED,
      "connectivity error: no connected layout with 2 UAVs"),
+    # p.p overflows at a 1e300 W budget, so Newton's projection is lost
+    (["sweep", "--n-uavs", "6", "--pb", "1e300"], EXIT_NO_CONVERGENCE, "solver error: UAV"),
 ])
 def test_float_range_edges_end_in_typed_errors(argv, code, message, capsys):
     # These used to end in a traceback (exit 1), in nan Newton iterates from
-    # infinite rates, or, for the far ground station, in an overflow warning;
-    # warnings are errors under the test settings.
+    # infinite rates, or, for the far ground station and the 1e300 W budget,
+    # in an overflow warning; warnings are errors under the test settings.
     assert main([*argv, "--no-wall-time"]) == code
     assert capsys.readouterr().err.startswith(message)
 

@@ -31,12 +31,16 @@ PROPERTY = settings(max_examples=150, deadline=None)
 
 def reference_topology(nodes, p, mode):
     """Incidence, gains and link lengths from the distance/channel_gain double
-    loop; a UAV's length to itself is inf."""
+    loop; a UAV's length to itself is inf. Every pair is checked for zero
+    length before any gain is computed, the precedence build_topology
+    documents: coincident nodes are reported even where a gain underflows
+    first in row-major order."""
     ordered = sorted(nodes, key=lambda nd: nd.id)
     n = len(ordered) - 1
     incidence = np.zeros((n, n + 1), dtype=np.int8)
     gains = np.zeros((n, n + 1), dtype=float)
     distances = np.full((n, n + 1), np.inf)
+    lengths = {}
     for i, uav in enumerate(ordered[:n]):
         for j, other in enumerate(ordered):
             if other.id == uav.id:
@@ -46,10 +50,12 @@ def reference_topology(nodes, p, mode):
                 raise ValueError(
                     f"nodes {uav.id} and {other.id} coincide; zero-distance links are undefined"
                 )
-            distances[i, j] = d
-            gains[i, j] = channel_gain(d, p)
-            if d <= p.link_threshold_dth and gains[i, j] > 0.0:
-                incidence[i, j] = 1
+            lengths[i, j] = d
+    for (i, j), d in lengths.items():
+        distances[i, j] = d
+        gains[i, j] = channel_gain(d, p)
+        if d <= p.link_threshold_dth and gains[i, j] > 0.0:
+            incidence[i, j] = 1
     return incidence, gains, distances
 
 
@@ -130,18 +136,33 @@ def layouts(draw, max_uavs=8):
     return nodes
 
 
-@PROPERTY
-@given(layouts(), st.sampled_from(["planar", "3d"]), st.sampled_from([2.0, 2.5, 3.7]),
-       st.data())
-def test_build_topology_bit_equal_to_double_loop(nodes, mode, beta, data):
-    # The threshold is one of the layout's own distances half of the time, so
-    # links sitting exactly at d_th are covered.
+@st.composite
+def topology_cases(draw):
+    """A layout, a distance mode, a path-loss exponent and a link threshold.
+    The threshold is one of the layout's own distances half of the time, so
+    links sitting exactly at d_th are covered."""
+    nodes = draw(layouts())
+    mode = draw(st.sampled_from(["planar", "3d"]))
+    beta = draw(st.sampled_from([2.0, 2.5, 3.7]))
     n = len(nodes) - 1
     exact = [distance(nodes[i], nodes[j], mode=mode)
              for i in range(n) for j in range(n + 1) if i != j]
     exact = [d for d in exact if d > 0.0]
-    d_th = data.draw(st.sampled_from(exact) if exact and data.draw(st.booleans())
-                     else st.floats(1.0, 30000.0))
+    d_th = draw(st.sampled_from(exact) if exact and draw(st.booleans())
+                else st.floats(1.0, 30000.0))
+    return nodes, mode, beta, d_th
+
+
+@PROPERTY
+@given(topology_cases())
+# UAV 1 sits above the ground station, and UAV 2 is so close to it that
+# d**2.5 underflows: the coincident pair (1, 3) is reported, not the
+# infinite gain of the pair (1, 2) that comes first in row-major order.
+@example(([Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 0.0, 2.35e-150, 150.0, UAV),
+           Node(3, 0.0, 0.0, 0.0, GROUND_STATION)], "planar", 2.5, 1500.0))
+def test_build_topology_bit_equal_to_double_loop(case):
+    nodes, mode, beta, d_th = case
+    n = len(nodes) - 1
     p = ChannelParams(pathloss_beta=beta, link_threshold_dth=d_th)
     try:
         ref_incidence, ref_gains, ref_distances = reference_topology(nodes, p, mode)
