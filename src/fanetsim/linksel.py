@@ -387,22 +387,48 @@ class _RaggedRows:
         return np.logical_or.reduceat(a, self.starts)
 
 
+def _inside_box(x: np.ndarray) -> bool:
+    return x.min() > 0.0 and x.max() < 1.0
+
+
+def _bind_phi(rows: _RaggedRows, x: np.ndarray, rates: np.ndarray, rates_dot=None) -> tuple:
+    """What `_phi_in_box` needs to evaluate phi on the points in buffer ``x``:
+    a scratch buffer for the log terms and the reductions bound to it and to
+    ``x``. A caller that reduces rates.x together with other dots passes that
+    call, which must return rates.x, as ``rates_dot``."""
+    lead = x.shape[:-1]
+    terms = np.empty((2, *x.shape))
+    if rates_dot is None:
+        rates_dot = rows.bind_dot(rates, x, np.empty((*lead, rows.n_rows)))
+    return terms, rates_dot, rows.bind_sum(terms[0], np.empty((*lead, rows.n_rows)))
+
+
+def _phi_in_box(x: np.ndarray, inv_gamma_scaled: np.ndarray, bound: tuple) -> np.ndarray:
+    """Rate-normalized phi per row at points strictly inside the box."""
+    terms, rates_dot, log_sum = bound
+    logs, log1p_terms = terms
+    np.log(x, out=logs)
+    np.negative(x, out=log1p_terms)
+    np.log1p(log1p_terms, out=log1p_terms)
+    np.add(logs, log1p_terms, out=logs)
+    return rates_dot() + inv_gamma_scaled * log_sum()
+
+
 def _phi_rows(rows: _RaggedRows, x: np.ndarray, rates: np.ndarray,
               inv_gamma_scaled: np.ndarray) -> np.ndarray:
     """Rate-normalized phi per row; -inf for a row outside the open box.
 
     ``x`` may stack several points per row, shape (k, size); phi is then (k, rows).
     """
-    if x.min() > 0.0 and x.max() < 1.0:
-        return rows.dot(rates, x) + inv_gamma_scaled * rows.sum(np.log(x) + np.log1p(-x))
+    if _inside_box(x):
+        return _phi_in_box(x, inv_gamma_scaled, _bind_phi(rows, x, rates))
     if x.ndim > 1:
         return np.stack([_phi_rows(rows, point, rates, inv_gamma_scaled) for point in x])
     inside = ~rows.any((x <= 0.0) | (x >= 1.0))
     phi = np.full(rows.n_rows, -math.inf)
     sub, elems = rows.take(inside)
     xi = x[elems]
-    phi[inside] = (sub.dot(rates[elems], xi)
-                   + inv_gamma_scaled[inside] * sub.sum(np.log(xi) + np.log1p(-xi)))
+    phi[inside] = _phi_in_box(xi, inv_gamma_scaled[inside], _bind_phi(sub, xi, rates[elems]))
     return phi
 
 
@@ -487,19 +513,17 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
     xt = np.empty((2, size))
     x, trial = xt
     hinv = np.empty((2, size))  # H^-1.p, H^-1.g
-    logs, log1p_terms, neg = np.empty((3, 2, size))
     omx, inv_e, hess, step, room, t1, t2 = np.empty((7, size))
     positive, nonzero = np.empty((2, size), dtype=bool)
     # Per-row results and the reductions that fill them.
     p_hinv = np.empty((2, n))  # p.H^-1.p, p.H^-1.g
     slope = np.empty(n)
     dots = np.empty((2, 2, n))  # (rates, p) . (x, trial)
-    log_sums = np.empty((2, n))
     reduce_p_hinv = rows.bind_dot(p_vec, hinv, p_hinv)
     reduce_slope = rows.bind_dot(grad, step, slope)
     reduce_dots = rows.bind_dot(rpg[:2, None], xt, dots)
     reduce_p_dots = rows.bind_dot(p_vec, xt, dots[1])
-    reduce_log_sums = rows.bind_sum(logs, log_sums)
+    phi_bound = _bind_phi(rows, xt, rates, rates_dot=lambda: reduce_dots()[0])
 
     # Start from the all-ones point of the power identity, pulled to the
     # margin and projected onto the constraint plane: lands at uniform 1/m.
@@ -576,13 +600,8 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
         np.multiply(t1, step, out=t1)
         np.add(x, t1, out=trial)
         # phi at x and at the trial point, and p.x, p.trial with them.
-        if xt.min() > 0.0 and xt.max() < 1.0:
-            np.log(xt, out=logs)
-            np.negative(xt, out=neg)
-            np.log1p(neg, out=log1p_terms)
-            np.add(logs, log1p_terms, out=logs)
-            reduce_dots()
-            phi = dots[0] + inv * reduce_log_sums()
+        if _inside_box(xt):
+            phi = _phi_in_box(xt, inv, phi_bound)
         else:
             phi = _phi_rows(rows, xt, rates, inv)
             reduce_p_dots()

@@ -5,20 +5,10 @@ the expected numbers can be derived by hand.  `synth_topology` builds a
 Topology directly from per-UAV gain dicts; node positions are dummies.
 """
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from fanetsim.model import ChannelParams, Node, Topology, build_topology
-
-# CI keeps no example database, so a failure found there on a rare draw is
-# printed with the blob that @reproduce_failure replays; draws and example
-# counts stay as each test sets them.
-settings.register_profile("ci", print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
 
 
 def toy_params(bandwidth=1.0, noise=1.0):
