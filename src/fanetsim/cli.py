@@ -12,6 +12,7 @@ large for water-filling to resolve in floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -319,7 +320,9 @@ def _cmd_validate(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fanetsim",
         description="Relay-tree throughput optimizer for UAV networks",

@@ -81,7 +81,8 @@ class ConvergenceError(RuntimeError):
     The decrement is nan where the Newton system itself degenerated: p.p or
     p.H^-1.p underflowed to zero (powers below about 1e-161 W, or barrier
     weights so small that 1/(gamma*scale) overflows) or left the float range
-    (powers above about 1e150 W).
+    (powers above about 1e150 W), or gamma*scale underflowed to zero (rates
+    near the smallest subnormal).
     """
 
     def __init__(self, uav_id: int, gamma: float, decrement: float, iterations: int):
@@ -479,17 +480,23 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
     """
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
     p_vec = rows.repeat(powers)
+    scale = rows.max(np.abs(rates_raw))
+    scale[scale == 0.0] = 1.0
     with np.errstate(over="ignore"):
         p_dot_p = rows.dot(p_vec, p_vec)
-    failing = _degenerate(p_dot_p)
+        gamma_scale = np.multiply.outer(scale, gammas)
+    failing = _degenerate(p_dot_p) | (gamma_scale == 0.0).any(axis=1)
     if failing.any():
         # p.p underflowed to zero or overflowed, so the projection onto the
-        # constraint plane is lost and the UAV fails before its first iteration.
+        # constraint plane is lost, or gamma*scale underflowed to zero, so the
+        # barrier weight 1/(gamma*scale) is undefined: the UAV fails before its
+        # first iteration.
         for g in np.flatnonzero(failing):
             solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
         keep = ~failing
         rows, elems = rows.take(keep)
-        uav, rates_raw, powers, p_dot_p = uav[keep], rates_raw[elems], powers[keep], p_dot_p[keep]
+        uav, rates_raw, powers = uav[keep], rates_raw[elems], powers[keep]
+        p_dot_p, scale, gamma_scale = p_dot_p[keep], scale[keep], gamma_scale[keep]
     if not rows.n_rows:
         return
     n, size = rows.n_rows, rows.size
@@ -499,9 +506,8 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
         """Each row's scalar repeated over its elements, into ``out``."""
         return per_row.take(row_of, out=out, mode="clip")
 
-    scale = rows.max(np.abs(rates_raw))
-    scale[scale == 0.0] = 1.0
-    inv_by_round = np.array([[1.0 / (gamma * s) for gamma in gammas] for s in scale.tolist()])
+    with np.errstate(over="ignore"):
+        inv_by_round = 1.0 / gamma_scale
     powers = powers.copy()
 
     # Per-element buffers, stacked where one call serves several operands:

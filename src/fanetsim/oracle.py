@@ -5,6 +5,11 @@ are optimized over an exhaustive budget grid (grid_power_oracle) or by
 monotone bisection on the shared water level (inside tree_enum_oracle), and
 relay trees are enumerated outright. Feasible only at desk scale, which is
 the point.
+
+Both run as array code. The grid's dynamic program fills blocks of budget
+levels at once from a sliding window over the previous links' best values,
+and the bisection stops at the first step that leaves every tree's bracket
+unchanged; each gives the same bits as one level or one fixed step at a time.
 """
 
 from __future__ import annotations
@@ -14,12 +19,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import ChannelParams, Topology, link_capacity
+from .model import ChannelParams, Topology
 from .routing import DisconnectedTopologyError, RoutingTree
 
 # Refuse grids whose dynamic program would exceed this many cell updates.
 _GRID_BUDGET = 2 ** 28
+# Budget levels per block of the grid's dynamic program; a block holds
+# _DP_BLOCK x (steps + 1) sums.
+_DP_BLOCK = 64
+# Cap on bisection steps; the loop ends earlier once a step changes nothing.
 _BISECTION_ITERS = 200
 
 
@@ -39,7 +49,20 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     exactly with a per-link dynamic program over the budget lattice, which
     reaches the same optimum as literal enumeration of the simplex (the
     objective is separable across links) at a fraction of the cost.
-    ``evaluations`` counts the simplex grid points covered.
+
+    Link ``row`` at budget level b takes the level m maximising
+    ``rate[row, m] + best[b - m]`` over m <= b, the first such m on ties.
+    Levels are filled in blocks of up to ``_DP_BLOCK``: one reversed sliding
+    window over the previous best values lines ``best[b - m]`` up under
+    ``rate[row, m]`` for a whole block, the few pairs with m > b in the
+    block's last columns are set to -inf, and one argmax per level picks m.
+    The backtrack reads the last link at the full budget only, so that link
+    fills that one level.
+    Each sum is the same two-operand add as a level-at-a-time loop, and the
+    rate table is ``link_capacity``'s arithmetic element by element
+    (``math.log2``, not ``np.log2``, which differs in the last bit), so the
+    result is bit-identical to it. ``evaluations`` counts the simplex grid
+    points covered.
     """
     if total_budget_w <= 0.0:
         raise ValueError("total power budget must be strictly positive")
@@ -55,23 +78,43 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     step_w = total_budget_w * resolution
     levels = np.arange(steps + 1) * step_w
 
-    # Per-link rate at every grid level.
+    # Per-link rate at every grid level: B * log2(1 + P*h / (sigma^2 B)).
+    # Python floats overflow to inf silently; so do these.
     rate_table = np.empty((n, steps + 1))
     for row, i in enumerate(uavs):
         gain = t.gain(i, tree.parent[i])
-        rate_table[row] = [link_capacity(w, gain, p) for w in levels]
+        if gain <= 0.0:
+            raise ValueError("link gain must be strictly positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_plus_snr = 1.0 + levels * gain / p.noise_power
+            rate_table[row] = np.fromiter(map(math.log2, one_plus_snr.tolist()), float, steps + 1)
+            rate_table[row] *= p.bandwidth_B
 
     # best[b] = max summed rate of the first row+1 links using budget b*step.
     best = rate_table[0].copy()
     choice = np.zeros((n, steps + 1), dtype=np.int64)
     choice[0] = np.arange(steps + 1)
+    # padded = [0]*steps ++ best, so window[b, m] = best[b - m] for m <= b.
+    padded = np.zeros(2 * steps + 1)
+    window = sliding_window_view(padded, steps + 1)[:, ::-1]
+    block = min(_DP_BLOCK, steps + 1)
+    totals = np.empty(block * (steps + 1))  # each block's sums, C-contiguous
+    beyond = np.triu(np.ones((block, block), dtype=bool), k=1)  # m > b
     for row in range(1, n):
+        padded[steps:] = best
+        # The last link is read at the full budget only; levels below
+        # ``first`` are left unset and never read.
+        first = steps if row == n - 1 else 0
         new_best = np.empty(steps + 1)
-        for b in range(steps + 1):
-            totals = rate_table[row, : b + 1] + best[b::-1]
-            m = int(np.argmax(totals))
-            new_best[b] = totals[m]
-            choice[row, b] = m
+        for lo in range(first, steps + 1, block):
+            hi = min(lo + block, steps + 1)
+            k = hi - lo
+            sums = totals[:k * hi].reshape(k, hi)
+            np.add(rate_table[row, :hi], window[lo:hi, :hi], out=sums)
+            np.copyto(sums[:, lo:], -math.inf, where=beyond[:k, :k])
+            m = np.argmax(sums, axis=1)
+            choice[row, lo:hi] = m
+            new_best[lo:hi] = sums[np.arange(k), m]
         best = new_best
 
     powers = {}
@@ -112,8 +155,13 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
 
         sum_i max(0, W - sigma^2 B / h_i) = P_b,
 
-    a monotone scalar equation, run in parallel across trees. Returns the
-    best tree with its powers; ``evaluations`` counts the valid trees.
+    a monotone scalar equation, run in parallel across trees. Each step is a
+    function of the brackets (lo, hi) alone, so the loop stops at the first
+    step that leaves every bracket unchanged: the remaining steps of the
+    ``_BISECTION_ITERS`` cap would repeat it, and the result is the capped
+    loop's bit for bit. A bracket holding NaN never compares equal and runs
+    to the cap. Returns the best tree with its powers; ``evaluations``
+    counts the valid trees.
     """
     if total_budget_w <= 0.0:
         raise ValueError("total power budget must be strictly positive")
@@ -142,8 +190,11 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
         mid = 0.5 * (lo + hi)
         spent = np.sum(np.maximum(0.0, mid[:, None] - floors), axis=1)
         over = spent > total_budget_w
-        hi = np.where(over, mid, hi)
-        lo = np.where(over, lo, mid)
+        new_hi = np.where(over, mid, hi)
+        new_lo = np.where(over, lo, mid)
+        if np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo):
+            break
+        hi, lo = new_hi, new_lo
     water = 0.5 * (lo + hi)
     powers = np.maximum(0.0, water[:, None] - floors)
     values = p.bandwidth_B * np.sum(np.log2(1.0 + powers / floors), axis=1)

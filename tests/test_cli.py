@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -18,6 +19,7 @@ from fanetsim.cli import (
     EXIT_NO_CONVERGENCE,
     TRACE_HEADER,
     TREE_DUMP_HEADER,
+    build_parser,
     main,
 )
 from fanetsim.harness import AGGREGATE_CSV_HEADER, CSV_HEADER
@@ -244,6 +246,40 @@ def test_validate_passes(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 2
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_commands_in_one_process_match_fresh_parsers(tmp_path, capsys):
+    # main parses with one cached parser; no subcommand default or flag may
+    # leak from one call into the next
+    trace_out, tree_out = tmp_path / "trace.csv", tmp_path / "tree.csv"
+    commands = [
+        ["trace", "--seed", "2", "--out", str(trace_out)],
+        ["run", "--seed", "1", "--no-wall-time", "--gamma-init", "-1"],
+        ["run", "--seed", "1", "--tree-dump", str(tree_out)],
+        ["validate", "--seed", "3"],
+    ]
+
+    def invoke(argv):
+        for path in (trace_out, tree_out):
+            path.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        # wall time is measured, so keep only whether it was recorded
+        out = re.sub(r"(wall_ms +)(\S+)",
+                     lambda m: m[1] + ("0" if float(m[2]) == 0.0 else "measured"), captured.out)
+        files = {p.name: p.read_bytes() for p in (trace_out, tree_out) if p.exists()}
+        return code, out, captured.err, files
+
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(invoke(argv))
+    build_parser.cache_clear()
+    shared = [invoke(argv) for argv in commands]
+    assert build_parser.cache_info().misses == 1
+    assert [r[0] for r in fresh] == [0, EXIT_CONFIG, 0, 0]
+    assert "wall_ms              measured" in fresh[2][1]
+    assert shared == fresh
 
 
 def test_module_entrypoint_smoke():

@@ -309,6 +309,26 @@ def test_convergence_error_carries_context():
     assert ei.value.last_decrement > 0.0
 
 
+def test_underflowing_barrier_scale_is_a_convergence_error():
+    # gamma * scale underflows to zero, so the barrier weight 1/(gamma*scale)
+    # is undefined: the UAV fails before its first iteration
+    c = simple_candidates({1: {2: 5e-324, 3: 0.0}})
+    with pytest.raises(ConvergenceError) as ei:
+        newton_refine(c, uniform_alloc([1]), SolverConfig(gamma_init=0.1))
+    assert str(ei.value) == "UAV 1: Newton decrement nan after 0 iterations at barrier weight 0.1"
+    assert ei.value.uav_id == 1 and ei.value.gamma == 0.1
+    assert math.isnan(ei.value.last_decrement)
+    # a UAV solved beside it keeps its iterates and trace rows
+    healthy, cfg = {2: 1.9, 3: 0.2}, SolverConfig(gamma_init=0.1)
+    alone: list = []
+    newton_refine(simple_candidates({1: healthy}), uniform_alloc([1]), cfg, trace=alone)
+    beside: list = []
+    with pytest.raises(ConvergenceError, match="UAV 2: Newton decrement nan"):
+        newton_refine(simple_candidates({1: healthy, 2: {1: 5e-324, 3: 0.0}}),
+                      uniform_alloc([1, 2]), cfg, trace=beside)
+    assert alone and repr(beside) == repr(alone)
+
+
 # ----------------------------------------------------------------- rounding
 
 

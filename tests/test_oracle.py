@@ -2,12 +2,19 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.model import ChannelParams, link_capacity
-from fanetsim.oracle import OracleResult, grid_power_oracle, tree_enum_oracle
+from fanetsim.oracle import (
+    OracleResult,
+    _valid_assignment_mask,
+    grid_power_oracle,
+    tree_enum_oracle,
+)
 from fanetsim.power import allocate_power
 from fanetsim.routing import (
     DisconnectedTopologyError,
@@ -186,3 +193,197 @@ def test_oracle_result_shape():
     res = tree_enum_oracle(t, 1.0, toy_params())
     assert isinstance(res, OracleResult)
     assert set(res.best_configuration) == {"parent", "powers"}
+
+
+# ------------------------------------------------- bit identity to the loops
+#
+# The two functions below are the oracles as they were written before their
+# array rewrite: the grid's dynamic program one budget level at a time, and
+# the bisection with all of its 200 steps. The oracles must match them bit
+# for bit, compared as reprs of the whole OracleResult.
+
+
+def loop_grid_power_oracle(tree, t, total_budget_w, p, resolution=1e-3):
+    uavs = sorted(tree.parent)
+    n = len(uavs)
+    steps = round(1.0 / resolution)
+    step_w = total_budget_w * resolution
+    levels = np.arange(steps + 1) * step_w
+
+    rate_table = np.empty((n, steps + 1))
+    for row, i in enumerate(uavs):
+        gain = t.gain(i, tree.parent[i])
+        rate_table[row] = [link_capacity(w, gain, p) for w in levels]
+
+    best = rate_table[0].copy()
+    choice = np.zeros((n, steps + 1), dtype=np.int64)
+    choice[0] = np.arange(steps + 1)
+    for row in range(1, n):
+        new_best = np.empty(steps + 1)
+        for b in range(steps + 1):
+            totals = rate_table[row, : b + 1] + best[b::-1]
+            m = int(np.argmax(totals))
+            new_best[b] = totals[m]
+            choice[row, b] = m
+        best = new_best
+
+    powers = {}
+    b = steps
+    for row in range(n - 1, -1, -1):
+        m = int(choice[row, b])
+        powers[uavs[row]] = float(levels[m])
+        b -= m
+    evaluations = math.comb(steps + n - 1, n - 1)
+    return OracleResult(
+        best_value=float(best[steps]),
+        best_configuration={"powers": powers},
+        evaluations=evaluations,
+    )
+
+
+def fixed_bisection(floors, total_budget_w, iters=200):
+    lo = np.min(floors, axis=1)
+    hi = np.max(floors, axis=1) + total_budget_w
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        spent = np.sum(np.maximum(0.0, mid[:, None] - floors), axis=1)
+        over = spent > total_budget_w
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    return lo, hi
+
+
+def tree_floors(t, p):
+    """Every valid tree's parent row and noise floors, in enumeration order."""
+    n = t.n_uavs
+    neighbor_lists = []
+    for i in t.uav_ids:
+        adm = t.admissible_neighbors(i)
+        if not adm:
+            raise DisconnectedTopologyError([i])
+        neighbor_lists.append(adm)
+
+    parents = np.array(list(itertools.product(*neighbor_lists)), dtype=np.int64)
+    mask = _valid_assignment_mask(parents, t.gs.id)
+    if not np.any(mask):
+        raise DisconnectedTopologyError(list(t.uav_ids))
+    trees = parents[mask]
+
+    cols = np.repeat(np.arange(n)[None, :], trees.shape[0], axis=0)
+    return trees, p.noise_power / t.gains[cols, trees - 1]
+
+
+def loop_tree_enum_oracle(t, total_budget_w, p):
+    trees, floors = tree_floors(t, p)
+    lo, hi = fixed_bisection(floors, total_budget_w)
+    water = 0.5 * (lo + hi)
+    powers = np.maximum(0.0, water[:, None] - floors)
+    values = p.bandwidth_B * np.sum(np.log2(1.0 + powers / floors), axis=1)
+
+    best_row = int(np.argmax(values))
+    best_parents = {i: int(trees[best_row, i - 1]) for i in t.uav_ids}
+    best_powers = {i: float(powers[best_row, i - 1]) for i in t.uav_ids}
+    return OracleResult(
+        best_value=float(values[best_row]),
+        best_configuration={"parent": best_parents, "powers": best_powers},
+        evaluations=int(trees.shape[0]),
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except DisconnectedTopologyError as err:
+        return repr(err)
+
+
+# Physical channel: gains around 1e-7 near the ground station. A few shared
+# gains per draw make rates tie, so argmax's first-maximum rule is pinned.
+budgets = st.floats(-14.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def grid_instances(draw):
+    n = draw(st.integers(1, 4))
+    shared = draw(st.lists(st.floats(-12.0, -5.0), min_size=1, max_size=2))
+    exponent = st.sampled_from(shared) | st.floats(-12.0, -5.0)
+    gains = [10.0 ** draw(exponent) for _ in range(n)]
+    resolution = draw(st.sampled_from([1e-3, 0.05]))
+    return synth_topology([{n + 1: g} for g in gains]), draw(budgets), resolution
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_instances())
+def test_grid_oracle_bit_identical_to_level_loop(instance):
+    t, budget, resolution = instance
+    p, tree = ChannelParams(), star_tree(t.n_uavs)
+    want = outcome(loop_grid_power_oracle, tree, t, budget, p, resolution=resolution)
+    assert outcome(grid_power_oracle, tree, t, budget, p, resolution=resolution) == want
+
+
+# Noise floors 1/h over up to 120 decades: where a tree's bracket spans
+# about 90 decades or more around the water level, the bisection does not
+# settle within its 200 steps and both loops run to the cap.
+@st.composite
+def tree_instances(draw):
+    n = draw(st.integers(1, 4))
+    shared = draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=3))
+    exponent = st.sampled_from(shared) | st.floats(-60.0, 60.0)
+    rows = []
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 2) if j != i]
+        picked = draw(st.lists(st.sampled_from(others), min_size=1, max_size=len(others),
+                               unique=True))
+        rows.append({j: 10.0 ** draw(exponent) for j in picked})
+    return synth_topology(rows), draw(budgets)
+
+
+WIDE_FLOORS = (synth_topology([{2: 1e-60, 3: 1e30}, {1: 1e30, 3: 1e-60}]), 1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_instances())
+@example(WIDE_FLOORS)
+def test_tree_oracle_bit_identical_to_fixed_bisection(instance):
+    t, budget = instance
+    p = toy_params()
+    assert outcome(tree_enum_oracle, t, budget, p) == outcome(loop_tree_enum_oracle, t, budget, p)
+
+
+def test_wide_floors_run_the_bisection_to_its_cap():
+    # the explicit example above is one where the early exit never fires
+    t, budget = WIDE_FLOORS
+    _, floors = tree_floors(t, toy_params())
+    assert not np.array_equal(fixed_bisection(floors, budget, 199),
+                              fixed_bisection(floors, budget, 200))
+
+
+def test_validate_instances_bit_identical():
+    # validate's own draws: n = 2-3 grid checks and n = 5 scenarios
+    rng = np.random.default_rng(41)
+    p = ChannelParams()
+    grid_done = 0
+    while grid_done < 6:
+        topo = random_cluster_topology(rng, int(rng.integers(2, 4)))
+        tree = build_spt(topo)
+        pb = float(rng.uniform(0.01, 10.0))
+        for resolution in (1e-3, 0.05):
+            assert repr(grid_power_oracle(tree, topo, pb, p, resolution)) == repr(
+                loop_grid_power_oracle(tree, topo, pb, p, resolution))
+        grid_done += 1
+    for _ in range(4):
+        topo = random_cluster_topology(rng, 5)
+        assert repr(tree_enum_oracle(topo, 1.0, p)) == repr(loop_tree_enum_oracle(topo, 1.0, p))
+
+
+def test_grid_oracle_working_set_stays_small():
+    # one call at n=3, resolution 1e-3 must not build the 1001 x 1001 matrix
+    # of every level pair (8 MB)
+    t = synth_topology([{4: 1e-7}, {4: 2e-7}, {4: 5e-8}])
+    tracemalloc.start()
+    try:
+        grid_power_oracle(star_tree(3), t, 1.0, ChannelParams(), resolution=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
