@@ -26,6 +26,7 @@ from .harness import (
     ScenarioConfig,
     generate_scenario,
     run_pipeline,
+    run_pipelines,
     sweep,
     write_aggregates_csv,
     write_rows_csv,
@@ -271,29 +272,30 @@ def _validate_power_against_grid(rng, checks: list[str]) -> None:
 
 
 def _validate_pipeline_bounds(rng, checks: list[str]) -> None:
-    failures = 0
     trials = 10
-    done = 0
+    scenarios = []
     seed = 0
-    while done < trials and seed < 10 * trials:
+    while len(scenarios) < trials and seed < 10 * trials:
         cfg = ScenarioConfig(
             n_uavs=5, area_side=9000.0, min_separation=300.0, seed=int(rng.integers(0, 2**31)),
             power_budget_Pb=1.0, trials=1,
         )
+        seed += 1
         try:
-            topo = generate_scenario(cfg)
+            scenarios.append((generate_scenario(cfg), cfg))
         except PlacementError:
-            seed += 1
-            continue
-        row = run_pipeline(topo, cfg)
+            pass
+    # one Newton loop solves the link selection of every scenario
+    rows = run_pipelines(scenarios)
+    failures = 0
+    for (topo, cfg), row in zip(scenarios, rows):
         ref = oracle.tree_enum_oracle(topo, 1.0, cfg.channel)
         ok = (
             row.throughput_p14_bps >= row.throughput_p11_bps
             and row.throughput_p14_bps <= ref.best_value * (1.0 + 1e-9)
         )
         failures += 0 if ok else 1
-        done += 1
-        seed += 1
+    done = len(rows)
     status = "PASS" if failures == 0 and done == trials else "FAIL"
     checks.append(f"{status} pipeline bracketed by SPT value and tree-enumeration oracle ({done - failures}/{done})")
     if status == "FAIL":

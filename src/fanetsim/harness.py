@@ -17,7 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .linksel import SolverConfig, build_candidates, newton_refine, round_and_update
+from .linksel import (
+    CandidateSet,
+    ConvergenceError,
+    RelaxedLinkMatrix,
+    SolverConfig,
+    build_candidates,
+    newton_refine,
+    newton_refine_many,
+    round_and_update,
+)
 from .model import (
     ChannelParams,
     CoincidentNodesError,
@@ -291,28 +300,92 @@ def generate_scenario(cfg: ScenarioConfig) -> Topology:
     return topo
 
 
+@dataclass
+class _Staged:
+    """A scenario's relay tree, water-filled allocation and candidate links."""
+
+    tree: RoutingTree
+    alloc: PowerAllocation
+    cands: CandidateSet
+
+
+def _route_and_fill(t: Topology, cfg: ScenarioConfig) -> _Staged:
+    """The stages before link selection: SPT, water-filling, candidates."""
+    pb = cfg.scalar_pb()
+    tree = build_spt(t, weight=cfg.spt_weight)
+    alloc = allocate_power(tree, t, pb, cfg.channel)
+    return _Staged(tree, alloc, build_candidates(tree, t, alloc, cfg.channel))
+
+
+def _round(t: Topology, cfg: ScenarioConfig, staged: _Staged,
+           relaxed: RelaxedLinkMatrix) -> PipelineRow:
+    """Rounding, and the scenario's row with wall_ms still 0.0."""
+    refined, refined_throughput = round_and_update(
+        relaxed, staged.cands, staged.tree, staged.alloc, t, cfg.channel)
+    return PipelineRow(
+        pb_watts=cfg.scalar_pb(),
+        n_uavs=t.n_uavs,
+        seed=cfg.seed,
+        throughput_p11_bps=staged.alloc.throughput_R,
+        throughput_p14_bps=refined_throughput,
+        newton_iters=relaxed.iterations,
+        wall_ms=0.0,
+        allocation=staged.alloc,
+        refined_tree=refined,
+    )
+
+
 def run_pipeline(t: Topology, cfg: ScenarioConfig, trace: list | None = None) -> PipelineRow:
     """Route, water-fill, refine the link choices, and record both throughputs;
     a ``trace`` list collects Newton's per-iteration rows (see newton_refine)."""
-    pb = cfg.scalar_pb()
     start = time.perf_counter() if cfg.measure_wall_time else None
-    tree = build_spt(t, weight=cfg.spt_weight)
-    alloc = allocate_power(tree, t, pb, cfg.channel)
-    cands = build_candidates(tree, t, alloc, cfg.channel)
-    relaxed = newton_refine(cands, alloc, cfg.solver, trace=trace)
-    refined, refined_throughput = round_and_update(relaxed, cands, tree, alloc, t, cfg.channel)
-    wall_ms = 0.0 if start is None else (time.perf_counter() - start) * 1e3
-    return PipelineRow(
-        pb_watts=pb,
-        n_uavs=t.n_uavs,
-        seed=cfg.seed,
-        throughput_p11_bps=alloc.throughput_R,
-        throughput_p14_bps=refined_throughput,
-        newton_iters=relaxed.iterations,
-        wall_ms=wall_ms,
-        allocation=alloc,
-        refined_tree=refined,
-    )
+    staged = _route_and_fill(t, cfg)
+    relaxed = newton_refine(staged.cands, staged.alloc, cfg.solver, trace=trace)
+    row = _round(t, cfg, staged, relaxed)
+    if start is not None:
+        row.wall_ms = (time.perf_counter() - start) * 1e3
+    return row
+
+
+def run_pipelines(scenarios: Sequence[tuple[Topology, ScenarioConfig]]) -> list[PipelineRow]:
+    """``run_pipeline`` on each (topology, config) scenario, with the link
+    selection of all of them solved in one Newton loop (newton_refine_many).
+
+    The rows equal ``run_pipeline``'s, except that each row's wall_ms is an
+    equal share of the whole call's wall time (0.0 where its config has
+    measure_wall_time off). The first error that calling ``run_pipeline``
+    on the scenarios in order would raise is raised: the stages before
+    Newton stop at the first scenario they fail on, and Newton and rounding
+    errors of the scenarios before it come first. The scenarios must share
+    one SolverConfig, or ConfigError is raised.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    solvers = {cfg.solver for _, cfg in scenarios}
+    if len(solvers) > 1:
+        raise ConfigError("scenarios solved in one Newton loop must share one solver config")
+    start = time.perf_counter()
+    staged, error = [], None
+    for t, cfg in scenarios:
+        try:
+            staged.append(_route_and_fill(t, cfg))
+        except Exception as exc:  # raised once the scenarios before it are done
+            error = exc
+            break
+    relaxed = newton_refine_many([(s.cands, s.alloc) for s in staged], solvers.pop())
+    rows = []
+    for (t, cfg), s, r in zip(scenarios, staged, relaxed):
+        if isinstance(r, ConvergenceError):
+            raise r
+        rows.append(_round(t, cfg, s, r))
+    if error is not None:
+        raise error
+    share_ms = (time.perf_counter() - start) * 1e3 / len(rows)
+    for row, (_, cfg) in zip(rows, scenarios):
+        if cfg.measure_wall_time:
+            row.wall_ms = share_ms
+    return rows
 
 
 def _aggregate(rows: list[PipelineRow], pb: float, n: int) -> list[dict]:
@@ -331,7 +404,8 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
 
     Seeds are cfg.seed + trial index. Rows come back sorted by (budget, n,
     seed) regardless of execution order; aggregates carry mean and population
-    std per grid point.
+    std per grid point. Each scenario runs its own pipeline, not a shared
+    run_pipelines batch, so that its wall_ms times that scenario alone.
     """
     rows: list[PipelineRow] = []
     aggregates: list[dict] = []

@@ -20,7 +20,7 @@ parent's rate and keeps the tree valid.
 
 The per-UAV problems are independent and have the same form, so every UAV
 with m >= 2 candidates is solved as one row of a flat array that holds all
-their candidates end to end, rows sorted by (m, UAV id), in lock step: each
+their candidates end to end, rows sorted by m, in lock step: each
 pass gives every live row one Newton iteration at its own barrier weight,
 converged rows move on to their next round, and finished rows retire. An
 op's Newton cost thus follows its slowest UAV's pass count, not the sum of
@@ -52,14 +52,17 @@ vectors:
 
 A UAV's outcome therefore does not depend on which other UAVs share the
 array, and ``newton_refine`` reports the UAVs in id order, raising the lowest
-failing UAV's error.
+failing UAV's error. Nor does it depend on which problem the other rows come
+from: ``newton_refine_many`` solves the relaxed UAVs of several
+(candidates, allocation) problems as rows of one loop, and each problem's
+outcome is the one ``newton_refine`` gives it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -457,14 +460,16 @@ def _degenerate(v: np.ndarray) -> np.ndarray:
     return (v == 0.0) | ~np.isfinite(v)
 
 
-def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, powers: np.ndarray,
-                cfg: SolverConfig, solved: dict, traces: dict | None) -> None:
+def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
+                powers: np.ndarray, cfg: SolverConfig, solved: dict, traces: list | None) -> None:
     """Barrier-scheduled projected Newton ascent for every relaxed UAV at once.
 
     Row g of ``rows``, with its slice of the flat ``rates_raw`` and
-    ``powers[g]``, belongs to UAV ``uav[g]``. Each row works on phi divided
-    by its largest candidate-rate magnitude so the decrement target is
-    scale-free; the Newton iterates are unchanged by that normalization.
+    ``powers[g]``, belongs to UAV ``uav[g]`` and is filed under the distinct
+    integer ``key[g]``, since rows of different problems may share a UAV id.
+    Each row works on phi divided by its largest candidate-rate magnitude so
+    the decrement target is scale-free; the Newton iterates are unchanged by
+    that normalization.
     Every pass gives each live row one iteration at its own barrier weight:
     converged rows move to their next round, and rows that finish or fail
     retire in place behind the ``alive`` mask.
@@ -473,9 +478,9 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
     bound once to its buffers' per-run views. A pass writes into those
     buffers and allocates per-row arrays and one element mask; only Armijo
     retries evaluate phi on copies of the rejected rows, and p.trial is
-    reduced again only on passes that had retries. ``solved[uav]`` receives
+    reduced again only on passes that had retries. ``solved[key]`` receives
     (final interior point, accepted-iteration count, last decrement) or the
-    exception that stopped the UAV; ``traces[uav]``, when given, receives
+    exception that stopped the UAV; ``traces[key]``, when given, receives
     its per-iteration rows.
     """
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
@@ -492,10 +497,10 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
         # barrier weight 1/(gamma*scale) is undefined: the UAV fails before its
         # first iteration.
         for g in np.flatnonzero(failing):
-            solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
+            solved[int(key[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
         keep = ~failing
         rows, elems = rows.take(keep)
-        uav, rates_raw, powers = uav[keep], rates_raw[elems], powers[keep]
+        key, uav, rates_raw, powers = key[keep], uav[keep], rates_raw[elems], powers[keep]
         p_dot_p, scale, gamma_scale = p_dot_p[keep], scale[keep], gamma_scale[keep]
     if not rows.n_rows:
         return
@@ -580,7 +585,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
             # p.H^-1.p underflowed to zero or left the float range, so the
             # Newton step does not exist.
             for g in np.flatnonzero(failing):
-                solved[int(uav[g])] = ConvergenceError(
+                solved[int(key[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], math.nan, int(total[g]))
             retire(failing)
             continue
@@ -623,8 +628,8 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
                 "step_size": 0.0,
                 "constraint_residual": float(residual[g]),
             } for g in np.flatnonzero(alive).tolist()}
-            for trace_row in pass_rows.values():
-                traces[trace_row["uav_id"]].append(trace_row)
+            for g, trace_row in pass_rows.items():
+                traces[key[g]].append(trace_row)
 
         converged = alive & (decrement <= cfg.epsilon_decrement)
         moving = alive & ~converged
@@ -633,7 +638,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
             rnd += converged
             it[converged] = 0
             for g in np.flatnonzero(finished):
-                solved[int(uav[g])] = (x[rows.starts[g]:rows.starts[g] + rows.widths[g]].tolist(),
+                solved[int(key[g])] = (x[rows.starts[g]:rows.starts[g] + rows.widths[g]].tolist(),
                                        int(total[g]), float(decrement[g]))
             advanced = converged & ~finished
             inv[advanced] = inv_by_round[advanced, rnd[advanced]]
@@ -665,7 +670,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, power
         if dead.any():
             for g in np.flatnonzero(failed):
                 iterations = cfg.max_newton_iters if it[g] == cfg.max_newton_iters else int(total[g])
-                solved[int(uav[g])] = ConvergenceError(
+                solved[int(key[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], float(decrement[g]), iterations)
             retire(dead)
 
@@ -684,46 +689,79 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     Newton system; pass a list as ``trace`` to collect per-iteration rows,
     in UAV id order (up to and including a failing UAV).
     """
-    pinned: dict[int, int] = {}
-    relaxed = []
-    for i in sorted(c.candidates):
-        cands = c.candidates[i]
-        if alloc.power[i] <= 0.0:
-            continue
-        if len(cands) == 1:
-            pinned[i] = cands[0].neighbor
-            continue
-        relaxed.append(i)
-    relaxed.sort(key=lambda i: len(c.candidates[i]))
+    [relaxed] = newton_refine_many([(c, alloc)], cfg, None if trace is None else [trace])
+    if isinstance(relaxed, ConvergenceError):
+        raise relaxed
+    return relaxed
 
-    solved: dict[int, tuple[list[float], int, float] | Exception] = {}
-    traces = None if trace is None else {i: [] for i in relaxed}
-    rows = _RaggedRows(np.array([len(c.candidates[i]) for i in relaxed], dtype=np.intp))
-    rates_raw = np.array([cand.rate for i in relaxed for cand in c.candidates[i]], dtype=float)
-    powers = np.array([alloc.power[i] for i in relaxed], dtype=float)
-    _solve_rows(np.array(relaxed, dtype=np.intp), rows, rates_raw, powers, cfg, solved, traces)
 
-    L_r: dict[tuple[int, int], float] = {}
-    total_iters = 0
-    worst_decrement = 0.0
-    for i in sorted(solved):
-        if trace is not None:
-            trace.extend(traces[i])
-        if isinstance(solved[i], Exception):
-            raise solved[i]
-        x, iters, decrement = solved[i]
-        total_iters += iters
-        worst_decrement = max(worst_decrement, decrement)
-        for cand, value in zip(c.candidates[i], x):
-            L_r[(i, cand.neighbor)] = value
+def newton_refine_many(problems: Sequence[tuple[CandidateSet, PowerAllocation]],
+                       cfg: SolverConfig = SolverConfig(), traces: list[list] | None = None
+                       ) -> list[RelaxedLinkMatrix | ConvergenceError]:
+    """``newton_refine`` on several (candidates, allocation) problems in one
+    lock-step loop, whose rows hold the relaxed UAVs of every problem.
 
-    return RelaxedLinkMatrix(
-        L_r=L_r,
-        barrier_gamma=cfg.final_gamma,
-        iterations=total_iters,
-        final_decrement=worst_decrement,
-        pinned=pinned,
-    )
+    Returns one outcome per problem, in order: the RelaxedLinkMatrix that
+    ``newton_refine`` returns for it alone, or the ConvergenceError that it
+    raises; a row's arithmetic does not depend on the rows beside it (see
+    the module docstring). ``traces``, when given, holds one list per
+    problem, which receives that problem's trace rows as ``newton_refine``
+    writes them.
+    """
+    pinned: list[dict[int, int]] = []
+    uavs, cand_lists, powers = [], [], []
+    bounds = [0]  # problem k owns rows bounds[k]:bounds[k + 1], in UAV id order
+    for c, alloc in problems:
+        pins: dict[int, int] = {}
+        for i in sorted(c.candidates):
+            cands = c.candidates[i]
+            if alloc.power[i] <= 0.0:
+                continue
+            if len(cands) == 1:
+                pins[i] = cands[0].neighbor
+                continue
+            uavs.append(i)
+            cand_lists.append(cands)
+            powers.append(alloc.power[i])
+        pinned.append(pins)
+        bounds.append(len(uavs))
+
+    # The solver takes its rows sorted by width; each row keeps its index
+    # above as its key.
+    widths = np.fromiter(map(len, cand_lists), dtype=np.intp, count=len(cand_lists))
+    order = np.argsort(widths, kind="stable")
+    solved: dict[int, tuple[list[float], int, float] | ConvergenceError] = {}
+    row_traces = None if traces is None else [[] for _ in uavs]
+    rates_raw = np.array([cand.rate for g in order.tolist() for cand in cand_lists[g]], dtype=float)
+    _solve_rows(order, np.array(uavs, dtype=np.intp)[order], _RaggedRows(widths[order]),
+                rates_raw, np.array(powers, dtype=float)[order], cfg, solved, row_traces)
+
+    out: list[RelaxedLinkMatrix | ConvergenceError] = []
+    for k, pins in enumerate(pinned):
+        L_r: dict[tuple[int, int], float] = {}
+        total_iters = 0
+        worst_decrement = 0.0
+        for g in range(bounds[k], bounds[k + 1]):
+            if traces is not None:
+                traces[k].extend(row_traces[g])
+            if isinstance(solved[g], ConvergenceError):
+                out.append(solved[g])
+                break
+            x, iters, decrement = solved[g]
+            total_iters += iters
+            worst_decrement = max(worst_decrement, decrement)
+            i = uavs[g]
+            for cand, value in zip(cand_lists[g], x):
+                L_r[(i, cand.neighbor)] = value
+        else:
+            out.append(RelaxedLinkMatrix(
+                L_r=L_r,
+                barrier_gamma=cfg.final_gamma,
+                iterations=total_iters,
+                final_decrement=worst_decrement,
+                pinned=pins,
+            ))
+    return out
 
 
 def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,

@@ -156,13 +156,15 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
     """
     report = TreeValidationReport()
     gs_id = t.gs.id
-    uav_set = set(t.uav_ids)
+    uav_ids = range(1, t.n_uavs + 1)
+    uav_set = set(uav_ids)
     valid_ids = uav_set | {gs_id}
+    parent = tree.parent
 
-    for i in t.uav_ids:
-        if i not in tree.parent:
+    for i in uav_ids:
+        if i not in parent:
             report.single_parent.append(f"UAV {i} has no parent entry")
-    for i, j in tree.parent.items():
+    for i, j in parent.items():
         if i not in uav_set:
             report.single_parent.append(f"parent entry for unknown UAV {i}")
             continue
@@ -175,35 +177,37 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
         if not t.is_admissible(i, j):
             report.admissible.append(f"link {i} -> {j} is beyond the admissibility threshold")
 
-    for i, j in tree.parent.items():
-        if tree.parent.get(j) == i:
+    for i, j in parent.items():
+        if parent.get(j) == i:
             report.loop_free.append(f"UAVs {min(i, j)} and {max(i, j)} parent each other")
 
-    seen_cycles = set()
-    for start in t.uav_ids:
-        hops = 0
+    # Each walk follows parents until it meets a node whose outcome is known
+    # (the ground station first), then gives that outcome to every node it
+    # passed; a walk that ends on a missing or unknown parent, or on a node
+    # of its own chain (a cycle), gives them "cannot reach". So every parent
+    # link is followed once per call, and every cycle is met by exactly one
+    # walk.
+    reaches = {gs_id: True}
+    for start in uav_ids:
+        chain: dict[int, int] = {}  # node -> position in this walk
         node = start
-        chain = []
-        in_chain = set()
-        reached_gs = False
-        while hops <= t.n_uavs:
-            if node == gs_id:
-                reached_gs = True
-                break
-            nxt = tree.parent.get(node)
+        while node not in reaches:
+            chain[node] = len(chain)
+            nxt = parent.get(node)
             if nxt is None or nxt not in valid_ids:
+                ok = False
                 break
-            chain.append(node)
-            in_chain.add(node)
-            if nxt in in_chain:
-                cycle = tuple(sorted(set(chain[chain.index(nxt):]) | {nxt}))
-                if cycle not in seen_cycles:
-                    seen_cycles.add(cycle)
-                    report.loop_free.append(f"parent cycle through UAVs {list(cycle)}")
+            if nxt in chain:
+                cycle = sorted(list(chain)[chain[nxt]:])
+                report.loop_free.append(f"parent cycle through UAVs {cycle}")
+                ok = False
                 break
             node = nxt
-            hops += 1
-        if not reached_gs:
+        else:
+            ok = reaches[node]
+        for node in chain:
+            reaches[node] = ok
+        if not ok:
             report.gs_rooted.append(f"UAV {start} cannot reach the ground station")
 
     # Deduplicate mutual-pair messages that the cycle walk also found.

@@ -1,9 +1,10 @@
 """Behaviour lock: CLI outputs regenerate byte for byte against committed goldens.
 
-The files under tests/golden/ were written by the CLI commands below. Any
-change that alters a single output byte (a throughput digit, a tree edge, a
-solver trace row) fails here, so refactors prove they keep behaviour instead
-of claiming it.
+The files under tests/golden/ were written by the CLI commands below, and
+validate.txt holds the standard output and exit code of `validate --seed s`
+for s = 0..9. Any change that alters a single output byte (a throughput
+digit, a tree edge, a solver trace row) fails here, so refactors prove they
+keep behaviour instead of claiming it.
 """
 
 from pathlib import Path
@@ -54,3 +55,11 @@ def test_cli_output_matches_golden(case, tmp_path, capsys):
     capsys.readouterr()
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_validate_output_matches_golden(capsys):
+    runs = []
+    for seed in range(10):
+        code = main(["validate", "--seed", str(seed)])
+        runs.append(f"$ fanetsim validate --seed {seed}\n{capsys.readouterr().out}exit {code}\n")
+    assert "".join(runs).encode() == (GOLDEN / "validate.txt").read_bytes()

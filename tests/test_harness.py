@@ -14,11 +14,14 @@ from fanetsim.harness import (
     ScenarioConfig,
     generate_scenario,
     run_pipeline,
+    run_pipelines,
     sweep,
     write_aggregates_csv,
     write_rows_csv,
 )
-from fanetsim.model import ChannelParams
+from fanetsim.linksel import ConvergenceError, SolverConfig
+from fanetsim.model import ChannelParams, noise_density_from_dbm_per_hz
+from fanetsim.power import AllocationError
 from fanetsim.routing import build_spt
 
 
@@ -180,6 +183,51 @@ def test_run_pipeline_wall_time_off():
     cfg = small_cfg()
     row = run_pipeline(generate_scenario(cfg), cfg)
     assert row.wall_ms == 0.0
+
+
+def scenario(**kw):
+    cfg = small_cfg(**kw)
+    return generate_scenario(cfg), cfg
+
+
+def test_run_pipelines_rows_equal_run_pipeline():
+    scenarios = [scenario(), scenario(seed=6, n_uavs=4, power_budget_Pb=1e-3),
+                 scenario(seed=7, n_uavs=9, spt_weight="hops"), scenario(seed=8, power_budget_Pb=2.0)]
+    rows = run_pipelines(scenarios)
+    assert [repr(r) for r in rows] == [repr(run_pipeline(t, cfg)) for t, cfg in scenarios]
+    assert run_pipelines([]) == []
+
+
+def test_run_pipelines_shares_wall_time_where_measured():
+    rows = run_pipelines([scenario(measure_wall_time=True), scenario(seed=6),
+                          scenario(seed=7, measure_wall_time=True)])
+    assert rows[0].wall_ms > 0.0 and rows[0].wall_ms == rows[2].wall_ms
+    assert rows[1].wall_ms == 0.0
+
+
+def test_run_pipelines_raises_what_the_first_failing_scenario_raises():
+    solver = SolverConfig(epsilon_decrement=1e-15, max_newton_iters=1)
+    newton_fails = scenario(solver=solver)
+    # the budget over a 1e-310 Hz band overflows the water level
+    fill_fails = scenario(solver=solver, channel=ChannelParams(
+        bandwidth_B=1e-310, noise_density_sigma2=noise_density_from_dbm_per_hz(70.0)))
+    with pytest.raises(ConvergenceError) as alone:
+        run_pipeline(*newton_fails)
+    with pytest.raises(AllocationError):
+        run_pipeline(*fill_fails)
+    fine = scenario(n_uavs=1, solver=solver)  # no candidates: Newton has nothing to solve
+    run_pipeline(*fine)
+    with pytest.raises(ConvergenceError) as batch:
+        run_pipelines([fine, newton_fails, fill_fails])
+    assert repr(vars(batch.value)) == repr(vars(alone.value))
+    assert str(batch.value) == str(alone.value)
+    with pytest.raises(AllocationError):
+        run_pipelines([fine, fill_fails, newton_fails])
+
+
+def test_run_pipelines_needs_one_solver_config():
+    with pytest.raises(ConfigError, match="one solver config"):
+        run_pipelines([scenario(), scenario(solver=SolverConfig(gamma_init=1.0))])
 
 
 def test_sweep_grid_shape_and_order():

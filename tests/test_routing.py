@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.model import GROUND_STATION, UAV, ChannelParams, Node, build_topology
 from fanetsim.routing import DisconnectedTopologyError, build_spt, validate_tree
-from fanetsim.routing import RoutingTree
+from fanetsim.routing import RoutingTree, TreeValidationReport
 
 from conftest import chain_gains, random_cluster_topology, synth_topology
 
@@ -206,3 +207,96 @@ def test_self_parent_rejected():
     bad = RoutingTree(parent={1: 4, 2: 2, 3: 4}, path_cost={1: 1.0, 2: 1.0, 3: 1.0})
     rep = validate_tree(bad, t)
     assert not rep.ok
+
+
+def reference_validate_tree(tree, t):
+    """validate_tree as it was before its walks shared their outcomes: every
+    UAV walks its own parent chain to the end, at most n hops."""
+    report = TreeValidationReport()
+    gs_id = t.gs.id
+    uav_set = set(t.uav_ids)
+    valid_ids = uav_set | {gs_id}
+
+    for i in t.uav_ids:
+        if i not in tree.parent:
+            report.single_parent.append(f"UAV {i} has no parent entry")
+    for i, j in tree.parent.items():
+        if i not in uav_set:
+            report.single_parent.append(f"parent entry for unknown UAV {i}")
+            continue
+        if j == i:
+            report.single_parent.append(f"UAV {i} is its own parent")
+            continue
+        if j not in valid_ids:
+            report.single_parent.append(f"UAV {i} names unknown parent {j}")
+            continue
+        if not t.is_admissible(i, j):
+            report.admissible.append(f"link {i} -> {j} is beyond the admissibility threshold")
+
+    for i, j in tree.parent.items():
+        if tree.parent.get(j) == i:
+            report.loop_free.append(f"UAVs {min(i, j)} and {max(i, j)} parent each other")
+
+    seen_cycles = set()
+    for start in t.uav_ids:
+        hops = 0
+        node = start
+        chain = []
+        in_chain = set()
+        reached_gs = False
+        while hops <= t.n_uavs:
+            if node == gs_id:
+                reached_gs = True
+                break
+            nxt = tree.parent.get(node)
+            if nxt is None or nxt not in valid_ids:
+                break
+            chain.append(node)
+            in_chain.add(node)
+            if nxt in in_chain:
+                cycle = tuple(sorted(set(chain[chain.index(nxt):]) | {nxt}))
+                if cycle not in seen_cycles:
+                    seen_cycles.add(cycle)
+                    report.loop_free.append(f"parent cycle through UAVs {list(cycle)}")
+                break
+            node = nxt
+            hops += 1
+        if not reached_gs:
+            report.gs_rooted.append(f"UAV {start} cannot reach the ground station")
+
+    report.loop_free = sorted(set(report.loop_free))
+    return report
+
+
+@st.composite
+def parent_maps(draw):
+    """A topology of 1-9 UAVs with random admissible links, and a parent map
+    in random entry order. The map starts as a random tree and then up to
+    three entries change: a UAV may lose its entry, an unknown UAV may gain
+    one, and a parent may become the UAV itself, another UAV (so cycles and
+    mutual pairs are common), the ground station or an unknown id."""
+    n = draw(st.integers(1, 9))
+    gs = n + 1
+    rows = [{j: 1.0 for j in draw(st.sets(st.integers(1, gs)))} for _ in range(n)]
+    for i, row in enumerate(rows, start=1):
+        row.pop(i, None)
+    order = draw(st.permutations(range(1, gs)))
+    parent = {i: draw(st.sampled_from([gs, *order[:k]])) for k, i in enumerate(order)}
+    unknown = st.sampled_from([0, -1, gs + 1, 99])
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.integers(1, n) | unknown)
+        if draw(st.booleans()):
+            parent.pop(key, None)
+        else:
+            parent[key] = draw(st.integers(1, gs) | unknown)
+    return synth_topology(rows), dict(draw(st.permutations(list(parent.items()))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent_maps())
+@example((synth_topology([{2: 1.0}, {1: 1.0}, {2: 1.0}]), {3: 2, 2: 1, 1: 2}))
+@example((synth_topology([{}, {}, {}]), {1: 1, 2: 3, 3: 2, 7: 4}))
+def test_validate_tree_matches_the_walk_from_every_uav(case):
+    t, parent = case
+    tree = RoutingTree(parent=parent, path_cost={})
+    assert validate_tree(tree, t) == reference_validate_tree(tree, t)
