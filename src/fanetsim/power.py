@@ -1,20 +1,21 @@
 """Closed-form water-filling of a shared power budget across the tree links.
 
-Maximizing the summed link rates subject to the total budget has a
-stationarity condition per link,
-
-    B * h_i / (sigma^2 * B + P_i * h_i) = lambda,
-
-whose positive solution is P_i = B/lambda - sigma^2*B/h_i with the water
-level fixed by the budget: lambda = m / (P_b/B + sum_i sigma^2/h_i) over the
-m links left active. Links whose closed-form power comes out nonpositive are
-clamped to zero and the water level is recomputed over the survivors, which
-terminates in at most n passes because the active set only shrinks.
+Maximizing the summed link rates subject to the total budget gives, per link,
+B * h_i / (sigma^2 * B + P_i * h_i) = lambda, so P_i = B/lambda - f_i with
+f_i = sigma^2*B/h_i the link's noise floor in watts and
+lambda = m / (P_b/B + sum_i sigma^2/h_i) over the m links left active. The
+links that keep power are always the lowest floors (Boyd & Vandenberghe,
+*Convex Optimization*, Example 5.2): the links are sorted by floor once, and
+each pass clamps a suffix of the active prefix to zero and recomputes lambda.
+Where the floors dwarf the budget, B/lambda - f_i would cancel the budget
+against them, so there the floors are measured from the lowest one, f_1:
+P_i = (P_b + sum_j (f_j - f_1)) / m - (f_i - f_1), the same quantity.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import ChannelParams, Topology, link_capacity
@@ -22,13 +23,16 @@ from .routing import RoutingTree, validate_tree
 
 # Anything at or below this fraction of the budget is treated as a clamped link.
 CLAMP_TOLERANCE = 1e-12
+# A pass uses B/lambda - f_i while m^2 times its largest floor is at most this
+# multiple of the budget: its m shares, each off by about 8 ulps of that floor,
+# then err by less than 2**-10 of the mean share P_b/m in total.
+FLOOR_RATIO = 2.0 ** 40
 
 
 class AllocationError(ArithmeticError):
-    """Water-filling cannot place the budget within the float range: it is
-    below the rounding error of the links' noise floors, so every link clamps
-    or the rounding correction cancels the budget, or it is so large that a
-    link's SNR, the water level or a sum overflows."""
+    """Water-filling cannot place the budget within the float range: the
+    budget is subnormal, every link's noise floor overflows, or a link's SNR,
+    the water level or a sum overflows."""
 
 
 def _fsum(values) -> float:
@@ -56,7 +60,7 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     Requires a valid tree and a positive, finite budget. The returned powers
     sum to the budget exactly up to one rounding correction, clamped links
     carry exactly 0.0, and the water-level identity above holds on the active
-    set to floating-point precision.
+    set, which always holds the lowest-floor link, to floating-point precision.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
@@ -75,45 +79,44 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     for i in uavs:
         if gain[i] <= 0.0:
             raise ValueError(f"parent link of UAV {i} has nonpositive gain")
-    # Per-link noise floor expressed in power units: sigma^2 * B / h_i.
     floor = {i: p.noise_power / gain[i] for i in uavs}
+    # Links by (floor, id), as sorted is stable. Float subtraction is monotone,
+    # so at any water level the links that keep power are a prefix of it.
+    order = sorted(uavs, key=floor.__getitem__)
+    floors = [floor[i] for i in order]
+    level_terms = [p.noise_density_sigma2 / gain[i] for i in order]
+    if not (total_budget_w >= sys.float_info.min and floors[0] < math.inf):
+        raise AllocationError(f"a budget of {total_budget_w!r} W against a lowest noise "
+                              f"floor of {floors[0]!r} W leaves the normal float range")
 
-    active = set(uavs)
-    powers: dict[int, float] = {}
-    water_level = math.inf
-    for _ in range(len(uavs)):
-        m = len(active)
-        water_level = m / (
-            total_budget_w / p.bandwidth_B
-            + _fsum(p.noise_density_sigma2 / gain[i] for i in sorted(active))
-        )
-        if water_level == 0.0:
+    m = len(order)
+    while True:
+        denominator = total_budget_w / p.bandwidth_B + _fsum(level_terms[:m])
+        water_level = m / denominator if denominator > 0.0 else math.inf
+        if not 0.0 < water_level < math.inf or p.bandwidth_B / water_level == math.inf:
             raise AllocationError(
                 f"a budget of {total_budget_w!r} W over a bandwidth of {p.bandwidth_B!r} Hz "
                 "overflows the water level"
             )
-        powers = {i: p.bandwidth_B / water_level - floor[i] for i in active}
-        drop = {i for i in active if powers[i] <= CLAMP_TOLERANCE * total_budget_w}
-        if not drop:
+        active = floors[:m]
+        if m * m * active[-1] <= FLOOR_RATIO * total_budget_w:
+            shares = [p.bandwidth_B / water_level - f for f in active]
+        else:
+            level = _fsum([total_budget_w / m, *((f - active[0]) / m for f in active)])
+            shares = [level - (f - active[0]) for f in active]
+        kept = sum(share > CLAMP_TOLERANCE * total_budget_w for share in shares)
+        if kept == m:
             break
-        active -= drop
-        if not active:
-            raise AllocationError(f"every link clamped at a budget of {total_budget_w!r} W")
+        m = kept
 
-    allocation = {i: 0.0 for i in uavs}
-    allocation.update({i: powers[i] for i in active})
+    allocation = dict.fromkeys(uavs, 0.0)
+    allocation.update(zip(order, shares))
     # One rounding correction on the largest share keeps the budget exact.
-    residual = total_budget_w - _fsum(allocation[i] for i in uavs)
-    top = max(active, key=lambda i: (allocation[i], -i))
-    allocation[top] += residual
-    if not allocation[top] > 0.0:
-        # The active powers were rounding noise far above the budget.
-        raise AllocationError(
-            f"noise floors swamp a budget of {total_budget_w!r} W: no link keeps any power"
-        )
+    top = max(order[:m], key=lambda i: (allocation[i], -i))
+    allocation[top] += total_budget_w - _fsum(shares)
 
     alloc = PowerAllocation(power=allocation, water_level_lambda=water_level,
-                            active_set=tuple(sorted(active)), throughput_R=math.nan)
+                            active_set=tuple(sorted(order[:m])), throughput_R=math.nan)
     alloc.throughput_R = network_throughput(alloc, tree, t, p)
     return alloc
 

@@ -157,8 +157,13 @@ def test_exit_code_degenerate_channel(capsys):
     # At these path-loss exponents d**beta overflows on long links, whose gain
     # is then 0.0 and which therefore are not admissible.
     area = ["--n-uavs", "6", "--area-side", "8000", "--min-separation", "300"]
-    assert main(["run", *area, "--pathloss-beta", "85"]) == EXIT_NO_CONVERGENCE
-    assert main(["run", *BASE, "--pathloss-beta", "85"]) == EXIT_NO_CONVERGENCE
+    # At beta=85 the noise floors are 1e264..1e293 W: the lowest-floor link
+    # holds the whole budget, and its rate rounds to zero.
+    assert main(["run", *area, "--pathloss-beta", "85"]) == 0
+    assert main(["run", *BASE, "--pathloss-beta", "85"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("throughput_p11_bps   0.000000e+00") == 2
+    assert out.count("throughput_p14_bps   0.000000e+00") == 2
     assert main(["sweep", *area, "--trials", "1", "--pathloss-beta", "100"]) == EXIT_DISCONNECTED
     # a huge threshold keeps every link whose gain is positive
     assert main(["run", *area, "--d-th", "1e300"]) == 0
@@ -325,6 +330,19 @@ def test_usage_error_without_subcommand():
      "connectivity error: no connected layout with 2 UAVs"),
     # p.p overflows at a 1e300 W budget, so Newton's projection is lost
     (["sweep", "--n-uavs", "6", "--pb", "1e300"], EXIT_NO_CONVERGENCE, "solver error: UAV"),
+    # the water level overflows, or its denominator underflows to zero
+    (["run", "--n-uavs", "4", "--pb", "1e-10", "--bandwidth-hz", "1e300",
+      "--noise-dbm-hz", "-3170"], EXIT_NO_CONVERGENCE,
+     "solver error: a budget of 1e-10 W over a bandwidth of 1e+300 Hz overflows the water level"),
+    (["run", "--n-uavs", "4", "--pb", "1e-300", "--bandwidth-hz", "1e100",
+      "--noise-dbm-hz", "-3070", "--alpha0", "1e300"], EXIT_NO_CONVERGENCE,
+     "solver error: a budget of 1e-300 W over a bandwidth of 1e+100 Hz overflows the water level"),
+    # a subnormal budget, and noise floors that all overflow
+    (["run", "--n-uavs", "4", "--pb", "1e-320"], EXIT_NO_CONVERGENCE,
+     "solver error: a budget of 1e-320 W against a lowest noise floor of "),
+    (["run", "--n-uavs", "4", "--alpha0", "1e-292", "--noise-dbm-hz", "100"],
+     EXIT_NO_CONVERGENCE,
+     "solver error: a budget of 1.0 W against a lowest noise floor of inf W leaves the normal"),
 ])
 def test_float_range_edges_end_in_typed_errors(argv, code, message, capsys):
     # These used to end in a traceback (exit 1), in nan Newton iterates from

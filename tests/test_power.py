@@ -4,13 +4,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.model import ChannelParams, link_capacity
-from fanetsim.power import AllocationError, allocate_power, network_throughput
-from fanetsim.routing import RoutingTree, build_spt
+from fanetsim.power import (
+    CLAMP_TOLERANCE,
+    FLOOR_RATIO,
+    AllocationError,
+    PowerAllocation,
+    _fsum,
+    allocate_power,
+    network_throughput,
+)
+from fanetsim.routing import RoutingTree, build_spt, validate_tree
 
 from conftest import chain_gains, random_cluster_topology, synth_topology, toy_params
+
+
+def lowest_floor_uav(tree, t, p):
+    return min(tree.parent, key=lambda i: (p.noise_power / t.gain(i, tree.parent[i]), i))
 
 
 def star_tree(n):
@@ -154,17 +166,22 @@ def test_rejects_nonpositive_budget():
 
 def test_clamp_threshold_scales_with_budget():
     # a picowatt budget against milliwatt noise floors: the best link keeps
-    # the whole budget instead of falling under an absolute clamp threshold
+    # the whole budget instead of falling under an absolute clamp threshold;
+    # far below the rounding error of the floors (1e-30 W) it still does
     t = random_cluster_topology(np.random.default_rng(0), 6)
     tree = build_spt(t)
     p = ChannelParams()
-    for budget in (1e-12, 1e-18):
+    for budget in (1e-12, 1e-18, 1e-30):
         a = allocate_power(tree, t, budget, p)
-        assert len(a.active_set) == 1
+        assert a.active_set == (lowest_floor_uav(tree, t, p),)
         assert math.fsum(a.power.values()) == budget
-    # far below the rounding error of the floors no link survives
-    with pytest.raises(AllocationError):
-        allocate_power(tree, t, 1e-30, p)
+
+
+def test_water_level_beyond_the_float_range():
+    # lambda is 5e-299, but the water level B/lambda in watts is 2e308
+    t = synth_topology([{2: 1e-308}])
+    with pytest.raises(AllocationError, match="overflows the water level"):
+        allocate_power(star_tree(1), t, 1e308, toy_params(bandwidth=1e10, noise=1e-10))
 
 
 def test_rejects_invalid_tree():
@@ -176,14 +193,19 @@ def test_rejects_invalid_tree():
 
 def test_budget_swamped_by_noise_floors():
     # At beta=85 the parent links' noise floors are 1e264..1e293 W, so the
-    # closed-form powers are rounding noise and the budget cannot be placed.
+    # shares come from floor differences and the lowest-floor link keeps the
+    # whole budget.
     from fanetsim.harness import ScenarioConfig, generate_scenario
 
     p = ChannelParams(pathloss_beta=85.0)
     cfg = ScenarioConfig(n_uavs=6, area_side=8000.0, min_separation=300.0, channel=p)
     t = generate_scenario(cfg)
-    with pytest.raises(AllocationError, match="noise floors swamp"):
-        allocate_power(build_spt(t), t, 1.0, p)
+    tree = build_spt(t)
+    a = allocate_power(tree, t, 1.0, p)
+    best = lowest_floor_uav(tree, t, p)
+    assert a.active_set == (best,)
+    assert a.power[best] == 1.0
+    assert math.fsum(a.power.values()) == 1.0
 
 
 @st.composite
@@ -206,8 +228,17 @@ def allocation_instances(draw):
     return tree, synth_topology(rows, p), budget, p
 
 
+# One UAV whose noise floor is about 3e23 times the budget (gain 3.16e-13):
+# B/lambda - f_1 cancelled the budget against the floor and left the power
+# 1.4e-9 of the budget off.
+FLAKE_CHANNEL = ChannelParams(bandwidth_B=1e8, noise_density_sigma2=1e-8)
+FLAKE = (RoutingTree(parent={1: 2}, path_cost={1: 1.0}),
+         synth_topology([{2: 10.0 ** -12.5}], FLAKE_CHANNEL), 1e-11, FLAKE_CHANNEL)
+
+
 @settings(max_examples=300, deadline=None)
 @given(allocation_instances())
+@example(FLAKE)
 def test_allocation_conserves_budget(instance):
     tree, t, budget, p = instance
     try:
@@ -218,3 +249,122 @@ def test_allocation_conserves_budget(instance):
     assert all(power >= 0.0 for power in powers)
     assert math.isclose(math.fsum(powers), budget, rel_tol=1e-9, abs_tol=0.0)
     assert a.throughput_R == network_throughput(a, tree, t, p)
+
+
+def clamp_loop_allocation(tree, t, total_budget_w, p):
+    """The set-based clamp loop that water-filled before the prefix cut, kept
+    as the reference for it."""
+    if not 0.0 < total_budget_w < math.inf:
+        raise ValueError("total power budget must be positive and finite")
+    report = validate_tree(tree, t)
+    if not report.ok:
+        raise ValueError(f"routing tree is invalid: {report}")
+
+    # Every rate the pipeline evaluates is at a power within the budget on an
+    # admissible link.
+    if total_budget_w * float(t.gains.max(initial=0.0)) / p.noise_power == math.inf:
+        raise AllocationError(
+            f"a budget of {total_budget_w!r} W overflows the SNR of the strongest link"
+        )
+    uavs = sorted(tree.parent)
+    gain = {i: t.gain(i, tree.parent[i]) for i in uavs}
+    for i in uavs:
+        if gain[i] <= 0.0:
+            raise ValueError(f"parent link of UAV {i} has nonpositive gain")
+    # Per-link noise floor expressed in power units: sigma^2 * B / h_i.
+    floor = {i: p.noise_power / gain[i] for i in uavs}
+
+    active = set(uavs)
+    powers: dict[int, float] = {}
+    water_level = math.inf
+    for _ in range(len(uavs)):
+        m = len(active)
+        water_level = m / (
+            total_budget_w / p.bandwidth_B
+            + _fsum(p.noise_density_sigma2 / gain[i] for i in sorted(active))
+        )
+        if water_level == 0.0:
+            raise AllocationError(
+                f"a budget of {total_budget_w!r} W over a bandwidth of {p.bandwidth_B!r} Hz "
+                "overflows the water level"
+            )
+        powers = {i: p.bandwidth_B / water_level - floor[i] for i in active}
+        drop = {i for i in active if powers[i] <= CLAMP_TOLERANCE * total_budget_w}
+        if not drop:
+            break
+        active -= drop
+        if not active:
+            raise AllocationError(f"every link clamped at a budget of {total_budget_w!r} W")
+
+    allocation = {i: 0.0 for i in uavs}
+    allocation.update({i: powers[i] for i in active})
+    # One rounding correction on the largest share keeps the budget exact.
+    residual = total_budget_w - _fsum(allocation[i] for i in uavs)
+    top = max(active, key=lambda i: (allocation[i], -i))
+    allocation[top] += residual
+    if not allocation[top] > 0.0:
+        # The active powers were rounding noise far above the budget.
+        raise AllocationError(
+            f"noise floors swamp a budget of {total_budget_w!r} W: no link keeps any power"
+        )
+
+    alloc = PowerAllocation(power=allocation, water_level_lambda=water_level,
+                            active_set=tuple(sorted(active)), throughput_R=math.nan)
+    alloc.throughput_R = network_throughput(alloc, tree, t, p)
+    return alloc
+
+
+@st.composite
+def clamp_edge_instances(draw):
+    """Stars whose second-lowest floor puts that link's share at the clamp
+    threshold of the two-link water level, give or take a few ulps of its
+    gain, next to tied copies of either link and links with far higher floors."""
+    p = ChannelParams(
+        bandwidth_B=10.0 ** draw(st.floats(0.0, 8.0)),
+        noise_density_sigma2=10.0 ** draw(st.floats(-24.0, -8.0)),
+    )
+    budget = 10.0 ** draw(st.floats(-15.0, 6.0))
+    low = budget * 10.0 ** draw(st.floats(-6.0, 14.0))
+    # With floors f1 < f2 alone, link 2's share is (budget + f1 - f2) / 2.
+    edge = p.noise_power / (low + budget * (1.0 - 2.0 * CLAMP_TOLERANCE))
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        edge = math.nextafter(edge, math.copysign(math.inf, steps))
+    gains = [p.noise_power / low, edge]
+    gains += draw(st.lists(st.sampled_from(gains), max_size=2))
+    gains += [gains[0] * 10.0 ** -draw(st.floats(1.0, 8.0))
+              for _ in range(draw(st.integers(0, 3)))]
+    gains = draw(st.permutations(gains))
+    n = len(gains)
+    tree = star_tree(n)
+    return tree, synth_topology([{n + 1: g} for g in gains], p), budget, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(allocation_instances() | clamp_edge_instances())
+def test_prefix_cut_matches_clamp_loop(instance):
+    # While m^2 times the largest floor is within FLOOR_RATIO of the budget,
+    # every pass runs in the clamp loop's arithmetic, so every output bit is
+    # the loop's. Beyond it the budget is conserved and no link whose floor
+    # lies below the final water level is clamped.
+    tree, t, budget, p = instance
+    a = allocate_power(tree, t, budget, p)
+    floors = {i: p.noise_power / t.gain(i, tree.parent[i]) for i in tree.parent}
+    if len(floors) ** 2 * max(floors.values()) <= FLOOR_RATIO * budget:
+        want = clamp_loop_allocation(tree, t, budget, p)
+        assert repr((a.power, a.water_level_lambda, a.active_set, a.throughput_R)) == repr(
+            (want.power, want.water_level_lambda, want.active_set, want.throughput_R))
+        return
+    assert math.isclose(math.fsum(a.power.values()), budget, rel_tol=1e-9, abs_tol=0.0)
+    assert all(a.power[i] > 0.0 for i in a.active_set)
+    assert all(a.power[i] == 0.0 for i in floors if i not in a.active_set)
+    # Added back at the final level, a clamped link's share (budget plus its
+    # floor differences to the active links, over their count) is within the
+    # clamp threshold plus the rounding error of a pass within FLOOR_RATIO,
+    # about 8 ulps of FLOOR_RATIO * budget; each cut may lift the level by up
+    # to that much.
+    slack = len(floors) * (CLAMP_TOLERANCE + 8 * 2.0 ** -53 * FLOOR_RATIO) * budget
+    for i in floors:
+        if i not in a.active_set:
+            share = math.fsum([budget, *(floors[j] - floors[i] for j in a.active_set)])
+            assert share / len(a.active_set) <= slack
