@@ -3,8 +3,10 @@
 Subcommands: `run` (single scenario summary, optional tree dump), `sweep`
 (grid to CSV), `validate` (oracle cross-checks on small instances), and
 `trace` (per-iteration solver rows). Scenario fields come from an optional
-JSON config file with individual flags taking precedence. Exit codes:
-0 success, 1 failed validation checks, 2 bad configuration, 3 placement or
+JSON config file with individual flags taking precedence. Output files are
+opened before any scenario runs, and `-` names stdout. Exit codes:
+0 success, 1 failed validation checks, 2 bad configuration (including an
+unreadable config file or an unwritable output), 3 placement or
 connectivity failure, 4 solver non-convergence or a budget too small or too
 large for water-filling to resolve in floats.
 """
@@ -12,6 +14,7 @@ large for water-filling to resolve in floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -19,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import harness, oracle
+from . import oracle
 from .harness import (
     ConfigError,
     PlacementError,
@@ -51,34 +54,6 @@ EXIT_DISCONNECTED = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with ScenarioConfig fields")
-    sub.add_argument("--n-uavs", help="fleet size; comma list sweeps it")
-    sub.add_argument("--pb", help="total power budget in watts; comma list sweeps it")
-    sub.add_argument("--area-side", type=float, help="square side in meters")
-    sub.add_argument("--altitude", type=float, help="shared UAV altitude in meters")
-    sub.add_argument("--min-separation", type=float, help="pairwise UAV spacing floor in meters")
-    sub.add_argument("--seed", type=int, help="base RNG seed")
-    sub.add_argument("--trials", type=int, help="seeds per sweep grid point")
-    sub.add_argument("--gs-x", type=float, help="ground station x (default: mid side)")
-    sub.add_argument("--gs-y", type=float, help="ground station y (default: 0)")
-    sub.add_argument("--spt-weight", choices=("distance", "hops"), help="tree edge weight")
-    sub.add_argument("--no-wall-time", action="store_true",
-                     help="record wall_ms as 0 for byte-reproducible output")
-    sub.add_argument("--bandwidth-hz", type=float, help="system bandwidth B")
-    sub.add_argument("--noise-dbm-hz", type=float, help="noise density in dBm/Hz")
-    sub.add_argument("--freq-hz", type=float, help="carrier frequency defining the reference gain")
-    sub.add_argument("--alpha0", type=float, help="reference gain at 1 m (overrides --freq-hz)")
-    sub.add_argument("--pathloss-beta", type=float, help="path-loss exponent")
-    sub.add_argument("--d-th", type=float, help="link admissibility threshold in meters")
-    sub.add_argument("--gamma-init", type=float, help="initial barrier weight")
-    sub.add_argument("--gamma-growth", type=float, help="barrier weight growth per round")
-    sub.add_argument("--epsilon", type=float, help="Newton decrement stop target")
-    sub.add_argument("--backtrack-alpha", type=float, help="Armijo slope fraction")
-    sub.add_argument("--backtrack-shrink", type=float, help="line search shrink factor")
-    sub.add_argument("--max-newton-iters", type=int, help="iteration cap per barrier round")
-
-
 def _parse_list(text: str, kind):
     """One value, or a comma list of values for a sweep."""
     try:
@@ -88,101 +63,128 @@ def _parse_list(text: str, kind):
     return values[0] if len(values) == 1 else values
 
 
-def _channel_from_sources(file_cfg: dict, args) -> ChannelParams:
-    fields = dict(file_cfg.get("channel", {}))
-    if "noise_dbm_per_hz" in fields:
-        fields["noise_density_sigma2"] = noise_density_from_dbm_per_hz(
-            fields.pop("noise_dbm_per_hz")
-        )
-    if "freq_hz" in fields:
-        fields["ref_gain_alpha0"] = reference_gain_from_frequency(fields.pop("freq_hz"))
-    if args.bandwidth_hz is not None:
-        fields["bandwidth_B"] = args.bandwidth_hz
-    if args.noise_dbm_hz is not None:
-        fields["noise_density_sigma2"] = noise_density_from_dbm_per_hz(args.noise_dbm_hz)
-    if args.freq_hz is not None:
-        fields["ref_gain_alpha0"] = reference_gain_from_frequency(args.freq_hz)
-    if args.alpha0 is not None:
-        fields["ref_gain_alpha0"] = args.alpha0
-    if args.pathloss_beta is not None:
-        fields["pathloss_beta"] = args.pathloss_beta
-    if args.d_th is not None:
-        fields["link_threshold_dth"] = args.d_th
-    return ChannelParams(**fields)
+_INTS = functools.partial(_parse_list, kind=int)
+_FLOATS = functools.partial(_parse_list, kind=float)
+
+# Every scenario flag: (flag, type, section, field, help). The type is an
+# argparse type, a tuple of choices, bool for a switch that clears its field,
+# or a comma-list parser, which runs after argparse so that bad text exits 2
+# with a configuration error. The section is None for a ScenarioConfig field,
+# else the --config file section ("channel" or "solver") the field lives in.
+# Flags overlay the file in this order, so --alpha0 beats --freq-hz.
+_SCENARIO_FLAGS = (
+    ("--n-uavs", _INTS, None, "n_uavs", "fleet size; comma list sweeps it"),
+    ("--pb", _FLOATS, None, "power_budget_Pb", "total power budget in watts; comma list sweeps it"),
+    ("--area-side", float, None, "area_side", "square side in meters"),
+    ("--altitude", float, None, "altitude_H", "shared UAV altitude in meters"),
+    ("--min-separation", float, None, "min_separation", "pairwise UAV spacing floor in meters"),
+    ("--seed", int, None, "seed", "base RNG seed"),
+    ("--trials", int, None, "trials", "seeds per sweep grid point"),
+    ("--gs-x", float, None, "gs_x", "ground station x (default: mid side)"),
+    ("--gs-y", float, None, "gs_y", "ground station y (default: 0)"),
+    ("--spt-weight", ("distance", "hops"), None, "spt_weight", "tree edge weight"),
+    ("--no-wall-time", bool, None, "measure_wall_time",
+     "record wall_ms as 0 for byte-reproducible output"),
+    ("--bandwidth-hz", float, "channel", "bandwidth_B", "system bandwidth B"),
+    ("--noise-dbm-hz", float, "channel", "noise_dbm_per_hz", "noise density in dBm/Hz"),
+    ("--freq-hz", float, "channel", "freq_hz", "carrier frequency defining the reference gain"),
+    ("--alpha0", float, "channel", "ref_gain_alpha0",
+     "reference gain at 1 m (overrides --freq-hz)"),
+    ("--pathloss-beta", float, "channel", "pathloss_beta", "path-loss exponent"),
+    ("--d-th", float, "channel", "link_threshold_dth", "link admissibility threshold in meters"),
+    ("--gamma-init", float, "solver", "gamma_init", "initial barrier weight"),
+    ("--gamma-growth", float, "solver", "gamma_growth", "barrier weight growth per round"),
+    ("--epsilon", float, "solver", "epsilon_decrement", "Newton decrement stop target"),
+    ("--backtrack-alpha", float, "solver", "backtrack_alpha", "Armijo slope fraction"),
+    ("--backtrack-shrink", float, "solver", "backtrack_tau_shrink", "line search shrink factor"),
+    ("--max-newton-iters", int, "solver", "max_newton_iters", "iteration cap per barrier round"),
+)
+
+# The derived channel units a file or flag may give, and the field each defines.
+_DERIVED_UNITS = (
+    ("noise_dbm_per_hz", "noise_density_sigma2", noise_density_from_dbm_per_hz),
+    ("freq_hz", "ref_gain_alpha0", reference_gain_from_frequency),
+)
 
 
-def _solver_from_sources(file_cfg: dict, args) -> SolverConfig:
-    fields = dict(file_cfg.get("solver", {}))
-    for flag, name in (
-        (args.gamma_init, "gamma_init"),
-        (args.gamma_growth, "gamma_growth"),
-        (args.epsilon, "epsilon_decrement"),
-        (args.backtrack_alpha, "backtrack_alpha"),
-        (args.backtrack_shrink, "backtrack_tau_shrink"),
-        (args.max_newton_iters, "max_newton_iters"),
-    ):
-        if flag is not None:
-            fields[name] = flag
-    return SolverConfig(**fields)
+def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="JSON file with ScenarioConfig fields")
+    for flag, kind, _, _, text in _SCENARIO_FLAGS:
+        if kind is bool:
+            sub.add_argument(flag, action="store_const", const=False, help=text)
+        elif isinstance(kind, tuple):
+            sub.add_argument(flag, choices=kind, help=text)
+        elif kind in (int, float):
+            sub.add_argument(flag, type=kind, help=text)
+        else:
+            sub.add_argument(flag, help=text)
+
+
+def _channel_units(fields: dict) -> dict:
+    """Replace each derived channel unit with the field it defines; a derived
+    unit beats that field."""
+    for unit, name, convert in _DERIVED_UNITS:
+        if unit in fields:
+            fields[name] = convert(fields.pop(unit))
+    return fields
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return file_cfg
 
 
 def _config_from_args(args) -> ScenarioConfig:
-    file_cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-
+    """The --config file's fields with every given flag overlaid."""
+    file_cfg = _read_config(args.config) if args.config else {}
     try:
-        channel = _channel_from_sources(file_cfg, args)
-        solver = _solver_from_sources(file_cfg, args)
+        sections = {
+            None: {k: v for k, v in file_cfg.items() if k not in ("channel", "solver")},
+            "channel": _channel_units(dict(file_cfg.get("channel", {}))),
+            "solver": dict(file_cfg.get("solver", {})),
+        }
+        flags = vars(args)
+        for flag, kind, section, name, _ in _SCENARIO_FLAGS:
+            value = flags[flag[2:].replace("-", "_")]
+            if value is None:
+                continue
+            if kind in (_INTS, _FLOATS):
+                value = kind(value)
+            sections[section].update(_channel_units({name: value}))
+        return ScenarioConfig(
+            **sections[None],
+            channel=ChannelParams(**sections["channel"]),
+            solver=SolverConfig(**sections["solver"]),
+        )
+    except ConfigError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    fields = {
-        k: v
-        for k, v in file_cfg.items()
-        if k not in ("channel", "solver")
-    }
-    fields["channel"] = channel
-    fields["solver"] = solver
-    if args.n_uavs is not None:
-        fields["n_uavs"] = _parse_list(args.n_uavs, int)
-    if args.pb is not None:
-        fields["power_budget_Pb"] = _parse_list(args.pb, float)
-    for flag, name in (
-        (args.area_side, "area_side"),
-        (args.altitude, "altitude_H"),
-        (args.min_separation, "min_separation"),
-        (args.seed, "seed"),
-        (args.trials, "trials"),
-        (args.gs_x, "gs_x"),
-        (args.gs_y, "gs_y"),
-        (args.spt_weight, "spt_weight"),
-    ):
-        if flag is not None:
-            fields[name] = flag
-    if args.no_wall_time:
-        fields["measure_wall_time"] = False
+
+# Destinations of the output-file flags. main opens those a command was given
+# before the command runs, so an unwritable path fails before any scenario.
+_OUTPUTS = ("tree_dump", "out", "agg_out")
+
+
+def _open_out(path: str):
+    """A context holding the file an output goes to: stdout for "-", else
+    `path`, created empty."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
     try:
-        return ScenarioConfig(**fields)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def _cmd_run(args) -> int:
+def _cmd_run(args, out: dict) -> int:
     cfg = _config_from_args(args)
     cfg = replace(cfg, n_uavs=cfg.scalar_n(), power_budget_Pb=cfg.scalar_pb())
     topo = generate_scenario(cfg)
@@ -195,53 +197,42 @@ def _cmd_run(args) -> int:
     print(f"newton_iters         {row.newton_iters}")
     print(f"wall_ms              {row.wall_ms:.3f}")
 
-    if args.tree_dump:
-        with open(args.tree_dump, "w") as fh:
-            fh.write(TREE_DUMP_HEADER + "\n")
-            for i, j in sorted(row.refined_tree.parent.items()):
-                d = topo.distance(i, j)
-                h = topo.gain(i, j)
-                watts = row.allocation.power[i]
-                rate = link_capacity(watts, h, cfg.channel)
-                fh.write(f"{i},{j},{d!r},{h!r},{watts!r},{rate!r}\n")
+    if "tree_dump" in out:
+        fh = out["tree_dump"]
+        fh.write(TREE_DUMP_HEADER + "\n")
+        for i, j in sorted(row.refined_tree.parent.items()):
+            d = topo.distance(i, j)
+            h = topo.gain(i, j)
+            watts = row.allocation.power[i]
+            rate = link_capacity(watts, h, cfg.channel)
+            fh.write(f"{i},{j},{d!r},{h!r},{watts!r},{rate!r}\n")
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    result = sweep(cfg)
-    fh, close = _open_out(args.out)
-    try:
-        write_rows_csv(result.rows, fh)
-    finally:
-        if close:
-            fh.close()
-    if args.agg_out:
-        with open(args.agg_out, "w") as fh:
-            write_aggregates_csv(result.aggregates, fh)
+def _cmd_sweep(args, out: dict) -> int:
+    result = sweep(_config_from_args(args))
+    write_rows_csv(result.rows, out["out"])
+    if "agg_out" in out:
+        write_aggregates_csv(result.aggregates, out["agg_out"])
     return EXIT_OK
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args, out: dict) -> int:
     cfg = _config_from_args(args)
     cfg = replace(cfg, n_uavs=cfg.scalar_n(), power_budget_Pb=cfg.scalar_pb())
     rows: list[dict] = []
     run_pipeline(generate_scenario(cfg), cfg, trace=rows)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(TRACE_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r['uav_id']},{r['gamma']!r},{r['iteration']},{r['phi']!r},"
-                f"{r['decrement']!r},{r['step_size']!r},{r['constraint_residual']!r}\n"
-            )
-    finally:
-        if close:
-            fh.close()
+    fh = out["out"]
+    fh.write(TRACE_HEADER + "\n")
+    for r in rows:
+        fh.write(
+            f"{r['uav_id']},{r['gamma']!r},{r['iteration']},{r['phi']!r},"
+            f"{r['decrement']!r},{r['step_size']!r},{r['constraint_residual']!r}\n"
+        )
     return EXIT_OK
 
 
-def _validate_power_against_grid(rng, checks: list[str]) -> None:
+def _validate_power_against_grid(rng) -> str:
     from .model import Node, GROUND_STATION, UAV, build_topology
 
     p = ChannelParams()
@@ -263,12 +254,10 @@ def _validate_power_against_grid(rng, checks: list[str]) -> None:
         if abs(alloc.throughput_R - ref.best_value) > 1e-6 * ref.best_value:
             failures += 1
     status = "PASS" if failures == 0 else "FAIL"
-    checks.append(f"{status} water-filling vs grid oracle ({trials - failures}/{trials} within 1e-6)")
-    if failures:
-        raise _CheckFailure
+    return f"{status} water-filling vs grid oracle ({trials - failures}/{trials} within 1e-6)"
 
 
-def _validate_pipeline_bounds(rng, checks: list[str]) -> None:
+def _validate_pipeline_bounds(rng) -> str:
     trials = 10
     scenarios = []
     seed = 0
@@ -294,29 +283,17 @@ def _validate_pipeline_bounds(rng, checks: list[str]) -> None:
         failures += 0 if ok else 1
     done = len(rows)
     status = "PASS" if failures == 0 and done == trials else "FAIL"
-    checks.append(f"{status} pipeline bracketed by SPT value and tree-enumeration oracle ({done - failures}/{done})")
-    if status == "FAIL":
-        raise _CheckFailure
+    return f"{status} pipeline bracketed by SPT value and tree-enumeration oracle ({done - failures}/{done})"
 
 
-class _CheckFailure(Exception):
-    pass
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, out: dict) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError("seed must be nonnegative")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    checks: list[str] = []
-    code = EXIT_OK
-    for fn in (_validate_power_against_grid, _validate_pipeline_bounds):
-        try:
-            fn(rng, checks)
-        except _CheckFailure:
-            code = EXIT_CHECK_FAILED
-    for line in checks:
+    lines = [check(rng) for check in (_validate_power_against_grid, _validate_pipeline_bounds)]
+    for line in lines:
         print(line)
-    return code
+    return EXIT_CHECK_FAILED if any(line.startswith("FAIL") for line in lines) else EXIT_OK
 
 
 @functools.cache
@@ -335,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = subs.add_parser("sweep", help="grid sweep to CSV")
     _add_scenario_flags(sweep_p)
-    sweep_p.add_argument("--out", help="per-seed CSV path (default stdout)")
+    sweep_p.add_argument("--out", default="-", help="per-seed CSV path (default stdout)")
     sweep_p.add_argument("--agg-out", help="mean/std aggregate CSV path")
     sweep_p.set_defaults(fn=_cmd_sweep)
 
@@ -345,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_p = subs.add_parser("trace", help="per-iteration solver rows for one scenario")
     _add_scenario_flags(trace_p)
-    trace_p.add_argument("--out", help="trace CSV path (default stdout)")
+    trace_p.add_argument("--out", default="-", help="trace CSV path (default stdout)")
     trace_p.set_defaults(fn=_cmd_trace)
     return parser
 
@@ -354,7 +331,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with contextlib.ExitStack() as stack:
+            paths = {name: path for name in _OUTPUTS
+                     if (path := getattr(args, name, None)) is not None}
+            # a path given twice is opened once, so both outputs land in it in order
+            files = {path: stack.enter_context(_open_out(path))
+                     for path in dict.fromkeys(paths.values())}
+            return args.fn(args, {name: files[path] for name, path in paths.items()})
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -41,10 +41,12 @@ from .model import (
 from .power import PowerAllocation, allocate_power
 from .routing import RoutingTree, build_spt
 
-CSV_HEADER = "pb_watts,n_uavs,seed,throughput_p11_bps,throughput_p14_bps,newton_iters,wall_ms"
-AGGREGATE_CSV_HEADER = (
-    "pb_watts,n_uavs,stat,throughput_p11_bps,throughput_p14_bps,newton_iters,wall_ms"
-)
+# The measured columns, shared by the per-seed and the aggregate sweep CSV.
+_MEASURED = ("throughput_p11_bps", "throughput_p14_bps", "newton_iters", "wall_ms")
+_ROW_COLUMNS = ("pb_watts", "n_uavs", "seed", *_MEASURED)
+_AGGREGATE_COLUMNS = ("pb_watts", "n_uavs", "stat", *_MEASURED)
+CSV_HEADER = ",".join(_ROW_COLUMNS)
+AGGREGATE_CSV_HEADER = ",".join(_AGGREGATE_COLUMNS)
 
 # Distinct draws of a single coordinate before a layout attempt is abandoned.
 _POINT_TRIES = 200
@@ -389,11 +391,10 @@ def run_pipelines(scenarios: Sequence[tuple[Topology, ScenarioConfig]]) -> list[
 
 
 def _aggregate(rows: list[PipelineRow], pb: float, n: int) -> list[dict]:
-    fields = ("throughput_p11_bps", "throughput_p14_bps", "newton_iters", "wall_ms")
     out = []
     for stat, fn in (("mean", np.mean), ("std", np.std)):
         entry = {"pb_watts": pb, "n_uavs": n, "stat": stat}
-        for name in fields:
+        for name in _MEASURED:
             entry[name] = float(fn([getattr(r, name) for r in rows]))
         out.append(entry)
     return out
@@ -424,47 +425,18 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     return SweepResult(rows=rows, aggregates=aggregates)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(columns: tuple[str, ...], records, fh) -> None:
+    """A header line, then one line per record (a mapping over `columns`);
+    floats are written with repr so that parsing reproduces them exactly."""
+    fh.write(",".join(columns) + "\n")
+    for record in records:
+        cells = (record[c] for c in columns)
+        fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells) + "\n")
 
 
 def write_rows_csv(rows: list[PipelineRow], fh) -> None:
-    fh.write(CSV_HEADER + "\n")
-    for r in rows:
-        fh.write(
-            ",".join(
-                _format_cell(v)
-                for v in (
-                    r.pb_watts,
-                    r.n_uavs,
-                    r.seed,
-                    r.throughput_p11_bps,
-                    r.throughput_p14_bps,
-                    r.newton_iters,
-                    round(r.wall_ms, 3),
-                )
-            )
-            + "\n"
-        )
+    _write_csv(_ROW_COLUMNS, ({**vars(r), "wall_ms": round(r.wall_ms, 3)} for r in rows), fh)
 
 
 def write_aggregates_csv(aggregates: list[dict], fh) -> None:
-    fh.write(AGGREGATE_CSV_HEADER + "\n")
-    for entry in aggregates:
-        fh.write(
-            ",".join(
-                _format_cell(entry[k])
-                for k in (
-                    "pb_watts",
-                    "n_uavs",
-                    "stat",
-                    "throughput_p11_bps",
-                    "throughput_p14_bps",
-                    "newton_iters",
-                    "wall_ms",
-                )
-            )
-            + "\n"
-        )
+    _write_csv(_AGGREGATE_COLUMNS, aggregates, fh)

@@ -39,14 +39,24 @@ def reference_gain_from_frequency(freq_hz: float) -> float:
         raise ValueError(f"carrier frequency must be a real number, got {freq_hz!r}")
     if freq_hz <= 0.0:
         raise ValueError("carrier frequency must be positive")
-    return (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * freq_hz)) ** 2
+    try:
+        return (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * freq_hz)) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"carrier frequency {freq_hz!r} Hz gives a reference gain beyond the float range"
+        ) from None
 
 
 def noise_density_from_dbm_per_hz(dbm_per_hz: float) -> float:
     """Convert a noise power spectral density from dBm/Hz to W/Hz."""
     if not is_real(dbm_per_hz):
         raise ValueError(f"noise density must be a real number, got {dbm_per_hz!r}")
-    return 10.0 ** ((dbm_per_hz - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm_per_hz - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"noise density {dbm_per_hz!r} dBm/Hz is beyond the float range in W/Hz"
+        ) from None
 
 
 class CoincidentNodesError(ValueError):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,8 @@ from fanetsim.cli import (
     build_parser,
     main,
 )
-from fanetsim.harness import AGGREGATE_CSV_HEADER, CSV_HEADER
+from fanetsim.harness import AGGREGATE_CSV_HEADER, CSV_HEADER, ScenarioConfig
+from fanetsim.model import noise_density_from_dbm_per_hz, reference_gain_from_frequency
 
 
 BASE = ["--n-uavs", "6", "--area-side", "8000", "--min-separation", "300",
@@ -117,12 +119,137 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "power_budget_w       2.0" in out
 
 
+# (flag, text, section, field, value the field takes): section None is a
+# ScenarioConfig field, "channel" or "solver" a field of that section
+FLAG_FIELDS = [
+    ("--n-uavs", "7", None, "n_uavs", 7),
+    ("--pb", "0.25", None, "power_budget_Pb", 0.25),
+    ("--area-side", "9000", None, "area_side", 9000.0),
+    ("--altitude", "120", None, "altitude_H", 120.0),
+    ("--min-separation", "250", None, "min_separation", 250.0),
+    ("--seed", "11", None, "seed", 11),
+    ("--trials", "3", None, "trials", 3),
+    ("--gs-x", "100", None, "gs_x", 100.0),
+    ("--gs-y", "50", None, "gs_y", 50.0),
+    ("--spt-weight", "hops", None, "spt_weight", "hops"),
+    ("--no-wall-time", None, None, "measure_wall_time", False),
+    ("--bandwidth-hz", "2e7", "channel", "bandwidth_B", 2e7),
+    ("--noise-dbm-hz", "-170", "channel", "noise_density_sigma2",
+     noise_density_from_dbm_per_hz(-170.0)),
+    ("--freq-hz", "2e9", "channel", "ref_gain_alpha0", reference_gain_from_frequency(2e9)),
+    ("--alpha0", "1e-4", "channel", "ref_gain_alpha0", 1e-4),
+    ("--pathloss-beta", "2.5", "channel", "pathloss_beta", 2.5),
+    ("--d-th", "5000", "channel", "link_threshold_dth", 5000.0),
+    ("--gamma-init", "5", "solver", "gamma_init", 5.0),
+    ("--gamma-growth", "20", "solver", "gamma_growth", 20.0),
+    ("--epsilon", "1e-9", "solver", "epsilon_decrement", 1e-9),
+    ("--backtrack-alpha", "0.2", "solver", "backtrack_alpha", 0.2),
+    ("--backtrack-shrink", "0.6", "solver", "backtrack_tau_shrink", 0.6),
+    ("--max-newton-iters", "50", "solver", "max_newton_iters", 50),
+]
+
+
+class _Parsed(Exception):
+    """Raised in place of the first scenario to hand back its config."""
+
+
+def _parsed_config(monkeypatch, tmp_path, command, flags, file_cfg=None):
+    import fanetsim.cli
+
+    def stop(cfg, *args, **kwargs):
+        raise _Parsed(cfg)
+
+    monkeypatch.setattr(fanetsim.cli, "sweep" if command == "sweep" else "generate_scenario", stop)
+    argv = [command, *flags]
+    if file_cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        argv += ["--config", str(path)]
+    with pytest.raises(_Parsed) as caught:
+        main(argv)
+    return caught.value.args[0]
+
+
+def _with_field(cfg, section, name, value):
+    if section is None:
+        return replace(cfg, **{name: value})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "trace"])
+def test_every_scenario_flag_lands_on_its_field(command, monkeypatch, tmp_path):
+    # each flag changes its own field and nothing else
+    for flag, text, section, name, value in FLAG_FIELDS:
+        argv = [flag] if text is None else [flag, text]
+        got = _parsed_config(monkeypatch, tmp_path, command, argv)
+        assert got == _with_field(ScenarioConfig(), section, name, value), flag
+    # a comma list reaches a sweep as a list
+    got = _parsed_config(monkeypatch, tmp_path, "sweep", ["--n-uavs", "4,5", "--pb", "1,2"])
+    assert (got.n_uavs, got.power_budget_Pb) == ([4, 5], [1.0, 2.0])
+    # every flag at once, over a file that sets every field to another value
+    file_cfg = {
+        "n_uavs": 9, "power_budget_Pb": 3.0, "area_side": 7000.0, "altitude_H": 90.0,
+        "min_separation": 100.0, "seed": 4, "trials": 2, "gs_x": 1.0, "gs_y": 2.0,
+        "spt_weight": "distance", "measure_wall_time": True,
+        "channel": {"bandwidth_B": 3e7, "noise_dbm_per_hz": -160.0, "freq_hz": 3e9,
+                    "pathloss_beta": 3.0, "link_threshold_dth": 4000.0},
+        "solver": {"gamma_init": 2.0, "gamma_growth": 3.0, "epsilon_decrement": 1e-7,
+                   "backtrack_alpha": 0.1, "backtrack_tau_shrink": 0.3, "max_newton_iters": 20},
+    }
+    flags, expected = [], ScenarioConfig()
+    for flag, text, section, name, value in FLAG_FIELDS:
+        flags += [flag] if text is None else [flag, text]
+        expected = _with_field(expected, section, name, value)  # --alpha0 follows --freq-hz
+    assert _parsed_config(monkeypatch, tmp_path, command, flags, file_cfg) == expected
+
+
+def test_flag_and_file_precedence(monkeypatch, tmp_path):
+    def channel(flags, file_channel=None):
+        file_cfg = None if file_channel is None else {"channel": file_channel}
+        return _parsed_config(monkeypatch, tmp_path, "run", flags, file_cfg).channel
+
+    alpha_2ghz = reference_gain_from_frequency(2e9)
+    alpha_3ghz = reference_gain_from_frequency(3e9)
+    sigma_170 = noise_density_from_dbm_per_hz(-170.0)
+    sigma_160 = noise_density_from_dbm_per_hz(-160.0)
+    # in the file, a derived unit beats the raw field it defines
+    assert channel([], {"ref_gain_alpha0": 1e-3, "freq_hz": 2e9}).ref_gain_alpha0 == alpha_2ghz
+    assert channel([], {"freq_hz": 2e9, "ref_gain_alpha0": 1e-3}).ref_gain_alpha0 == alpha_2ghz
+    assert channel([], {"noise_density_sigma2": 1e-18, "noise_dbm_per_hz": -170.0}) \
+        .noise_density_sigma2 == sigma_170
+    # among flags, --alpha0 beats --freq-hz, whatever their order
+    assert channel(["--alpha0", "1e-4", "--freq-hz", "2e9"]).ref_gain_alpha0 == 1e-4
+    assert channel(["--freq-hz", "2e9", "--alpha0", "1e-4"]).ref_gain_alpha0 == 1e-4
+    # flags beat the file, in either unit
+    for file_channel in ({"ref_gain_alpha0": 1e-3}, {"freq_hz": 3e9},
+                         {"freq_hz": 3e9, "ref_gain_alpha0": 1e-3}):
+        assert channel(["--freq-hz", "2e9"], file_channel).ref_gain_alpha0 == alpha_2ghz
+        assert channel(["--alpha0", "1e-4"], file_channel).ref_gain_alpha0 == 1e-4
+    assert channel(["--bandwidth-hz", "2e7"], {"freq_hz": 3e9}).ref_gain_alpha0 == alpha_3ghz
+    for file_channel in ({"noise_density_sigma2": 1e-18}, {"noise_dbm_per_hz": -160.0},
+                         {"noise_dbm_per_hz": -160.0, "noise_density_sigma2": 1e-18}):
+        assert channel(["--noise-dbm-hz", "-170"], file_channel).noise_density_sigma2 == sigma_170
+    assert channel(["--bandwidth-hz", "2e7"], {"noise_dbm_per_hz": -160.0}) \
+        .noise_density_sigma2 == sigma_160
+    # a file field no flag sets survives next to the flags
+    cfg = _parsed_config(monkeypatch, tmp_path, "run", ["--seed", "3"],
+                         {"seed": 8, "placement_retry_budget": 7, "solver": {"gamma_init": 2.0}})
+    assert (cfg.seed, cfg.placement_retry_budget, cfg.solver.gamma_init) == (3, 7, 2.0)
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     assert main(["run", *BASE, "--trials", "0"]) == EXIT_CONFIG
     assert main(["run", "--n-uavs", "0"]) == EXIT_CONFIG
     bad = tmp_path / "bad.json"
     bad.write_text("not json {")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    # bytes that are not UTF-8, and nesting deeper than the recursion limit
+    for content in (b"\xff\xfe{", b"[" * 100000):
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad)]) == EXIT_CONFIG, content[:4]
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot read config file {bad}: ")
     assert main(["run", *BASE, "--gamma-init", "-1"]) == EXIT_CONFIG
     assert main(["run", *BASE, "--gamma-growth", "1e300"]) == EXIT_CONFIG
     for flag, value in (("--pb", "nan"), ("--pb", "inf"), ("--area-side", "nan"),
@@ -206,6 +333,47 @@ def test_one_pipeline_pass_per_command(command, tmp_path, monkeypatch, capsys):
     assert main([out if arg == "{out}" else arg for arg in command]) == 0
     capsys.readouterr()
     assert calls == {"run_pipeline": 1, "newton_refine": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *BASE, "--tree-dump", "{bad}"],
+    ["trace", *BASE, "--out", "{bad}"],
+    ["sweep", *BASE, "--trials", "1", "--out", "{bad}"],
+    ["sweep", *BASE, "--trials", "1", "--out", "{good}", "--agg-out", "{bad}"],
+])
+def test_unwritable_output_is_a_config_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    import fanetsim.cli
+
+    def placed(cfg):
+        raise AssertionError("placement ran before the outputs were opened")
+
+    monkeypatch.setattr(fanetsim.cli, "generate_scenario", placed)
+    monkeypatch.setattr(fanetsim.cli, "sweep", placed)
+    bad, good = tmp_path / "missing" / "out.csv", tmp_path / "good.csv"
+    paths = {"{bad}": str(bad), "{good}": str(good)}
+    assert main([paths.get(arg, arg) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: cannot write {bad}: No such file or directory\n"
+    assert not bad.parent.exists()
+
+
+def test_dash_writes_every_output_to_stdout(tmp_path, capsys):
+    path = tmp_path / "tree.csv"
+    assert main(["run", *BASE, "--tree-dump", str(path)]) == 0
+    summary = capsys.readouterr().out
+    assert main(["run", *BASE, "--tree-dump", "-"]) == 0
+    assert capsys.readouterr().out == summary + path.read_text()
+    assert not (tmp_path / "-").exists()
+    agg = tmp_path / "agg.csv"
+    assert main(["sweep", *BASE, "--trials", "2", "--agg-out", str(agg)]) == 0
+    rows = capsys.readouterr().out
+    assert main(["sweep", *BASE, "--trials", "2", "--out", "-", "--agg-out", "-"]) == 0
+    assert capsys.readouterr().out == rows + agg.read_text()
+    # a file given for both outputs holds both, as stdout does
+    both = tmp_path / "both.csv"
+    assert main(["sweep", *BASE, "--trials", "2", "--out", str(both), "--agg-out", str(both)]) == 0
+    assert both.read_text() == rows + agg.read_text()
 
 
 def test_exit_code_sweep_range_where_scalar_needed(capsys):
@@ -343,6 +511,12 @@ def test_usage_error_without_subcommand():
     (["run", "--n-uavs", "4", "--alpha0", "1e-292", "--noise-dbm-hz", "100"],
      EXIT_NO_CONVERGENCE,
      "solver error: a budget of 1.0 W against a lowest noise floor of inf W leaves the normal"),
+    # a derived channel unit whose conversion leaves the float range
+    (["run", "--n-uavs", "4", "--noise-dbm-hz", "5000"], EXIT_CONFIG,
+     "configuration error: noise density 5000.0 dBm/Hz is beyond the float range in W/Hz\n"),
+    (["run", "--n-uavs", "4", "--freq-hz", "1e-200"], EXIT_CONFIG,
+     "configuration error: carrier frequency 1e-200 Hz gives a reference gain beyond the "
+     "float range\n"),
 ])
 def test_float_range_edges_end_in_typed_errors(argv, code, message, capsys):
     # These used to end in a traceback (exit 1), in nan Newton iterates from
@@ -435,6 +609,9 @@ def cli_invocations(draw):
     # JSON values above are all small or invalid).
     if "--n-uavs" not in argv and not (isinstance(config, dict) and "n_uavs" in config):
         argv += ["--n-uavs", draw(st.sampled_from(["2", "4", "6"]))]
+    # an output file, stdout, or a path in a missing directory
+    out_name = draw(st.sampled_from(["out.csv", "-", "missing/out.csv"]))
+    argv += ["--tree-dump" if command == "run" else "--out", out_name]
     return argv, config
 
 
@@ -443,14 +620,12 @@ def cli_invocations(draw):
 def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, invocation):
     argv, config = invocation
     out_dir = tmp_path_factory.mktemp("cli")
+    if argv[0] != "validate" and argv[-1] != "-":
+        argv = argv[:-1] + [str(out_dir / argv[-1])]
     if config is not None:
         path = out_dir / "cfg.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
-    if argv[0] == "run":
-        argv = argv + ["--tree-dump", str(out_dir / "tree.csv")]
-    elif argv[0] in ("sweep", "trace"):
-        argv = argv + ["--out", str(out_dir / "out.csv")]
     stdout, stderr = io.StringIO(), io.StringIO()
     # A RuntimeWarning does not decide an exit code outside the tests, so it
     # is not raised here: Newton's nan iterates at barrier weights outside its

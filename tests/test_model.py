@@ -85,6 +85,14 @@ def test_real_and_integer_predicates():
                 convert(bad)
 
 
+def test_unit_conversions_out_of_float_range_name_their_input():
+    with pytest.raises(ValueError, match=r"^noise density 5000\.0 dBm/Hz is beyond the float range"):
+        noise_density_from_dbm_per_hz(5000.0)
+    with pytest.raises(ValueError, match=r"^carrier frequency 1e-200 Hz gives a reference gain "
+                                         r"beyond the float range"):
+        reference_gain_from_frequency(1e-200)
+
+
 def test_channel_gain_inverse_square():
     p = ChannelParams()
     g1 = channel_gain(1000.0, p)
