@@ -6,9 +6,9 @@ Subcommands: `run` (single scenario summary, optional tree dump), `sweep`
 JSON config file with individual flags taking precedence. Output files are
 opened before any scenario runs, and `-` names stdout. Exit codes:
 0 success, 1 failed validation checks, 2 bad configuration (including an
-unreadable config file or an unwritable output), 3 placement or
-connectivity failure, 4 solver non-convergence or a budget too small or too
-large for water-filling to resolve in floats.
+unreadable config file or an unwritable output), 3 placement or connectivity
+failure, 4 solver non-convergence or a budget too small or too large for
+water-filling to resolve in floats, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -52,6 +53,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DISCONNECTED = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _parse_list(text: str, kind):
@@ -76,7 +78,8 @@ _SCENARIO_FLAGS = (
     ("--n-uavs", _INTS, None, "n_uavs", "fleet size; comma list sweeps it"),
     ("--pb", _FLOATS, None, "power_budget_Pb", "total power budget in watts; comma list sweeps it"),
     ("--area-side", float, None, "area_side", "square side in meters"),
-    ("--altitude", float, None, "altitude_H", "shared UAV altitude in meters"),
+    ("--altitude", float, None, "altitude_H",
+     "shared UAV altitude in meters; link lengths are planar, so it changes no output"),
     ("--min-separation", float, None, "min_separation", "pairwise UAV spacing floor in meters"),
     ("--seed", int, None, "seed", "base RNG seed"),
     ("--trials", int, None, "trials", "seeds per sweep grid point"),
@@ -332,12 +335,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with contextlib.ExitStack() as stack:
-            paths = {name: path for name in _OUTPUTS
-                     if (path := getattr(args, name, None)) is not None}
-            # a path given twice is opened once, so both outputs land in it in order
-            files = {path: stack.enter_context(_open_out(path))
-                     for path in dict.fromkeys(paths.values())}
-            return args.fn(args, {name: files[path] for name, path in paths.items()})
+            # a file named twice, even by two paths, is opened once, so both
+            # outputs land in it in order
+            files, out = {}, {}
+            for name in _OUTPUTS:
+                if (path := getattr(args, name, None)) is not None:
+                    key = path if path == "-" else os.path.realpath(path)
+                    if key not in files:
+                        files[key] = stack.enter_context(_open_out(path))
+                    out[name] = files[key]
+            code = args.fn(args, out)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit writes nothing
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,6 @@ import numpy as np
 from .linksel import (
     CandidateSet,
     ConvergenceError,
-    RelaxedLinkMatrix,
     SolverConfig,
     build_candidates,
     newton_refine,
@@ -319,18 +318,17 @@ def _route_and_fill(t: Topology, cfg: ScenarioConfig) -> _Staged:
     return _Staged(tree, alloc, build_candidates(tree, t, alloc, cfg.channel))
 
 
-def _round(t: Topology, cfg: ScenarioConfig, staged: _Staged,
-           relaxed: RelaxedLinkMatrix) -> PipelineRow:
+def _round(t: Topology, cfg: ScenarioConfig, staged: _Staged, newton_iters: int) -> PipelineRow:
     """Rounding, and the scenario's row with wall_ms still 0.0."""
     refined, refined_throughput = round_and_update(
-        relaxed, staged.cands, staged.tree, staged.alloc, t, cfg.channel)
+        staged.cands, staged.tree, staged.alloc, t, cfg.channel)
     return PipelineRow(
         pb_watts=cfg.scalar_pb(),
         n_uavs=t.n_uavs,
         seed=cfg.seed,
         throughput_p11_bps=staged.alloc.throughput_R,
         throughput_p14_bps=refined_throughput,
-        newton_iters=relaxed.iterations,
+        newton_iters=newton_iters,
         wall_ms=0.0,
         allocation=staged.alloc,
         refined_tree=refined,
@@ -343,7 +341,7 @@ def run_pipeline(t: Topology, cfg: ScenarioConfig, trace: list | None = None) ->
     start = time.perf_counter() if cfg.measure_wall_time else None
     staged = _route_and_fill(t, cfg)
     relaxed = newton_refine(staged.cands, staged.alloc, cfg.solver, trace=trace)
-    row = _round(t, cfg, staged, relaxed)
+    row = _round(t, cfg, staged, relaxed.iterations)
     if start is not None:
         row.wall_ms = (time.perf_counter() - start) * 1e3
     return row
@@ -380,7 +378,7 @@ def run_pipelines(scenarios: Sequence[tuple[Topology, ScenarioConfig]]) -> list[
     for (t, cfg), s, r in zip(scenarios, staged, relaxed):
         if isinstance(r, ConvergenceError):
             raise r
-        rows.append(_round(t, cfg, s, r))
+        rows.append(_round(t, cfg, s, r.iterations))
     if error is not None:
         raise error
     share_ms = (time.perf_counter() - start) * 1e3 / len(rows)
@@ -404,9 +402,9 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     """Run the pipeline over the (budget, fleet-size) grid, `trials` seeds each.
 
     Seeds are cfg.seed + trial index. Rows come back sorted by (budget, n,
-    seed) regardless of execution order; aggregates carry mean and population
-    std per grid point. Each scenario runs its own pipeline, not a shared
-    run_pipelines batch, so that its wall_ms times that scenario alone.
+    seed); aggregates carry mean and population std per grid point. Each
+    scenario runs its own pipeline, not a shared run_pipelines batch, so
+    that its wall_ms times that scenario alone.
     """
     rows: list[PipelineRow] = []
     aggregates: list[dict] = []
@@ -419,7 +417,6 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
                 )
                 topo = generate_scenario(run_cfg)
                 grid_rows.append(run_pipeline(topo, run_cfg))
-            grid_rows.sort(key=lambda r: r.seed)
             rows.extend(grid_rows)
             aggregates.extend(_aggregate(grid_rows, pb, n))
     return SweepResult(rows=rows, aggregates=aggregates)

@@ -15,8 +15,8 @@ priced at the UAV's own power (P_ik = P_i) the constraint is the unit
 simplex sum_k L_ik = 1. Maximization runs projected Newton steps that stay
 on the constraint plane, with Armijo backtracking, a growing barrier weight
 schedule, and the Newton decrement as the stopping statistic. Rounding then
-adopts each UAV's heaviest candidate when it strictly beats the current
-parent's rate and keeps the tree valid.
+adopts each UAV's highest-rate candidate (by KKT, its heaviest) when it
+strictly beats the current parent's rate and keeps the tree valid.
 
 The per-UAV problems are independent and have the same form, so every UAV
 with m >= 2 candidates is solved as one row of a flat array that holds all
@@ -682,12 +682,11 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     UAVs with zero allocated power are skipped (every candidate rate is zero,
     so reselection cannot help them); UAVs with a single candidate have no
     strict-interior point on the constraint plane and are recorded in
-    ``pinned`` for deterministic handling at rounding. The others are solved
-    in one lock-step loop over all their candidates. Raises the lowest
-    failing UAV's ConvergenceError when any UAV exhausts max_newton_iters in
-    some barrier round, gives up its line search, or meets a degenerate
-    Newton system; pass a list as ``trace`` to collect per-iteration rows,
-    in UAV id order (up to and including a failing UAV).
+    ``pinned``. The others are solved in one lock-step loop over all their
+    candidates. Raises the lowest failing UAV's ConvergenceError when any UAV
+    exhausts max_newton_iters in some barrier round, gives up its line search,
+    or meets a degenerate Newton system; pass a list as ``trace`` to collect
+    per-iteration rows, in UAV id order (up to and including a failing UAV).
     """
     [relaxed] = newton_refine_many([(c, alloc)], cfg, None if trace is None else [trace])
     if isinstance(relaxed, ConvergenceError):
@@ -764,16 +763,15 @@ def newton_refine_many(problems: Sequence[tuple[CandidateSet, PowerAllocation]],
     return out
 
 
-def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,
-                     alloc: PowerAllocation, t: Topology, p: ChannelParams
-                     ) -> tuple[RoutingTree, float]:
-    """Adopt heavy candidates one UAV at a time, best potential gain first.
+def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
+                     t: Topology, p: ChannelParams) -> tuple[RoutingTree, float]:
+    """Adopt each UAV's highest-rate candidate, best potential gain first.
 
-    A swap is taken only when the candidate's rate strictly beats the current
-    parent link at the UAV's frozen power and the swapped tree is still a
-    valid tree, so total throughput never decreases; an invalid input tree
-    raises ValueError. Returns the updated tree, with path costs in the input
-    tree's weight, and its throughput.
+    Equal rates go to the lowest neighbor id. A swap is taken only when the
+    rate strictly beats the current parent link at the UAV's frozen power and
+    the swapped tree is still a valid tree, so total throughput never
+    decreases; an invalid input tree raises ValueError. Returns the updated
+    tree, with path costs in the input tree's weight, and its throughput.
     """
     report = validate_tree(tree, t)
     if not report.ok:
@@ -783,18 +781,7 @@ def round_and_update(L_r: RelaxedLinkMatrix, c: CandidateSet, tree: RoutingTree,
 
     proposals = []
     for i in sorted(c.candidates):
-        cands = c.candidates[i]
-        if i in L_r.pinned:
-            best = next(cand for cand in cands if cand.neighbor == L_r.pinned[i])
-        else:
-            scored = [
-                (L_r.L_r[(i, cand.neighbor)], cand)
-                for cand in cands
-                if (i, cand.neighbor) in L_r.L_r
-            ]
-            if not scored:
-                continue
-            best = max(scored, key=lambda sc: (sc[0], -sc[1].neighbor))[1]
+        best = max(c.candidates[i], key=lambda cand: (cand.rate, -cand.neighbor))
         current_rate = link_capacity(alloc.power[i], t.gain(i, parent[i]), p)
         proposals.append((best.rate - current_rate, i, best))
     proposals.sort(key=lambda pr: (-pr[0], pr[1]))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fanetsim.model import ChannelParams, Node, Topology, build_topology
+from fanetsim.routing import RoutingTree
 
 
 def toy_params(bandwidth=1.0, noise=1.0):
@@ -65,6 +66,14 @@ def chain_gains(gain_list):
             row[i + 1] = gain_list[i]
         rows.append(row)
     return rows
+
+
+def star_tree(n):
+    """Every one of n UAVs a direct child of the ground station (id n+1)."""
+    return RoutingTree(
+        parent={i: n + 1 for i in range(1, n + 1)},
+        path_cost={i: 1.0 for i in range(1, n + 1)},
+    )
 
 
 def random_cluster_topology(rng, n, params=None, radius=4000.0):

@@ -24,22 +24,15 @@ from fanetsim.linksel import (
 from fanetsim.model import ChannelParams, link_capacity
 from fanetsim.oracle import grid_power_oracle, tree_enum_oracle
 from fanetsim.power import PowerAllocation, allocate_power
-from fanetsim.routing import RoutingTree, build_spt
+from fanetsim.routing import build_spt
 
-from conftest import ACCEPTANCE_REPORT, random_cluster_topology, synth_topology, toy_params
+from conftest import ACCEPTANCE_REPORT, random_cluster_topology, star_tree, synth_topology, toy_params
 
 
 def _report(idx: int, ok: bool, detail: str) -> str:
     line = f"criterion {idx:2d} {'PASS' if ok else 'FAIL'}  {detail}"
     ACCEPTANCE_REPORT.append(line)
     return line
-
-
-def star_tree(n):
-    return RoutingTree(
-        parent={i: n + 1 for i in range(1, n + 1)},
-        path_cost={i: 1.0 for i in range(1, n + 1)},
-    )
 
 
 def test_criterion_01_waterfilling_matches_grid_oracle():

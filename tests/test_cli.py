@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanetsim.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_DISCONNECTED,
@@ -358,7 +360,7 @@ def test_unwritable_output_is_a_config_error_before_any_work(argv, tmp_path, mon
     assert not bad.parent.exists()
 
 
-def test_dash_writes_every_output_to_stdout(tmp_path, capsys):
+def test_dash_writes_every_output_to_stdout(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tree.csv"
     assert main(["run", *BASE, "--tree-dump", str(path)]) == 0
     summary = capsys.readouterr().out
@@ -370,10 +372,14 @@ def test_dash_writes_every_output_to_stdout(tmp_path, capsys):
     rows = capsys.readouterr().out
     assert main(["sweep", *BASE, "--trials", "2", "--out", "-", "--agg-out", "-"]) == 0
     assert capsys.readouterr().out == rows + agg.read_text()
-    # a file given for both outputs holds both, as stdout does
+    # a file given for both outputs, under one path or two, holds both, as stdout does
     both = tmp_path / "both.csv"
     assert main(["sweep", *BASE, "--trials", "2", "--out", str(both), "--agg-out", str(both)]) == 0
     assert both.read_text() == rows + agg.read_text()
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", *BASE, "--trials", "2", "--out", "alias.csv",
+                 "--agg-out", "./alias.csv"]) == 0
+    assert (tmp_path / "alias.csv").read_text() == rows + agg.read_text()
 
 
 def test_exit_code_sweep_range_where_scalar_needed(capsys):
@@ -463,6 +469,27 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "throughput_p14_bps" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["run", "--n-uavs", "4"],
+    ["sweep", "--n-uavs", "6", "--area-side", "8000", "--min-separation", "300",
+     "--trials", "5", "--no-wall-time"],
+])
+def test_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    # buffered stdout fails at the last flush, unbuffered at the first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fanetsim", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_usage_error_without_subcommand():

@@ -23,7 +23,7 @@ from fanetsim.model import link_capacity
 from fanetsim.power import PowerAllocation, allocate_power
 from fanetsim.routing import RoutingTree, build_spt, validate_tree
 
-from conftest import random_cluster_topology, synth_topology, toy_params
+from conftest import random_cluster_topology, star_tree, synth_topology, toy_params
 
 
 def full_mesh_3():
@@ -34,13 +34,6 @@ def full_mesh_3():
             {1: 0.5, 3: 0.5, 4: 2.0},
             {1: 0.25, 2: 0.5, 4: 0.5},
         ]
-    )
-
-
-def star_tree(n):
-    return RoutingTree(
-        parent={i: n + 1 for i in range(1, n + 1)},
-        path_cost={i: 1.0 for i in range(1, n + 1)},
     )
 
 
@@ -343,8 +336,7 @@ def test_round_adopts_profitable_swap_and_blocks_cycle():
     p = toy_params()
     a = allocate_power(tree, t, 2.0, p)
     c = build_candidates(tree, t, a, p)
-    out = newton_refine(c, a)
-    new_tree, after = round_and_update(out, c, tree, a, t, p)
+    new_tree, after = round_and_update(c, tree, a, t, p)
     # uav1 defects to uav2 (gain 50 beats 1); uav2 must then stay on the
     # ground station or the pair would form a 2-cycle
     assert new_tree.parent == {1: 2, 2: 3}
@@ -364,10 +356,27 @@ def test_round_keeps_tree_when_no_candidate_helps():
     p = toy_params()
     a = allocate_power(tree, t, 2.0, p)
     c = build_candidates(tree, t, a, p)
-    out = newton_refine(c, a)
-    new_tree, after = round_and_update(out, c, tree, a, t, p)
+    new_tree, after = round_and_update(c, tree, a, t, p)
     assert new_tree.parent == tree.parent
     assert after == pytest.approx(a.throughput_R, rel=1e-15)
+
+
+def test_round_breaks_rate_ties_toward_lowest_neighbor():
+    # uav3 sees uav1 and uav2 at one gain, both above its ground-station link
+    t = synth_topology(
+        [
+            {3: 2.0, 4: 5.0},
+            {3: 2.0, 4: 5.0},
+            {1: 2.0, 2: 2.0, 4: 0.5},
+        ]
+    )
+    tree = star_tree(3)
+    p = toy_params()
+    a = uniform_alloc([1, 2, 3])
+    c = build_candidates(tree, t, a, p)
+    assert c.candidates[3][0].rate == c.candidates[3][1].rate
+    new_tree, _ = round_and_update(c, tree, a, t, p)
+    assert new_tree.parent == {1: 4, 2: 4, 3: 1}
 
 
 def test_round_never_decreases_throughput_random():
@@ -383,8 +392,7 @@ def test_round_never_decreases_throughput_random():
         c = build_candidates(tree, t, a, p)
         if not c.candidates:
             continue
-        out = newton_refine(c, a)
-        new_tree, after = round_and_update(out, c, tree, a, t, p)
+        new_tree, after = round_and_update(c, tree, a, t, p)
         assert after >= a.throughput_R
         rep = validate_tree(new_tree, t)
         assert rep.ok
@@ -400,21 +408,13 @@ def test_round_never_decreases_throughput_random():
             assert new_tree.path_cost[i] == pytest.approx(cost, rel=1e-12)
 
 
-def reference_round(L_r, c, tree, alloc, t, p):
+def reference_round(c, tree, alloc, t, p):
     """Rounding as first written: copy the parent map and re-validate the
     whole tree for every proposal. round_and_update must agree with it."""
     parent = dict(tree.parent)
     proposals = []
     for i in sorted(c.candidates):
-        cands = c.candidates[i]
-        if i in L_r.pinned:
-            best = next(cand for cand in cands if cand.neighbor == L_r.pinned[i])
-        else:
-            scored = [(L_r.L_r[(i, cand.neighbor)], cand) for cand in cands
-                      if (i, cand.neighbor) in L_r.L_r]
-            if not scored:
-                continue
-            best = max(scored, key=lambda sc: (sc[0], -sc[1].neighbor))[1]
+        best = sorted(c.candidates[i], key=lambda cand: (-cand.rate, cand.neighbor))[0]
         current_rate = link_capacity(alloc.power[i], t.gain(i, parent[i]), p)
         proposals.append((best.rate - current_rate, i, best))
     proposals.sort(key=lambda pr: (-pr[0], pr[1]))
@@ -433,16 +433,17 @@ def reference_round(L_r, c, tree, alloc, t, p):
 
 @st.composite
 def rounding_instances(draw):
-    """A random valid tree with random extra links, powers, candidate lists
-    (any node id, including the UAV itself, its subtree and inadmissible
-    nodes) and relaxed values."""
+    """A random valid tree with random extra links, powers and candidate
+    lists (any node id, including the UAV itself, its subtree and
+    inadmissible nodes). Gains are often drawn from two values, so a UAV's
+    candidates often tie on rate."""
     n = draw(st.integers(2, 7))
     gs = n + 1
     order = draw(st.permutations(range(1, n + 1)))
     parent = {}
     for pos, i in enumerate(order):
         parent[i] = draw(st.sampled_from([gs, *order[:pos]]))
-    gain = st.floats(1e-3, 1e3)
+    gain = st.one_of(st.sampled_from([1.0, 4.0]), st.floats(1e-3, 1e3))
     rows = [{} for _ in range(n)]
     for i, j in parent.items():
         rows[i - 1][j] = draw(gain)
@@ -454,37 +455,27 @@ def rounding_instances(draw):
     t = synth_topology(rows)
     p = toy_params()
     power = {i: draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0])) for i in range(1, gs)}
-    cand_lists, L_r, pinned = {}, {}, {}
+    cand_lists = {}
     for i in range(1, gs):
         ks = sorted(draw(st.sets(st.integers(1, gs), max_size=4)))
-        if not ks:
-            continue
-        cand_lists[i] = tuple(
-            Candidate(neighbor=k, rate=link_capacity(power[i], t.gain(i, k), p)
-                      if t.gain(i, k) > 0.0 else draw(st.floats(0.0, 100.0)))
-            for k in ks
-        )
-        if power[i] <= 0.0:
-            continue
-        if len(ks) == 1:
-            pinned[i] = ks[0]
-        else:
-            for k in ks:
-                L_r[(i, k)] = draw(st.floats(0.01, 0.99))
+        if ks:
+            cand_lists[i] = tuple(
+                Candidate(neighbor=k, rate=link_capacity(power[i], t.gain(i, k), p)
+                          if t.gain(i, k) > 0.0 else draw(st.floats(0.0, 100.0)))
+                for k in ks
+            )
     alloc = PowerAllocation(power=power, water_level_lambda=1.0,
                             active_set=tuple(sorted(power)), throughput_R=0.0)
-    relaxed = RelaxedLinkMatrix(L_r=L_r, barrier_gamma=1.0, iterations=0,
-                                final_decrement=0.0, pinned=pinned)
     tree = RoutingTree(parent=parent, path_cost={})
-    return relaxed, CandidateSet(candidates=cand_lists), tree, alloc, t, p
+    return CandidateSet(candidates=cand_lists), tree, alloc, t, p
 
 
 @settings(max_examples=300, deadline=None)
 @given(rounding_instances())
 def test_round_matches_revalidating_reference(instance):
-    relaxed, c, tree, alloc, t, p = instance
-    want_parent, want_throughput = reference_round(relaxed, c, tree, alloc, t, p)
-    got_tree, got_throughput = round_and_update(relaxed, c, tree, alloc, t, p)
+    c, tree, alloc, t, p = instance
+    want_parent, want_throughput = reference_round(c, tree, alloc, t, p)
+    got_tree, got_throughput = round_and_update(c, tree, alloc, t, p)
     assert got_tree.parent == want_parent
     assert got_throughput == want_throughput
     assert validate_tree(got_tree, t).ok
@@ -494,8 +485,61 @@ def test_round_rejects_cyclic_tree():
     t = full_mesh_3()
     p = toy_params()
     c = simple_candidates({3: {4: 1.0}})
-    relaxed = RelaxedLinkMatrix(L_r={}, barrier_gamma=1.0, iterations=0,
-                                final_decrement=0.0, pinned={3: 4})
     cyclic = RoutingTree(parent={1: 2, 2: 1, 3: 1}, path_cost={})
     with pytest.raises(ValueError, match="invalid"):
-        round_and_update(relaxed, c, cyclic, uniform_alloc([1, 2, 3]), t, p)
+        round_and_update(c, cyclic, uniform_alloc([1, 2, 3]), t, p)
+
+
+# ------------------------------------------- Newton's choice is the rate choice
+
+
+def newton_choice(relaxed, c, i):
+    """The neighbor that rounding on Newton's output would adopt for UAV i:
+    the pinned one, else the largest L_r with the lowest neighbor on ties."""
+    if i in relaxed.pinned:
+        return relaxed.pinned[i]
+    return max(c.candidates[i],
+               key=lambda cand: (relaxed.L_r[(i, cand.neighbor)], -cand.neighbor)).neighbor
+
+
+@st.composite
+def near_tie_problems(draw):
+    """1-4 powered UAVs with 2-8 candidates each. Each UAV's top two rates
+    are exactly equal, 1 ulp apart, 1e-15 to 1e-4 apart (relative), or
+    unconstrained."""
+    cands = {}
+    for i in range(1, draw(st.integers(1, 4)) + 1):
+        m = draw(st.integers(2, 8))
+        rates = draw(st.lists(st.floats(1e6, 1e8), min_size=m, max_size=m))
+        top = max(rates)
+        j = draw(st.sampled_from([k for k in range(m) if k != rates.index(top)]))
+        gap = draw(st.sampled_from(["tie", "ulp", "relative", "free"]))
+        if gap == "tie":
+            rates[j] = top
+        elif gap == "ulp":
+            rates[j] = math.nextafter(top, 0.0)
+        elif gap == "relative":
+            rates[j] = top * (1.0 - 10.0 ** draw(st.floats(-15.0, -4.0)))
+        neighbors = sorted(draw(st.sets(st.integers(5, 60), min_size=m, max_size=m)))
+        cands[i] = tuple(map(Candidate, neighbors, rates))
+    power = draw(st.sampled_from([1e-3, 1.0]))
+    return CandidateSet(candidates=cands), uniform_alloc(list(cands), power)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tie_problems())
+def test_newton_choice_is_the_highest_rate_candidate(problem):
+    c, alloc = problem
+    try:
+        relaxed = newton_refine(c, alloc)
+    except ConvergenceError:
+        return  # Newton gives up on some tied top rates; rounding does not read it
+    for i, cands in c.candidates.items():
+        best = max(cands, key=lambda cand: (cand.rate, -cand.neighbor))
+        chosen = c.lookup(i, newton_choice(relaxed, c, i))
+        first, second = sorted((cand.rate for cand in cands), reverse=True)[:2]
+        if first == second or first - second >= 1e-6 * first:
+            assert chosen == best
+        else:
+            # below a 1e-6 gap Newton's tolerance may pick the runner-up
+            assert chosen.rate >= best.rate * (1.0 - 1e-6)

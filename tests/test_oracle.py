@@ -23,14 +23,7 @@ from fanetsim.routing import (
     validate_tree,
 )
 
-from conftest import chain_gains, random_cluster_topology, synth_topology, toy_params
-
-
-def star_tree(n):
-    return RoutingTree(
-        parent={i: n + 1 for i in range(1, n + 1)},
-        path_cost={i: 1.0 for i in range(1, n + 1)},
-    )
+from conftest import chain_gains, random_cluster_topology, star_tree, synth_topology, toy_params
 
 
 def literal_grid_best(tree, t, budget, p, steps):

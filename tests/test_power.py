@@ -18,18 +18,11 @@ from fanetsim.power import (
 )
 from fanetsim.routing import RoutingTree, build_spt, validate_tree
 
-from conftest import chain_gains, random_cluster_topology, synth_topology, toy_params
+from conftest import chain_gains, random_cluster_topology, star_tree, synth_topology, toy_params
 
 
 def lowest_floor_uav(tree, t, p):
     return min(tree.parent, key=lambda i: (p.noise_power / t.gain(i, tree.parent[i]), i))
-
-
-def star_tree(n):
-    return RoutingTree(
-        parent={i: n + 1 for i in range(1, n + 1)},
-        path_cost={i: 1.0 for i in range(1, n + 1)},
-    )
 
 
 def test_two_link_hand_case():
