@@ -3,7 +3,11 @@
 Each UAV i that holds power P_i > 0 gets a candidate list of alternative
 parents (in-range nodes whose adoption keeps the relay structure a tree,
 excluding the current parent), read for all such UAVs at once from one mask
-over the incidence matrix and the tree's preorder intervals. The binary
+over the incidence matrix and the tree's preorder intervals. The lists form
+one table in compressed sparse rows, a ``CandidateSet``: per-UAV rows of
+neighbor ids and rates in flat arrays, every rate priced in one array pass.
+Newton gathers its rows from those arrays, and rounding takes each row's
+top rate with one ``np.maximum.reduceat``. The binary
 reselection is relaxed to interior variables L in (0,1) per candidate with
 log barriers at both ends,
 
@@ -60,14 +64,16 @@ outcome is the one ``newton_refine`` gives it alone.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import ChannelParams, Topology, is_integer, is_real, link_capacity
-from .power import PowerAllocation, network_throughput
+from .model import ChannelParams, Topology, is_integer, is_real, link_capacities
+from .power import AllocationError, PowerAllocation, network_throughput
 from .routing import RoutingTree, path_costs, validate_tree
 
 # Barrier weight schedule: gamma_init, then gamma_growth-fold per round.
@@ -106,22 +112,86 @@ class Candidate:
     rate: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Per-UAV candidate lists, sorted by neighbor id.
+    """Every listed UAV's candidate links as one table in compressed sparse
+    rows (Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4).
 
+    Row r belongs to UAV ``uavs[r]``; its candidates are the neighbor ids
+    ``neighbor[indptr[r]:indptr[r + 1]]`` with the matching ``rate`` entries,
+    each the rate the UAV would see on that link at its frozen power. Rows
+    are in ascending UAV id order and neighbors strictly ascend within a row.
     build_candidates lists only UAVs that hold power and have at least one
     candidate; at zero power every rate is 0.0 and no decision reads them.
+
+    The arrays are copied and made read-only here. A table that breaks the
+    layout above, has an empty row or a non-integer id, or holds a rate that
+    is nan, infinite or negative raises ValueError: a nan rate would pass
+    every comparison that rounding makes, and an infinite one leaves Newton
+    a nan decrement.
+    ``candidates`` is a read-only {uav: (Candidate, ...)} view of the table,
+    built on first use; the pipeline itself reads only the arrays.
     """
 
-    candidates: dict[int, tuple[Candidate, ...]]
+    uavs: np.ndarray
+    indptr: np.ndarray
+    neighbor: np.ndarray
+    rate: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("uavs", np.intp), ("indptr", np.intp),
+                            ("neighbor", np.intp), ("rate", float)):
+            given = np.asarray(getattr(self, name))
+            if given.ndim != 1:
+                raise ValueError(f"CandidateSet.{name} must be one-dimensional")
+            if given.size and given.dtype.kind not in ("iu" if dtype is np.intp else "iuf"):
+                raise ValueError(f"CandidateSet.{name} holds {given.dtype} values")
+            arr = given.astype(dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        uavs, indptr, neighbor, rate = self.uavs, self.indptr, self.neighbor, self.rate
+        if indptr.size != uavs.size + 1 or indptr[0] != 0 or indptr[-1] != neighbor.size:
+            raise ValueError("CandidateSet.indptr must run from 0 to the candidate count, "
+                             "one entry past the listed UAVs")
+        if rate.size != neighbor.size:
+            raise ValueError("CandidateSet.neighbor and CandidateSet.rate differ in length")
+        if (uavs[1:] <= uavs[:-1]).any():
+            raise ValueError("CandidateSet.uavs must strictly ascend")
+        if (indptr[1:] <= indptr[:-1]).any():
+            raise ValueError(f"UAV {int(uavs[np.argmax(indptr[1:] <= indptr[:-1])])} "
+                             "has no candidates (indptr must strictly ascend)")
+        # Each neighbor must exceed the one before it, except at a row's start.
+        ascends = neighbor[1:] > neighbor[:-1]
+        ascends[indptr[1:-1] - 1] = True
+        if not ascends.all():
+            row = np.searchsorted(indptr, np.argmin(ascends) + 1, side="right") - 1
+            raise ValueError(f"neighbors of UAV {int(uavs[row])} do not strictly ascend")
+        valid = (rate >= 0.0) & (rate < math.inf)
+        if not valid.all():
+            e = int(np.argmin(valid))
+            row = np.searchsorted(indptr, e, side="right") - 1
+            raise ValueError(f"candidate rate {float(rate[e])!r} of UAV {int(uavs[row])} toward "
+                             f"{int(neighbor[e])} is not finite and nonnegative")
+
+    @classmethod
+    def from_candidates(cls, rows: Mapping[int, Sequence[Candidate]]) -> CandidateSet:
+        """The table of a {uav: (Candidate, ...)} mapping, rows in UAV id order."""
+        uavs = sorted(rows)
+        cands = [cand for i in uavs for cand in rows[i]]
+        return cls(uavs, np.cumsum([0] + [len(rows[i]) for i in uavs]),
+                   [cand.neighbor for cand in cands], [cand.rate for cand in cands])
+
+    @functools.cached_property
+    def candidates(self) -> Mapping[int, tuple[Candidate, ...]]:
+        """The table as a read-only {uav: (Candidate, ...)} mapping."""
+        cands = list(map(Candidate, self.neighbor.tolist(), self.rate.tolist()))
+        bounds = self.indptr.tolist()
+        return types.MappingProxyType({i: tuple(cands[lo:hi]) for i, lo, hi
+                                       in zip(self.uavs.tolist(), bounds, bounds[1:])})
 
     def entries(self) -> list[tuple[int, Candidate]]:
         """All (uav, candidate) pairs in canonical (uav, neighbor) order."""
-        out = []
-        for i in sorted(self.candidates):
-            out.extend((i, cand) for cand in self.candidates[i])
-        return out
+        return [(i, cand) for i, cands in self.candidates.items() for cand in cands]
 
     def lookup(self, uav_id: int, neighbor: int) -> Candidate:
         for cand in self.candidates.get(uav_id, ()):
@@ -226,14 +296,15 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
     A neighbor k qualifies when the link is admissible, k is not the current
     parent, and re-parenting onto k keeps the relay structure a tree, i.e. k
     is outside the UAV's own subtree. Each candidate carries the rate the UAV
-    would see on that link at its current power. UAVs at zero power are not
-    listed: every rate would be 0.0, so neither the solver nor rounding could
-    act on them. Raises ValueError when a listed UAV is not reached from the
-    ground station.
+    would see on that link at its current power, all priced in one
+    ``link_capacities`` pass. UAVs at zero power are not listed: every rate
+    would be 0.0, so neither the solver nor rounding could act on them.
+    Raises ValueError when a listed UAV is not reached from the ground
+    station, and AllocationError when a rate overflows the float range.
     """
     powered = [i for i in sorted(tree.parent) if alloc.power[i] > 0.0]
     if not powered:
-        return CandidateSet(candidates={})
+        return CandidateSet([], [0], [], [])
     tin, tout = _euler_intervals(tree.parent, t.n_uavs + 1)
     rows = np.array(powered) - 1
     unreached = rows[tin[rows] < 0]
@@ -243,19 +314,21 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
             "not reached from the ground station"
         )
     # k is a candidate of i when the link is admissible, k is not i's parent,
-    # and k lies outside i's subtree: not tin[i] <= tin[k] < tout[i].
+    # and k lies outside i's subtree: not tin[i] <= tin[k] < tout[i]. The
+    # nonzero entries come row by row, columns ascending.
     row_of, cols = np.nonzero(t.incidence[rows])
     at = rows[row_of]
     parent_col = np.array([tree.parent[i] for i in powered])[row_of] - 1
     keep = ((tin[cols] < tin[at]) | (tin[cols] >= tout[at])) & (cols != parent_col)
     row_of, cols = row_of[keep], cols[keep]
-    powers = np.array([alloc.power[i] for i in powered])[row_of].tolist()
-    rates = [link_capacity(pw, g, p) for pw, g in zip(powers, t.gains[at[keep], cols].tolist())]
-    cands = list(map(Candidate, (cols + 1).tolist(), rates))
-    bounds = np.searchsorted(row_of, np.arange(rows.size + 1)).tolist()
-    out = {i: tuple(cands[lo:hi])
-           for i, lo, hi in zip(powered, bounds, bounds[1:]) if lo < hi}
-    return CandidateSet(candidates=out)
+    powers = np.array([alloc.power[i] for i in powered])
+    rate = link_capacities(powers[row_of], t.gains[at[keep], cols], p)
+    if rate.size and rate.max() == math.inf:
+        raise AllocationError("a candidate link's rate overflows the float range")
+    counts = np.bincount(row_of, minlength=rows.size)
+    listed = counts > 0
+    return CandidateSet(rows[listed] + 1, np.concatenate(([0], np.cumsum(counts[listed]))),
+                        cols + 1, rate)
 
 
 def _as_mapping(L_r) -> Mapping[tuple[int, int], float]:
@@ -707,37 +780,44 @@ def newton_refine_many(problems: Sequence[tuple[CandidateSet, PowerAllocation]],
     problem, which receives that problem's trace rows as ``newton_refine``
     writes them.
     """
+    # Each problem's powered rows of one candidate are pinned, and its powered
+    # rows of two or more are relaxed: problem k owns relaxed rows
+    # bounds[k]:bounds[k + 1], in UAV id order, and pairs[k] names their
+    # candidates in the same order.
     pinned: list[dict[int, int]] = []
-    uavs, cand_lists, powers = [], [], []
-    bounds = [0]  # problem k owns rows bounds[k]:bounds[k + 1], in UAV id order
+    pairs: list[list[tuple[int, int]]] = []
+    uav, width = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    power, rate = [np.empty(0)], [np.empty(0)]
+    bounds = [0]
     for c, alloc in problems:
-        pins: dict[int, int] = {}
-        for i in sorted(c.candidates):
-            cands = c.candidates[i]
-            if alloc.power[i] <= 0.0:
-                continue
-            if len(cands) == 1:
-                pins[i] = cands[0].neighbor
-                continue
-            uavs.append(i)
-            cand_lists.append(cands)
-            powers.append(alloc.power[i])
-        pinned.append(pins)
-        bounds.append(len(uavs))
+        powers = np.array([alloc.power[i] for i in c.uavs.tolist()], dtype=float)
+        widths = np.diff(c.indptr)
+        powered = ~(powers <= 0.0)
+        pin = powered & (widths == 1)
+        pinned.append(dict(zip(c.uavs[pin].tolist(), c.neighbor[c.indptr[:-1][pin]].tolist())))
+        relax = powered & (widths > 1)
+        elems = np.repeat(relax, widths)
+        pairs.append(list(zip(np.repeat(c.uavs, widths)[elems].tolist(), c.neighbor[elems].tolist())))
+        uav.append(c.uavs[relax])
+        width.append(widths[relax])
+        power.append(powers[relax])
+        rate.append(c.rate[elems])
+        bounds.append(bounds[-1] + int(np.count_nonzero(relax)))
+    uav, width, power, rate = map(np.concatenate, (uav, width, power, rate))
 
     # The solver takes its rows sorted by width; each row keeps its index
-    # above as its key.
-    widths = np.fromiter(map(len, cand_lists), dtype=np.intp, count=len(cand_lists))
-    order = np.argsort(widths, kind="stable")
+    # above as its key. A stable sort of the elements by their row's width
+    # moves whole rows and keeps their order.
+    order = np.argsort(width, kind="stable")
+    rates_raw = rate[np.argsort(width.repeat(width), kind="stable")]
     solved: dict[int, tuple[list[float], int, float] | ConvergenceError] = {}
-    row_traces = None if traces is None else [[] for _ in uavs]
-    rates_raw = np.array([cand.rate for g in order.tolist() for cand in cand_lists[g]], dtype=float)
-    _solve_rows(order, np.array(uavs, dtype=np.intp)[order], _RaggedRows(widths[order]),
-                rates_raw, np.array(powers, dtype=float)[order], cfg, solved, row_traces)
+    row_traces = None if traces is None else [[] for _ in range(uav.size)]
+    _solve_rows(order, uav[order], _RaggedRows(width[order]), rates_raw, power[order],
+                cfg, solved, row_traces)
 
     out: list[RelaxedLinkMatrix | ConvergenceError] = []
     for k, pins in enumerate(pinned):
-        L_r: dict[tuple[int, int], float] = {}
+        values: list[float] = []
         total_iters = 0
         worst_decrement = 0.0
         for g in range(bounds[k], bounds[k + 1]):
@@ -749,12 +829,10 @@ def newton_refine_many(problems: Sequence[tuple[CandidateSet, PowerAllocation]],
             x, iters, decrement = solved[g]
             total_iters += iters
             worst_decrement = max(worst_decrement, decrement)
-            i = uavs[g]
-            for cand, value in zip(cand_lists[g], x):
-                L_r[(i, cand.neighbor)] = value
+            values.extend(x)
         else:
             out.append(RelaxedLinkMatrix(
-                L_r=L_r,
+                L_r=dict(zip(pairs[k], values)),
                 barrier_gamma=cfg.final_gamma,
                 iterations=total_iters,
                 final_decrement=worst_decrement,
@@ -779,23 +857,29 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
     parent = dict(tree.parent)
     before = network_throughput(alloc, tree, t, p)
 
-    proposals = []
-    for i in sorted(c.candidates):
-        best = max(c.candidates[i], key=lambda cand: (cand.rate, -cand.neighbor))
-        current_rate = link_capacity(alloc.power[i], t.gain(i, parent[i]), p)
-        proposals.append((best.rate - current_rate, i, best))
-    proposals.sort(key=lambda pr: (-pr[0], pr[1]))
+    # Each row's highest rate, and the first (lowest-id) neighbor that has it.
+    starts = c.indptr[:-1]
+    top = np.maximum.reduceat(c.rate, starts)
+    at_top = c.rate == top.repeat(np.diff(c.indptr))
+    best = np.minimum.reduceat(np.where(at_top, np.arange(c.rate.size), c.rate.size), starts)
+    uavs = c.uavs.tolist()
+    parents = np.array([parent[i] for i in uavs], dtype=np.intp)
+    current = link_capacities(np.array([alloc.power[i] for i in uavs], dtype=float),
+                              t.gains[c.uavs - 1, parents - 1], p)
+    proposals = sorted(zip((c.rate[best] - current).tolist(), uavs, c.neighbor[best].tolist()),
+                       key=lambda pr: (-pr[0], pr[1]))
 
     # ``parent`` stays a valid tree, so re-parenting i onto an admissible k
     # keeps it one exactly when k's path to the ground station avoids i.
-    for gain, i, cand in proposals:
-        if gain <= 0.0 or not t.is_admissible(i, cand.neighbor):
+    gs = t.gs.id
+    for gain, i, k in proposals:
+        if gain <= 0.0 or not t.is_admissible(i, k):
             continue
-        node = cand.neighbor
-        while node != t.gs.id and node != i:
+        node = k
+        while node != gs and node != i:
             node = parent[node]
         if node != i:
-            parent[i] = cand.neighbor
+            parent[i] = k
 
     refined = RoutingTree(parent, path_costs(parent, t, tree.weight), tree.weight)
     after = network_throughput(alloc, refined, t, p)

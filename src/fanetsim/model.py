@@ -151,6 +151,24 @@ def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> flo
     return p.bandwidth_B * math.log2(1.0 + snr)
 
 
+def link_capacities(transmit_powers_w: np.ndarray, gains: np.ndarray,
+                    p: ChannelParams) -> np.ndarray:
+    """``link_capacity`` on each (power, gain) pair of two arrays, bit for bit.
+
+    The products, the quotient and the sum are numpy's correctly rounded
+    float64 operations in link_capacity's order; the logarithm is math.log2
+    per element, since np.log2 differs from it in the last bit.
+    """
+    if (transmit_powers_w < 0.0).any():
+        raise ValueError("transmit power must be nonnegative")
+    if (gains <= 0.0).any():
+        raise ValueError("link gain must be strictly positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = transmit_powers_w * gains / p.noise_power
+        logs = np.fromiter(map(math.log2, (1.0 + snr).tolist()), dtype=float, count=snr.size)
+        return p.bandwidth_B * logs
+
+
 @dataclass(frozen=True)
 class Topology:
     """Immutable snapshot of node placement, admissibility, link gains and lengths.

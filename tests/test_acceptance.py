@@ -128,8 +128,8 @@ def test_criterion_05_barrier_calculus_matches_fd():
     rng = np.random.default_rng(105)
     gamma = 100.0
     keys = [(1, 2), (1, 3), (2, 1), (2, 4)]
-    c = CandidateSet(
-        candidates={
+    c = CandidateSet.from_candidates(
+        {
             1: (Candidate(2, float(rng.uniform(0.5, 3.0))), Candidate(3, float(rng.uniform(0.5, 3.0)))),
             2: (Candidate(1, float(rng.uniform(0.5, 3.0))), Candidate(4, float(rng.uniform(0.5, 3.0)))),
         }
@@ -176,7 +176,7 @@ def test_criterion_06_newton_convergence():
                 for k in sorted(neighbors)
             )
             powers[i] = float(rng.uniform(0.01, 1.0))
-        c = CandidateSet(candidates=cands)
+        c = CandidateSet.from_candidates(cands)
         alloc = PowerAllocation(
             power=powers, water_level_lambda=1.0,
             active_set=tuple(sorted(powers)), throughput_R=0.0,

@@ -102,7 +102,7 @@ def reference_build_candidates(tree, t, alloc, p):
             )
         if cands:
             out[i] = tuple(cands)
-    return CandidateSet(candidates=out)
+    return CandidateSet.from_candidates(out)
 
 
 def _layout(result):

@@ -1,6 +1,7 @@
 """Barrier relaxation, projected Newton solver, and rounding."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fanetsim.linksel import (
     round_and_update,
 )
 from fanetsim.model import link_capacity
-from fanetsim.power import PowerAllocation, allocate_power
+from fanetsim.power import AllocationError, PowerAllocation, allocate_power
 from fanetsim.routing import RoutingTree, build_spt, validate_tree
 
 from conftest import random_cluster_topology, star_tree, synth_topology, toy_params
@@ -39,8 +40,8 @@ def full_mesh_3():
 
 def simple_candidates(rate_rows):
     """CandidateSet from {uav: {neighbor: rate}}."""
-    return CandidateSet(
-        candidates={
+    return CandidateSet.from_candidates(
+        {
             i: tuple(Candidate(neighbor=k, rate=r) for k, r in sorted(row.items()))
             for i, row in rate_rows.items()
         }
@@ -93,6 +94,72 @@ def test_lookup_raises_on_unknown_pair():
     c = simple_candidates({1: {2: 1.0}})
     with pytest.raises(KeyError):
         c.lookup(1, 3)
+
+
+def test_build_candidates_reports_an_overflowing_rate():
+    # B * log2(1 + 50) is past the float range on UAV 1's link to UAV 2
+    t = synth_topology([{2: 50.0, 3: 1.0}, {1: 50.0, 3: 10.0}])
+    p = toy_params(bandwidth=1e308, noise=1e-308)
+    with pytest.raises(AllocationError, match="rate overflows"):
+        build_candidates(star_tree(2), t, uniform_alloc([1, 2]), p)
+
+
+def test_candidate_table_layout_and_view():
+    c = simple_candidates({3: {4: 2.0, 1: 1.0}, 1: {2: 0.5}})
+    assert c.uavs.tolist() == [1, 3]
+    assert c.indptr.tolist() == [0, 1, 3]
+    assert c.neighbor.tolist() == [2, 1, 4]
+    assert c.rate.tolist() == [0.5, 1.0, 2.0]
+    assert dict(c.candidates) == {1: (Candidate(2, 0.5),),
+                                  3: (Candidate(1, 1.0), Candidate(4, 2.0))}
+    assert c.entries() == [(1, Candidate(2, 0.5)), (3, Candidate(1, 1.0)), (3, Candidate(4, 2.0))]
+    with pytest.raises(TypeError):
+        c.candidates[5] = ()
+    for arr in (c.uavs, c.indptr, c.neighbor, c.rate):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_candidate_table_takes_zero_and_extreme_finite_rates():
+    top = sys.float_info.max
+    c = simple_candidates({1: {2: 0.0, 3: -0.0, 4: 5e-324, 5: top}})
+    assert [r.hex() for r in c.rate.tolist()] == [r.hex() for r in (0.0, -0.0, 5e-324, top)]
+    assert CandidateSet([], [0], [], []).candidates == {}
+
+
+# A nan rate passes every comparison that rounding makes: on a 3-UAV star
+# the first row below moved UAV 1 onto UAV 2, and Newton failed on it with a
+# nan decrement after 0 iterations. Each is now refused where it enters.
+@pytest.mark.parametrize("rows, message", [
+    ({1: (Candidate(2, math.nan), Candidate(3, 1.0))}, "rate nan of UAV 1 toward 2 "),
+    ({1: (Candidate(2, 1.0), Candidate(3, math.inf))}, "rate inf of UAV 1 toward 3 "),
+    ({1: (Candidate(2, -math.inf),)}, "rate -inf of UAV 1 toward 2 "),
+    ({2: (Candidate(1, 1.0),), 4: (Candidate(1, -1e-300),)}, "rate -1e-300 of UAV 4 toward 1 "),
+    ({1: (Candidate(3, 1.0), Candidate(2, 2.0))}, "neighbors of UAV 1 do not strictly ascend"),
+    ({1: (Candidate(2, 1.0),), 3: (Candidate(2, 1.0), Candidate(2, 2.0))},
+     "neighbors of UAV 3 do not strictly ascend"),
+    ({1: (Candidate(2, 1.0),), 2: ()}, "UAV 2 has no candidates"),
+])
+def test_candidate_table_rejects_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        CandidateSet.from_candidates(rows)
+
+
+@pytest.mark.parametrize("uavs, indptr, neighbor, rate", [
+    ([1, 2], [0, 1], [3], [1.0]),  # one indptr entry short
+    ([1], [1, 1], [3], [1.0]),  # not from 0
+    ([1], [0, 2], [3], [1.0]),  # past the candidates
+    ([1], [0, 1], [3], [1.0, 2.0]),  # a rate without a neighbor
+    ([2, 1], [0, 1, 2], [3, 3], [1.0, 1.0]),  # UAVs out of order
+    ([1, 1], [0, 1, 2], [3, 4], [1.0, 1.0]),  # a UAV listed twice
+    ([[1]], [0, 1], [3], [1.0]),  # not one-dimensional
+    ([1], [0, 1], [2.5], [1.0]),  # a fractional neighbor id
+    ([True], [0, 1], [3], [1.0]),  # a bool UAV id
+    ([1], [0, 1], [3], ["1.0"]),  # a text rate
+])
+def test_candidate_table_rejects_bad_layout(uavs, indptr, neighbor, rate):
+    with pytest.raises(ValueError):
+        CandidateSet(uavs, indptr, neighbor, rate)
 
 
 # ------------------------------------------------------------------ barrier
@@ -435,15 +502,18 @@ def reference_round(c, tree, alloc, t, p):
 def rounding_instances(draw):
     """A random valid tree with random extra links, powers and candidate
     lists (any node id, including the UAV itself, its subtree and
-    inadmissible nodes). Gains are often drawn from two values, so a UAV's
-    candidates often tie on rate."""
+    inadmissible nodes); one row in four keeps a single candidate. Gains are
+    often drawn from 1.0, 4.0 and the float after 4.0, so a UAV's candidates
+    often tie on rate or sit 1 ulp apart, and inadmissible candidates often
+    take the row's top rate or a float beside it."""
     n = draw(st.integers(2, 7))
     gs = n + 1
     order = draw(st.permutations(range(1, n + 1)))
     parent = {}
     for pos, i in enumerate(order):
         parent[i] = draw(st.sampled_from([gs, *order[:pos]]))
-    gain = st.one_of(st.sampled_from([1.0, 4.0]), st.floats(1e-3, 1e3))
+    gain = st.one_of(st.sampled_from([1.0, 4.0, math.nextafter(4.0, math.inf)]),
+                     st.floats(1e-3, 1e3))
     rows = [{} for _ in range(n)]
     for i, j in parent.items():
         rows[i - 1][j] = draw(gain)
@@ -458,16 +528,24 @@ def rounding_instances(draw):
     cand_lists = {}
     for i in range(1, gs):
         ks = sorted(draw(st.sets(st.integers(1, gs), max_size=4)))
-        if ks:
-            cand_lists[i] = tuple(
-                Candidate(neighbor=k, rate=link_capacity(power[i], t.gain(i, k), p)
-                          if t.gain(i, k) > 0.0 else draw(st.floats(0.0, 100.0)))
-                for k in ks
-            )
+        if not ks:
+            continue
+        if draw(st.integers(0, 3)) == 0:
+            ks = ks[:1]
+        priced = {k: link_capacity(power[i], t.gain(i, k), p) for k in ks if t.gain(i, k) > 0.0}
+        # Inadmissible candidates take a free rate, the row's top priced rate,
+        # or a rate 1 ulp beside it; a row may take one rate throughout.
+        top = max(priced.values(), default=draw(st.floats(0.0, 100.0)))
+        near = [top, math.nextafter(top, math.inf), math.nextafter(top, 0.0)]
+        rate = st.floats(0.0, 100.0) | st.sampled_from(near)
+        if draw(st.booleans()):
+            rate = st.just(draw(rate))
+        cand_lists[i] = tuple(Candidate(neighbor=k, rate=priced[k] if k in priced else draw(rate))
+                              for k in ks)
     alloc = PowerAllocation(power=power, water_level_lambda=1.0,
                             active_set=tuple(sorted(power)), throughput_R=0.0)
     tree = RoutingTree(parent=parent, path_cost={})
-    return CandidateSet(candidates=cand_lists), tree, alloc, t, p
+    return CandidateSet.from_candidates(cand_lists), tree, alloc, t, p
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,7 +601,7 @@ def near_tie_problems(draw):
         neighbors = sorted(draw(st.sets(st.integers(5, 60), min_size=m, max_size=m)))
         cands[i] = tuple(map(Candidate, neighbors, rates))
     power = draw(st.sampled_from([1e-3, 1.0]))
-    return CandidateSet(candidates=cands), uniform_alloc(list(cands), power)
+    return CandidateSet.from_candidates(cands), uniform_alloc(list(cands), power)
 
 
 @settings(max_examples=300, deadline=None)

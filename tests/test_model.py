@@ -1,9 +1,12 @@
 """Channel model, geometry and topology construction."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fanetsim.model import (
     ChannelParams,
@@ -13,6 +16,7 @@ from fanetsim.model import (
     distance,
     is_integer,
     is_real,
+    link_capacities,
     link_capacity,
     noise_density_from_dbm_per_hz,
     reference_gain_from_frequency,
@@ -136,6 +140,79 @@ def test_link_capacity_rejects_bad_args():
         link_capacity(-1.0, 1e-9, p)
     with pytest.raises(ValueError):
         link_capacity(1.0, 0.0, p)
+
+
+def test_link_capacities_reject_what_link_capacity_rejects():
+    p = ChannelParams()
+    with pytest.raises(ValueError, match="transmit power"):
+        link_capacities(np.array([1.0, -1.0]), np.array([1e-9, 1e-9]), p)
+    with pytest.raises(ValueError, match="link gain"):
+        link_capacities(np.array([1.0, 1.0]), np.array([1e-9, 0.0]), p)
+    assert link_capacities(np.empty(0), np.empty(0), p).shape == (0,)
+
+
+def _adjacent(x: float, k: int, toward: float) -> list[float]:
+    """x and the k floats after it toward ``toward``."""
+    out = [x]
+    for _ in range(k):
+        out.append(math.nextafter(out[-1], toward))
+    return out
+
+
+@st.composite
+def pricing_draws(draw):
+    """A channel and (power, gain) pairs: free draws; 2000 seeded draws over
+    24 decades of SNR; runs of adjacent powers and gains; power * gain or
+    the SNR in the subnormal range; and SNRs just under allocate_power's
+    overflow guard, which rejects a budget whose budget * gain / noise_power
+    is inf. Gains aimed at a target come from exact rationals, which float()
+    rounds correctly."""
+    p = ChannelParams(
+        bandwidth_B=draw(st.sampled_from([1e7, 1.0]) | st.floats(1e-3, 1e12)),
+        noise_density_sigma2=draw(st.sampled_from([ChannelParams().noise_density_sigma2, 1.0])
+                                  | st.floats(1e-25, 1e5)),
+    )
+    noise = p.noise_power
+    kind = draw(st.sampled_from(["free", "bulk", "adjacent", "subnormal", "guard"]))
+    k = draw(st.integers(0, 5))
+    if kind == "free":
+        power = st.just(0.0) | st.floats(0.0, 1e6)
+        return p, draw(st.lists(st.tuples(power, st.floats(5e-324, 1e6)), min_size=1, max_size=20))
+    if kind == "bulk":
+        # np.log2 and math.log2 disagree on a few in a thousand of these
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        snr = 10.0 ** rng.uniform(-12.0, 12.0, 2000)
+        return p, list(zip(rng.uniform(0.0, 1.0, 2000).tolist(), (snr * noise).tolist()))
+    power = draw(st.floats(1e-6, 1e3))
+    if kind == "adjacent":
+        powers = _adjacent(power, k, math.inf)
+        gains = _adjacent(draw(st.floats(1e-15, 1e3)), draw(st.integers(0, 5)), math.inf)
+    elif kind == "subnormal":
+        # a subnormal power * gain, or a subnormal power * gain / noise_power
+        target = Fraction(draw(st.floats(5e-324, 2.2250738585072014e-308)))
+        if draw(st.booleans()):
+            target *= Fraction(noise)
+        gain = float(target / Fraction(power))
+        assume(gain > 0.0)
+        powers, gains = [power], _adjacent(gain, k, math.inf)
+    else:
+        # the largest gain that passes the guard at this power, and below it
+        assume(noise <= min(power, 1.0))
+        gain = float(Fraction(sys.float_info.max) * Fraction(noise) / Fraction(power))
+        while power * gain / noise == math.inf:
+            gain = math.nextafter(gain, 0.0)
+        powers, gains = _adjacent(power, k, 0.0), _adjacent(gain, k, 0.0)
+    return p, [(pw, g) for pw in powers for g in gains]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pricing_draws())
+def test_link_capacities_equal_link_capacity_bit_for_bit(draw):
+    p, pairs = draw
+    powers, gains = map(np.array, zip(*pairs))
+    got = link_capacities(powers, gains, p)
+    assert [rate.hex() for rate in got.tolist()] == [
+        link_capacity(pw, g, p).hex() for pw, g in pairs]
 
 
 def _grid_nodes():

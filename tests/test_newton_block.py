@@ -228,7 +228,7 @@ def instances(draw):
         backtrack_tau_shrink=draw(st.sampled_from([0.5]) | st.floats(0.05, 0.95)),
         max_newton_iters=draw(st.sampled_from([1, 2, 3, 100]) | st.integers(1, 40)),
     )
-    return CandidateSet(candidates=candidates), alloc, cfg
+    return CandidateSet.from_candidates(candidates), alloc, cfg
 
 
 def outcome(refine, c, alloc, cfg, trace):
@@ -298,7 +298,7 @@ def test_block_solver_matches_scalar_reference_at_n200(seed, budget, error):
 # p.p underflows to zero at this power, so the UAV fails before its first
 # iteration, whatever the solver config.
 DEGENERATE = (
-    CandidateSet(candidates={3: (Candidate(neighbor=7, rate=1.0), Candidate(neighbor=8, rate=2.0))}),
+    CandidateSet.from_candidates({3: (Candidate(neighbor=7, rate=1.0), Candidate(neighbor=8, rate=2.0))}),
     PowerAllocation(power={3: 1e-165}, water_level_lambda=1.0, active_set=(3,), throughput_R=0.0),
 )
 
