@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .model import ChannelParams, Topology, link_capacity
-from .routing import RoutingTree, validate_tree
+from .routing import RoutingTree, parent_link_values, validate_tree
 
 # Anything at or below this fraction of the budget is treated as a clamped link.
 CLAMP_TOLERANCE = 1e-12
@@ -75,7 +75,7 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
             f"a budget of {total_budget_w!r} W overflows the SNR of the strongest link"
         )
     uavs = sorted(tree.parent)
-    gain = {i: t.gain(i, tree.parent[i]) for i in uavs}
+    gain = dict(zip(uavs, parent_link_values(t.gains, tree.parent, uavs)))
     for i in uavs:
         if gain[i] <= 0.0:
             raise ValueError(f"parent link of UAV {i} has nonpositive gain")
@@ -124,8 +124,17 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
 def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
                        p: ChannelParams) -> float:
     """Summed rate of ``alloc`` over the tree's parent links: the one sum of a
-    tree's throughput."""
-    return _fsum(
-        link_capacity(alloc.power[i], t.gain(i, tree.parent[i]), p)
-        for i in sorted(tree.parent)
-    )
+    tree's throughput.
+
+    Every link's arguments are checked first, and the first one in UAV id
+    order that link_capacity rejects raises its error. A link at power 0.0
+    and a finite gain then adds exactly 0.0, so it is not priced.
+    """
+    uavs = sorted(tree.parent)
+    links = list(zip([alloc.power[i] for i in uavs],
+                     parent_link_values(t.gains, tree.parent, uavs)))
+    for power, gain in links:
+        if power < 0.0 or gain <= 0.0:
+            link_capacity(power, gain, p)
+    return _fsum(link_capacity(power, gain, p) for power, gain in links
+                 if not (power == 0.0 and gain < math.inf))

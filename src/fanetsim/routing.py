@@ -3,9 +3,12 @@
 The paper builds this tree with Bellman-Ford. Here the admissible link
 weights (link length or one hop) fill a dense n x (n+1) matrix, with inf
 where a link is inadmissible, and an O(n^2) Dijkstra settles one node per
-step from the ground station, relaxing every UAV with dist[u] + w[:, u]. Each
-UAV's parent is then the argmin of dist[j] + w[i, j] over the nodes settled
-before it.
+step from the ground station. Each step takes the unsettled node u of least
+tentative distance (argmin over a key vector that holds inf for settled
+nodes), adds dist[u] and a 0/inf penalty that keeps settled UAVs out to the
+weights of the links into u (row u of a transposed copy, read contiguously),
+and lowers the keys to that sum with one in-place minimum. Each UAV's parent
+is then the argmin of dist[j] + w[i, j] over the nodes settled before it.
 
 The distances are Bellman-Ford's bit for bit. Float addition of a
 nonnegative weight is monotone and never decreases a sum, so both algorithms
@@ -91,21 +94,28 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     # w[v, u]: weight of the link UAV v -> node u (index = id - 1), inf if
     # inadmissible; the ground station is column n.
     w = np.where(t.incidence != 0, 1.0 if weight == "hops" else t.distances, np.inf)
+    into = np.ascontiguousarray(w.T)  # into[u]: weights of the links into node u
 
     dist = np.full(n + 1, np.inf)
-    dist[n] = 0.0
-    unsettled = dist.copy()  # dist of nodes not yet settled, inf once settled
+    key = dist.copy()  # tentative dist of unsettled nodes, inf once settled
+    key[n] = 0.0
+    uav_key = key[:n]
+    closed = np.zeros(n)  # inf on settled UAVs, so no relaxation reopens them
+    via = np.empty(n)
     rank = np.empty(n + 1, dtype=np.intp)  # settle order
     for step in range(n + 1):
-        u = int(np.argmin(unsettled))
-        if unsettled[u] == np.inf:
+        u = int(key.argmin())
+        d = key[u]
+        if d == np.inf:
             break
         rank[u] = step
-        unsettled[u] = np.inf
-        via = dist[u] + w[:, u]
-        better = via < dist[:n]
-        dist[:n][better] = via[better]
-        unsettled[:n][better] = via[better]
+        dist[u] = d
+        key[u] = np.inf
+        if u < n:
+            closed[u] = np.inf
+        np.add(into[u], closed, out=via)
+        via += d
+        np.minimum(uav_key, via, out=uav_key)
 
     stranded = np.flatnonzero(dist[:n] == np.inf) + 1
     if stranded.size:
@@ -127,24 +137,67 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     )
 
 
+def parent_link_values(values: np.ndarray, parent: dict[int, int], uavs: list[int]) -> list[float]:
+    """``values[i - 1, parent[i] - 1]`` for each UAV i of ``uavs``, in one
+    gather: the parent links' entries of a Topology matrix such as ``gains``
+    or ``distances``."""
+    if not uavs:
+        return []
+    return values[np.array(uavs) - 1, np.array([parent[i] for i in uavs]) - 1].tolist()
+
+
 def path_costs(parent: dict[int, int], t: Topology, weight: str) -> dict[int, float]:
     """Summed ``weight`` of the links from each UAV to the ground station along
     ``parent``; raises ValueError when the parent map loops."""
     if weight not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
+    uavs = sorted(parent)
+    if weight == "hops":
+        length = dict.fromkeys(uavs, 1.0)
+    else:
+        length = dict(zip(uavs, parent_link_values(t.distances, parent, uavs)))
+    n = t.n_uavs
     cost = {t.gs.id: 0.0}
-    for start in sorted(parent):
+    for start in uavs:
         chain = []
         node = start
         while node not in cost:
-            if len(chain) > t.n_uavs:
+            if len(chain) > n:
                 raise ValueError(f"the parent walk from UAV {start} loops")
             chain.append(node)
             node = parent[node]
+        total = cost[node]
         for node in reversed(chain):
-            up = parent[node]
-            cost[node] = cost[up] + (1.0 if weight == "hops" else t.distance(node, up))
-    return {i: cost[i] for i in sorted(parent)}
+            total = cost[node] = total + length[node]
+    return {i: cost[i] for i in uavs}
+
+
+def _is_tree(parent: dict[int, int], t: Topology) -> bool:
+    """True when ``parent`` maps UAVs 1..n to admissible parents from which
+    every UAV reaches the ground station, decided with array code. False
+    also when its keys or values are not all integers, which the walk in
+    validate_tree then reports or rejects."""
+    n = t.n_uavs
+    if len(parent) != n:
+        return False
+    uavs = np.array(list(parent))
+    ups = np.array(list(parent.values()))
+    if uavs.dtype.kind != "i" or ups.dtype.kind != "i":
+        return False
+    if uavs.min() < 1 or uavs.max() > n or ups.min() < 1 or ups.max() > n + 1:
+        return False
+    # n distinct keys in 1..n are exactly the UAVs.
+    if (ups == uavs).any() or not t.incidence[uavs - 1, ups - 1].all():
+        return False
+    # Pointer doubling: after k passes up[v] is the node 2**k parent links
+    # above v, with the ground station its own parent. A tree is at most n
+    # deep, and 2**n.bit_length() > n.
+    up = np.empty(n + 1, dtype=np.intp)
+    up[uavs - 1] = ups - 1
+    up[n] = n
+    for _ in range(n.bit_length()):
+        up = up[up]
+    return bool((up == n).all())
 
 
 def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
@@ -154,6 +207,8 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
     ground station, loop-freeness (including two-node mutual parenting), and
     admissibility of every parent edge.
     """
+    if _is_tree(tree.parent, t):
+        return TreeValidationReport()
     report = TreeValidationReport()
     gs_id = t.gs.id
     uav_ids = range(1, t.n_uavs + 1)

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.linksel import (
     BARRIER_ROUNDS,
@@ -606,6 +606,10 @@ def near_tie_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(near_tie_problems())
+# A tied top pair 1 ulp above a third rate: Newton picks that third one.
+@example((CandidateSet.from_candidates({1: tuple(map(
+    Candidate, (5, 6, 7), (96461131.99999999, 96461132.0, 96461132.0)))}),
+    uniform_alloc([1], 1e-3)))
 def test_newton_choice_is_the_highest_rate_candidate(problem):
     c, alloc = problem
     try:
@@ -615,8 +619,9 @@ def test_newton_choice_is_the_highest_rate_candidate(problem):
     for i, cands in c.candidates.items():
         best = max(cands, key=lambda cand: (cand.rate, -cand.neighbor))
         chosen = c.lookup(i, newton_choice(relaxed, c, i))
-        first, second = sorted((cand.rate for cand in cands), reverse=True)[:2]
-        if first == second or first - second >= 1e-6 * first:
+        top = best.rate
+        below = max((cand.rate for cand in cands if cand.rate < top), default=None)
+        if below is None or top - below >= 1e-6 * top:
             assert chosen == best
         else:
             # below a 1e-6 gap Newton's tolerance may pick the runner-up

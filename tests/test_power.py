@@ -116,6 +116,43 @@ def test_water_level_consistent_with_powers():
         )
 
 
+def reference_network_throughput(alloc, tree, t, p):
+    """network_throughput as it was before it skipped zero-power links: every
+    parent link priced with link_capacity, in UAV id order."""
+    return _fsum(link_capacity(alloc.power[i], t.gain(i, tree.parent[i]), p)
+                 for i in sorted(tree.parent))
+
+
+def throughput_outcome(sum_rates, powers, gains):
+    """The sum's bits over a star of links, or its exception's type and text."""
+    n = len(powers)
+    t = synth_topology([{n + 1: g} for g in gains])
+    alloc = PowerAllocation(power=dict(enumerate(powers, start=1)), water_level_lambda=1.0,
+                            active_set=(), throughput_R=math.nan)
+    try:
+        return sum_rates(alloc, star_tree(n), t, toy_params()).hex()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+link_powers = st.sampled_from([0.0, -0.0, 1e-300, 0.5, 3.0, math.nan, math.inf, -1.0])
+link_gains = st.sampled_from([1e-300, 0.25, 2.0, 1e300, math.inf, math.nan, 0.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(link_powers, link_gains), min_size=1, max_size=6))
+# Zero power on an infinite or nan gain is priced (nan); a later link's bad
+# power does not hide an earlier link's bad gain.
+@example([(0.0, math.inf), (1.0, 2.0)])
+@example([(0.0, math.nan), (0.0, 2.0)])
+@example([(0.0, 2.0), (0.5, 0.0), (-1.0, 2.0)])
+@example([(math.nan, 2.0), (0.0, 2.0)])
+def test_network_throughput_matches_pricing_every_link(links):
+    powers, gains = zip(*links)
+    assert (throughput_outcome(network_throughput, powers, gains)
+            == throughput_outcome(reference_network_throughput, powers, gains))
+
+
 def test_throughput_matches_network_throughput():
     t = synth_topology(chain_gains([2.0, 1.0, 0.5]))
     tree = build_spt(t, weight="hops")

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanetsim.harness import ScenarioConfig, generate_scenario
 from fanetsim.model import GROUND_STATION, UAV, ChannelParams, Node, build_topology
 from fanetsim.routing import DisconnectedTopologyError, build_spt, validate_tree
-from fanetsim.routing import RoutingTree, TreeValidationReport
+from fanetsim.routing import RoutingTree, TreeValidationReport, _is_tree
 
 from conftest import chain_gains, random_cluster_topology, synth_topology
 
@@ -292,11 +293,142 @@ def parent_maps(draw):
     return synth_topology(rows), dict(draw(st.permutations(list(parent.items()))))
 
 
+def outcome(check, tree, t):
+    """A check's report, or the type and text of the exception it raises."""
+    try:
+        return check(tree, t)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+# A chain 1 -> 2: as a valid tree, then with the parent 2 given as another type.
+CHAIN_2 = synth_topology([{2: 1.0}, {3: 1.0}])
+
+
 @settings(max_examples=300, deadline=None)
 @given(parent_maps())
 @example((synth_topology([{2: 1.0}, {1: 1.0}, {2: 1.0}]), {3: 2, 2: 1, 1: 2}))
 @example((synth_topology([{}, {}, {}]), {1: 1, 2: 3, 3: 2, 7: 4}))
+@example((CHAIN_2, {1: 2, 2: 3}))
+@example((CHAIN_2, {1: 2.0, 2: 3}))
+@example((CHAIN_2, {1: np.int64(2), 2: 3}))
+@example((CHAIN_2, {1: 2, 2.0: 3}))
+@example((synth_topology([{3: 1.0}, {1: 1.0}]), {1: 3, 2: True}))
+@example((synth_topology([{3: 1.0}, {1: 1.0}]), {True: 3, 2: 1}))
+@example((synth_topology([{2: 1.0}]), {1: True}))
 def test_validate_tree_matches_the_walk_from_every_uav(case):
     t, parent = case
     tree = RoutingTree(parent=parent, path_cost={})
-    assert validate_tree(tree, t) == reference_validate_tree(tree, t)
+    assert outcome(validate_tree, tree, t) == outcome(reference_validate_tree, tree, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+def test_array_check_reaches_the_deepest_chain(n):
+    # UAV k's parent is k + 1 and UAV n's is the ground station, so UAV 1 is
+    # n links deep: the array check alone must accept it, and must reject it
+    # once UAV n points back at UAV 1 instead.
+    rows = [{k + 1: 1.0} for k in range(1, n + 1)]
+    if n > 1:
+        rows[-1][1] = 1.0
+    t = synth_topology(rows)
+    chain = {k: k + 1 for k in range(1, n + 1)}
+    assert _is_tree(chain, t)
+    tree = RoutingTree(parent=chain, path_cost={})
+    assert validate_tree(tree, t) == reference_validate_tree(tree, t) == TreeValidationReport()
+    if n > 1:
+        loop = RoutingTree(parent={**chain, n: 1}, path_cost={})
+        assert not _is_tree(loop.parent, t)
+        assert validate_tree(loop, t) == reference_validate_tree(loop, t)
+        assert not validate_tree(loop, t).ok
+
+
+def reference_build_spt(t, weight="distance"):
+    """build_spt as it was before its relaxation read transposed rows: each
+    step relaxes every UAV through a column of w with two boolean-mask
+    copies."""
+    n = t.n_uavs
+    w = np.where(t.incidence != 0, 1.0 if weight == "hops" else t.distances, np.inf)
+
+    dist = np.full(n + 1, np.inf)
+    dist[n] = 0.0
+    unsettled = dist.copy()
+    rank = np.empty(n + 1, dtype=np.intp)
+    for step in range(n + 1):
+        u = int(np.argmin(unsettled))
+        if unsettled[u] == np.inf:
+            break
+        rank[u] = step
+        unsettled[u] = np.inf
+        via = dist[u] + w[:, u]
+        better = via < dist[:n]
+        dist[:n][better] = via[better]
+        unsettled[:n][better] = via[better]
+
+    stranded = np.flatnonzero(dist[:n] == np.inf) + 1
+    if stranded.size:
+        raise DisconnectedTopologyError(stranded.tolist())
+    np.add(w, dist, out=w)
+    np.putmask(w, rank >= rank[:n, None], np.inf)
+    parent = np.argmin(w, axis=1) + 1
+    ids = t.uav_ids
+    return RoutingTree(parent=dict(zip(ids, parent.tolist())),
+                       path_cost=dict(zip(ids, dist[:n].tolist())), weight=weight)
+
+
+def assert_same_spt(t, weight):
+    try:
+        want = reference_build_spt(t, weight)
+    except DisconnectedTopologyError as exc:
+        with pytest.raises(DisconnectedTopologyError) as got:
+            build_spt(t, weight=weight)
+        assert got.value.stranded_ids == exc.stranded_ids
+        return
+    tree = build_spt(t, weight=weight)
+    assert tree.parent == want.parent
+    assert [c.hex() for c in tree.path_cost.values()] == [c.hex() for c in want.path_cost.values()]
+    assert list(tree.path_cost) == list(want.path_cost)
+
+
+@st.composite
+def spt_layouts(draw):
+    """1-40 UAVs on a 30 km square, on a 500 m grid (tied lengths) or anywhere,
+    with a 1.5-40 km threshold, so that some layouts are disconnected. A UAV
+    may sit 1-4 ulps of y from an earlier one: that
+    link's length then vanishes in dist + w."""
+    coord = draw(st.sampled_from([
+        st.integers(-30, 30).map(lambda k: 500.0 * k),
+        st.floats(-15000.0, 15000.0, allow_nan=False, allow_infinity=False),
+    ]))
+    nodes = []
+    for i in range(1, draw(st.integers(1, 40)) + 1):
+        twin = draw(st.sampled_from(nodes)) if nodes and draw(st.integers(0, 3)) == 0 else None
+        if twin is not None and abs(twin.y) >= 1.0:
+            y = twin.y
+            for _ in range(draw(st.integers(1, 4))):
+                y = math.nextafter(y, math.inf)
+            nodes.append(Node(i, twin.x, y, 150.0, UAV))
+        else:
+            nodes.append(Node(i, draw(coord), draw(coord), 150.0, UAV))
+    nodes.append(Node(len(nodes) + 1, draw(coord), draw(coord), 0.0, GROUND_STATION))
+    mode = draw(st.sampled_from(["planar", "3d"]))
+    return nodes, mode, draw(st.floats(1500.0, 40000.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spt_layouts(), st.sampled_from(["distance", "hops"]))
+@example(([Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 0.0, 3.27e-24, 150.0, UAV),
+           Node(3, 0.0, 0.0, 0.0, GROUND_STATION)], "3d", 1500.0), "distance")
+def test_build_spt_matches_the_column_scan(layout, weight):
+    nodes, mode, d_th = layout
+    try:
+        t = build_topology(nodes, ChannelParams(link_threshold_dth=d_th), mode=mode)
+    except ValueError:
+        return  # coincident nodes, or a gap too small for a finite gain
+    assert_same_spt(t, weight)
+
+
+@pytest.mark.parametrize("weight", ["distance", "hops"])
+def test_build_spt_matches_the_column_scan_at_n1000(weight):
+    t = generate_scenario(ScenarioConfig(n_uavs=1000, area_side=90000.0,
+                                         min_separation=300.0, seed=0))
+    assert_same_spt(t, weight)
