@@ -19,11 +19,9 @@ import numpy as np
 
 from .linksel import (
     CandidateSet,
-    ConvergenceError,
     SolverConfig,
     build_candidates,
     newton_refine,
-    newton_refine_many,
     round_and_update,
 )
 from .model import (
@@ -347,45 +345,11 @@ def run_pipeline(t: Topology, cfg: ScenarioConfig, trace: list | None = None) ->
     return row
 
 
-def run_pipelines(scenarios: Sequence[tuple[Topology, ScenarioConfig]]) -> list[PipelineRow]:
-    """``run_pipeline`` on each (topology, config) scenario, with the link
-    selection of all of them solved in one Newton loop (newton_refine_many).
-
-    The rows equal ``run_pipeline``'s, except that each row's wall_ms is an
-    equal share of the whole call's wall time (0.0 where its config has
-    measure_wall_time off). The first error that calling ``run_pipeline``
-    on the scenarios in order would raise is raised: the stages before
-    Newton stop at the first scenario they fail on, and Newton and rounding
-    errors of the scenarios before it come first. The scenarios must share
-    one SolverConfig, or ConfigError is raised.
-    """
-    scenarios = list(scenarios)
-    if not scenarios:
-        return []
-    solvers = {cfg.solver for _, cfg in scenarios}
-    if len(solvers) > 1:
-        raise ConfigError("scenarios solved in one Newton loop must share one solver config")
-    start = time.perf_counter()
-    staged, error = [], None
-    for t, cfg in scenarios:
-        try:
-            staged.append(_route_and_fill(t, cfg))
-        except Exception as exc:  # raised once the scenarios before it are done
-            error = exc
-            break
-    relaxed = newton_refine_many([(s.cands, s.alloc) for s in staged], solvers.pop())
-    rows = []
-    for (t, cfg), s, r in zip(scenarios, staged, relaxed):
-        if isinstance(r, ConvergenceError):
-            raise r
-        rows.append(_round(t, cfg, s, r.iterations))
-    if error is not None:
-        raise error
-    share_ms = (time.perf_counter() - start) * 1e3 / len(rows)
-    for row, (_, cfg) in zip(rows, scenarios):
-        if cfg.measure_wall_time:
-            row.wall_ms = share_ms
-    return rows
+def select_links(t: Topology, cfg: ScenarioConfig) -> PipelineRow:
+    """``run_pipeline``'s row without the Newton stage. Rounding reads the
+    candidate rates, not Newton's solve, so every field equals
+    ``run_pipeline``'s except newton_iters, which is 0, and wall_ms (0.0)."""
+    return _round(t, cfg, _route_and_fill(t, cfg), 0)
 
 
 def _aggregate(rows: list[PipelineRow], pb: float, n: int) -> list[dict]:
@@ -402,9 +366,7 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     """Run the pipeline over the (budget, fleet-size) grid, `trials` seeds each.
 
     Seeds are cfg.seed + trial index. Rows come back sorted by (budget, n,
-    seed); aggregates carry mean and population std per grid point. Each
-    scenario runs its own pipeline, not a shared run_pipelines batch, so
-    that its wall_ms times that scenario alone.
+    seed); aggregates carry mean and population std per grid point.
     """
     rows: list[PipelineRow] = []
     aggregates: list[dict] = []

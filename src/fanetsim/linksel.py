@@ -56,10 +56,7 @@ vectors:
 
 A UAV's outcome therefore does not depend on which other UAVs share the
 array, and ``newton_refine`` reports the UAVs in id order, raising the lowest
-failing UAV's error. Nor does it depend on which problem the other rows come
-from: ``newton_refine_many`` solves the relaxed UAVs of several
-(candidates, allocation) problems as rows of one loop, and each problem's
-outcome is the one ``newton_refine`` gives it alone.
+failing UAV's error.
 """
 
 from __future__ import annotations
@@ -533,16 +530,14 @@ def _degenerate(v: np.ndarray) -> np.ndarray:
     return (v == 0.0) | ~np.isfinite(v)
 
 
-def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
-                powers: np.ndarray, cfg: SolverConfig, solved: dict, traces: list | None) -> None:
+def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
+                powers: np.ndarray, cfg: SolverConfig, solved: dict, traces: dict | None) -> None:
     """Barrier-scheduled projected Newton ascent for every relaxed UAV at once.
 
     Row g of ``rows``, with its slice of the flat ``rates_raw`` and
-    ``powers[g]``, belongs to UAV ``uav[g]`` and is filed under the distinct
-    integer ``key[g]``, since rows of different problems may share a UAV id.
-    Each row works on phi divided by its largest candidate-rate magnitude so
-    the decrement target is scale-free; the Newton iterates are unchanged by
-    that normalization.
+    ``powers[g]``, belongs to UAV ``uav[g]``. Each row works on phi divided
+    by its largest candidate-rate magnitude so the decrement target is
+    scale-free; the Newton iterates are unchanged by that normalization.
     Every pass gives each live row one iteration at its own barrier weight:
     converged rows move to their next round, and rows that finish or fail
     retire in place behind the ``alive`` mask.
@@ -551,10 +546,10 @@ def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: 
     bound once to its buffers' per-run views. A pass writes into those
     buffers and allocates per-row arrays and one element mask; only Armijo
     retries evaluate phi on copies of the rejected rows, and p.trial is
-    reduced again only on passes that had retries. ``solved[key]`` receives
-    (final interior point, accepted-iteration count, last decrement) or the
-    exception that stopped the UAV; ``traces[key]``, when given, receives
-    its per-iteration rows.
+    reduced again only on passes that had retries. ``solved[uav_id]``
+    receives (final interior point, accepted-iteration count, last
+    decrement) or the exception that stopped the UAV; ``traces[uav_id]``,
+    when given, receives its per-iteration rows.
     """
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
     p_vec = rows.repeat(powers)
@@ -570,10 +565,10 @@ def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: 
         # barrier weight 1/(gamma*scale) is undefined: the UAV fails before its
         # first iteration.
         for g in np.flatnonzero(failing):
-            solved[int(key[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
+            solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
         keep = ~failing
         rows, elems = rows.take(keep)
-        key, uav, rates_raw, powers = key[keep], uav[keep], rates_raw[elems], powers[keep]
+        uav, rates_raw, powers = uav[keep], rates_raw[elems], powers[keep]
         p_dot_p, scale, gamma_scale = p_dot_p[keep], scale[keep], gamma_scale[keep]
     if not rows.n_rows:
         return
@@ -650,15 +645,17 @@ def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: 
         np.add(t1, t2, out=t1)
         np.negative(inv_e, out=hess)
         np.multiply(hess, t1, out=hess)
-        np.divide(rpg[1:], hess, out=hinv)
-        with np.errstate(over="ignore"):
+        # hess is -0.0 where gamma*scale overflowed, so 1/(gamma*scale) is 0:
+        # the divide gives inf, and the row fails below on p.H^-1.p.
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(rpg[1:], hess, out=hinv)
             reduce_p_hinv()
         failing = alive & _degenerate(p_hinv[0])
         if failing.any():
             # p.H^-1.p underflowed to zero or left the float range, so the
             # Newton step does not exist.
             for g in np.flatnonzero(failing):
-                solved[int(key[g])] = ConvergenceError(
+                solved[int(uav[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], math.nan, int(total[g]))
             retire(failing)
             continue
@@ -702,7 +699,7 @@ def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: 
                 "constraint_residual": float(residual[g]),
             } for g in np.flatnonzero(alive).tolist()}
             for g, trace_row in pass_rows.items():
-                traces[key[g]].append(trace_row)
+                traces[int(uav[g])].append(trace_row)
 
         converged = alive & (decrement <= cfg.epsilon_decrement)
         moving = alive & ~converged
@@ -711,7 +708,7 @@ def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: 
             rnd += converged
             it[converged] = 0
             for g in np.flatnonzero(finished):
-                solved[int(key[g])] = (x[rows.starts[g]:rows.starts[g] + rows.widths[g]].tolist(),
+                solved[int(uav[g])] = (x[rows.starts[g]:rows.starts[g] + rows.widths[g]].tolist(),
                                        int(total[g]), float(decrement[g]))
             advanced = converged & ~finished
             inv[advanced] = inv_by_round[advanced, rnd[advanced]]
@@ -743,7 +740,7 @@ def _solve_rows(key: np.ndarray, uav: np.ndarray, rows: _RaggedRows, rates_raw: 
         if dead.any():
             for g in np.flatnonzero(failed):
                 iterations = cfg.max_newton_iters if it[g] == cfg.max_newton_iters else int(total[g])
-                solved[int(key[g])] = ConvergenceError(
+                solved[int(uav[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], float(decrement[g]), iterations)
             retire(dead)
 
@@ -761,84 +758,45 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     or meets a degenerate Newton system; pass a list as ``trace`` to collect
     per-iteration rows, in UAV id order (up to and including a failing UAV).
     """
-    [relaxed] = newton_refine_many([(c, alloc)], cfg, None if trace is None else [trace])
-    if isinstance(relaxed, ConvergenceError):
-        raise relaxed
-    return relaxed
+    # Powered rows of one candidate are pinned, and powered rows of two or
+    # more are relaxed.
+    powers = np.array([alloc.power[i] for i in c.uavs.tolist()], dtype=float)
+    widths = np.diff(c.indptr)
+    powered = ~(powers <= 0.0)
+    pin = powered & (widths == 1)
+    relax = powered & (widths > 1)
+    elems = np.repeat(relax, widths)
+    uav, width = c.uavs[relax], widths[relax]
 
-
-def newton_refine_many(problems: Sequence[tuple[CandidateSet, PowerAllocation]],
-                       cfg: SolverConfig = SolverConfig(), traces: list[list] | None = None
-                       ) -> list[RelaxedLinkMatrix | ConvergenceError]:
-    """``newton_refine`` on several (candidates, allocation) problems in one
-    lock-step loop, whose rows hold the relaxed UAVs of every problem.
-
-    Returns one outcome per problem, in order: the RelaxedLinkMatrix that
-    ``newton_refine`` returns for it alone, or the ConvergenceError that it
-    raises; a row's arithmetic does not depend on the rows beside it (see
-    the module docstring). ``traces``, when given, holds one list per
-    problem, which receives that problem's trace rows as ``newton_refine``
-    writes them.
-    """
-    # Each problem's powered rows of one candidate are pinned, and its powered
-    # rows of two or more are relaxed: problem k owns relaxed rows
-    # bounds[k]:bounds[k + 1], in UAV id order, and pairs[k] names their
-    # candidates in the same order.
-    pinned: list[dict[int, int]] = []
-    pairs: list[list[tuple[int, int]]] = []
-    uav, width = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    power, rate = [np.empty(0)], [np.empty(0)]
-    bounds = [0]
-    for c, alloc in problems:
-        powers = np.array([alloc.power[i] for i in c.uavs.tolist()], dtype=float)
-        widths = np.diff(c.indptr)
-        powered = ~(powers <= 0.0)
-        pin = powered & (widths == 1)
-        pinned.append(dict(zip(c.uavs[pin].tolist(), c.neighbor[c.indptr[:-1][pin]].tolist())))
-        relax = powered & (widths > 1)
-        elems = np.repeat(relax, widths)
-        pairs.append(list(zip(np.repeat(c.uavs, widths)[elems].tolist(), c.neighbor[elems].tolist())))
-        uav.append(c.uavs[relax])
-        width.append(widths[relax])
-        power.append(powers[relax])
-        rate.append(c.rate[elems])
-        bounds.append(bounds[-1] + int(np.count_nonzero(relax)))
-    uav, width, power, rate = map(np.concatenate, (uav, width, power, rate))
-
-    # The solver takes its rows sorted by width; each row keeps its index
-    # above as its key. A stable sort of the elements by their row's width
-    # moves whole rows and keeps their order.
+    # The solver takes its rows sorted by width. A stable sort of the
+    # elements by their row's width moves whole rows and keeps their order.
     order = np.argsort(width, kind="stable")
-    rates_raw = rate[np.argsort(width.repeat(width), kind="stable")]
+    rates_raw = c.rate[elems][np.argsort(width.repeat(width), kind="stable")]
     solved: dict[int, tuple[list[float], int, float] | ConvergenceError] = {}
-    row_traces = None if traces is None else [[] for _ in range(uav.size)]
-    _solve_rows(order, uav[order], _RaggedRows(width[order]), rates_raw, power[order],
-                cfg, solved, row_traces)
+    traces = None if trace is None else {i: [] for i in uav.tolist()}
+    _solve_rows(uav[order], _RaggedRows(width[order]), rates_raw, powers[relax][order],
+                cfg, solved, traces)
 
-    out: list[RelaxedLinkMatrix | ConvergenceError] = []
-    for k, pins in enumerate(pinned):
-        values: list[float] = []
-        total_iters = 0
-        worst_decrement = 0.0
-        for g in range(bounds[k], bounds[k + 1]):
-            if traces is not None:
-                traces[k].extend(row_traces[g])
-            if isinstance(solved[g], ConvergenceError):
-                out.append(solved[g])
-                break
-            x, iters, decrement = solved[g]
-            total_iters += iters
-            worst_decrement = max(worst_decrement, decrement)
-            values.extend(x)
-        else:
-            out.append(RelaxedLinkMatrix(
-                L_r=dict(zip(pairs[k], values)),
-                barrier_gamma=cfg.final_gamma,
-                iterations=total_iters,
-                final_decrement=worst_decrement,
-                pinned=pins,
-            ))
-    return out
+    values: list[float] = []
+    total_iters = 0
+    worst_decrement = 0.0
+    for i in uav.tolist():
+        if trace is not None:
+            trace.extend(traces[i])
+        if isinstance(solved[i], ConvergenceError):
+            raise solved[i]
+        x, iters, decrement = solved[i]
+        total_iters += iters
+        worst_decrement = max(worst_decrement, decrement)
+        values.extend(x)
+    pairs = zip(np.repeat(c.uavs, widths)[elems].tolist(), c.neighbor[elems].tolist())
+    return RelaxedLinkMatrix(
+        L_r=dict(zip(pairs, values)),
+        barrier_gamma=cfg.final_gamma,
+        iterations=total_iters,
+        final_decrement=worst_decrement,
+        pinned=dict(zip(c.uavs[pin].tolist(), c.neighbor[c.indptr[:-1][pin]].tolist())),
+    )
 
 
 def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,

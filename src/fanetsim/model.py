@@ -222,8 +222,9 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     """Assemble a Topology from a node list, validating the id convention.
 
     Expects UAV ids 1..n plus a single ground station with id n+1. Raises on
-    duplicate ids, coincident coordinates (zero distance has no finite gain),
-    mixed UAV altitudes, or a ground station off the ground. A link is
+    duplicate ids, a nan or infinite coordinate, coincident coordinates (zero
+    distance has no finite gain), mixed UAV altitudes, or a ground station
+    off the ground. A link is
     admissible when it lies within the threshold and its gain is positive:
     where d**beta overflows the gain is 0.0 and no power can use the link.
     """
@@ -241,6 +242,13 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     ids = [nd.id for nd in ordered]
     if ids != list(range(1, n + 2)) or gs_nodes[0].id != n + 1:
         raise ValueError("node ids must be UAVs 1..n and ground station n+1")
+    coords = {axis: np.array([getattr(nd, axis) for nd in ordered], dtype=float)
+              for axis in ("x", "y", "z")}
+    for axis, values in coords.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"node {k + 1} has a non-finite {axis} coordinate {float(values[k])!r}")
     altitudes = {nd.z for nd in uav_nodes}
     if len(altitudes) > 1:
         raise ValueError("all UAVs must share one altitude")
@@ -259,7 +267,7 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     delta = np.empty((n, n + 1))
     with np.errstate(over="ignore"):
         for axis in axes:
-            coord = np.array([getattr(nd, axis) for nd in ordered], dtype=float)
+            coord = coords[axis]
             np.subtract(coord[:n, None], coord, out=delta)
             np.multiply(delta, delta, out=delta)
             np.add(d, delta, out=d)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from fanetsim.cli import (
     main,
 )
 from fanetsim.harness import AGGREGATE_CSV_HEADER, CSV_HEADER, ScenarioConfig
+from fanetsim.linksel import ConvergenceError
 from fanetsim.model import noise_density_from_dbm_per_hz, reference_gain_from_frequency
 
 
@@ -427,6 +429,24 @@ def test_validate_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_validate_reaches_no_newton_code(monkeypatch, capsys):
+    # Rounding reads no Newton output, so validate skips Newton: a solve that
+    # would fail (exit 4) changes nothing it prints.
+    import fanetsim.harness
+    import fanetsim.linksel
+
+    def fails(*args, **kwargs):
+        raise ConvergenceError(1, 10.0, math.nan, 0)
+
+    for module, name in ((fanetsim.harness, "newton_refine"), (fanetsim.linksel, "newton_refine"),
+                         (fanetsim.linksel, "_solve_rows")):
+        monkeypatch.setattr(module, name, fails)
+    assert main(["validate", "--seed", "0"]) == 0
+    golden = (Path(__file__).resolve().parent / "golden" / "validate.txt").read_text()
+    seed0 = golden[:golden.index("$ fanetsim validate --seed 1\n")]
+    assert f"$ fanetsim validate --seed 0\n{capsys.readouterr().out}exit 0\n" == seed0
+
+
 def test_commands_in_one_process_match_fresh_parsers(tmp_path, capsys):
     # main parses with one cached parser; no subcommand default or flag may
     # leak from one call into the next
@@ -544,6 +564,12 @@ def test_usage_error_without_subcommand():
     (["run", "--n-uavs", "4", "--freq-hz", "1e-200"], EXIT_CONFIG,
      "configuration error: carrier frequency 1e-200 Hz gives a reference gain beyond the "
      "float range\n"),
+    # rates near the float range: gamma*scale overflows, so Newton's Hessian
+    # is zero and the UAV fails before its first iteration, without a warning
+    (["run", "--n-uavs", "6", "--area-side", "8000", "--min-separation", "300",
+      "--bandwidth-hz", "3e306", "--noise-dbm-hz", "-3100", "--alpha0", "1e3", "--seed", "0"],
+     EXIT_NO_CONVERGENCE,
+     "solver error: UAV 1: Newton decrement nan after 0 iterations at barrier weight 10\n"),
 ])
 def test_float_range_edges_end_in_typed_errors(argv, code, message, capsys):
     # These used to end in a traceback (exit 1), in nan Newton iterates from

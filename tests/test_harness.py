@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,14 +15,13 @@ from fanetsim.harness import (
     ScenarioConfig,
     generate_scenario,
     run_pipeline,
-    run_pipelines,
+    select_links,
     sweep,
     write_aggregates_csv,
     write_rows_csv,
 )
-from fanetsim.linksel import ConvergenceError, SolverConfig
-from fanetsim.model import ChannelParams, noise_density_from_dbm_per_hz
-from fanetsim.power import AllocationError
+from fanetsim.linksel import ConvergenceError
+from fanetsim.model import ChannelParams
 from fanetsim.routing import build_spt
 
 
@@ -185,49 +185,39 @@ def test_run_pipeline_wall_time_off():
     assert row.wall_ms == 0.0
 
 
-def scenario(**kw):
-    cfg = small_cfg(**kw)
-    return generate_scenario(cfg), cfg
+@pytest.mark.parametrize("fields", [
+    *(dict(n_uavs=n, power_budget_Pb=pb, seed=seed)
+      for n in (20, 25, 30) for pb in (0.5, 1.0, 2.0) for seed in range(3)),
+    dict(n_uavs=25, seed=7, spt_weight="hops"),
+    *(dict(n_uavs=200, area_side=40000.0, min_separation=300.0, power_budget_Pb=pb, seed=seed)
+      for pb in (1.0, 1e-3) for seed in range(3)),
+], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
+def test_select_links_is_run_pipeline_without_newton(fields):
+    cfg = ScenarioConfig(**fields, measure_wall_time=False)
+    t = generate_scenario(cfg)
+    want = run_pipeline(t, cfg)
+    got = select_links(t, cfg)
+    assert got.newton_iters == 0 and got.wall_ms == 0.0
+    assert repr(got.throughput_p11_bps) == repr(want.throughput_p11_bps)
+    assert repr(got.throughput_p14_bps) == repr(want.throughput_p14_bps)
+    assert repr(got.refined_tree.parent) == repr(want.refined_tree.parent)
+    assert repr(got.refined_tree.path_cost) == repr(want.refined_tree.path_cost)
+    assert repr(got.allocation.power) == repr(want.allocation.power)
+    # and every other field: pb_watts, n_uavs, seed, the water level, ...
+    assert repr(got) == repr(replace(want, newton_iters=0))
 
 
-def test_run_pipelines_rows_equal_run_pipeline():
-    scenarios = [scenario(), scenario(seed=6, n_uavs=4, power_budget_Pb=1e-3),
-                 scenario(seed=7, n_uavs=9, spt_weight="hops"), scenario(seed=8, power_budget_Pb=2.0)]
-    rows = run_pipelines(scenarios)
-    assert [repr(r) for r in rows] == [repr(run_pipeline(t, cfg)) for t, cfg in scenarios]
-    assert run_pipelines([]) == []
-
-
-def test_run_pipelines_shares_wall_time_where_measured():
-    rows = run_pipelines([scenario(measure_wall_time=True), scenario(seed=6),
-                          scenario(seed=7, measure_wall_time=True)])
-    assert rows[0].wall_ms > 0.0 and rows[0].wall_ms == rows[2].wall_ms
-    assert rows[1].wall_ms == 0.0
-
-
-def test_run_pipelines_raises_what_the_first_failing_scenario_raises():
-    solver = SolverConfig(epsilon_decrement=1e-15, max_newton_iters=1)
-    newton_fails = scenario(solver=solver)
-    # the budget over a 1e-310 Hz band overflows the water level
-    fill_fails = scenario(solver=solver, channel=ChannelParams(
-        bandwidth_B=1e-310, noise_density_sigma2=noise_density_from_dbm_per_hz(70.0)))
-    with pytest.raises(ConvergenceError) as alone:
-        run_pipeline(*newton_fails)
-    with pytest.raises(AllocationError):
-        run_pipeline(*fill_fails)
-    fine = scenario(n_uavs=1, solver=solver)  # no candidates: Newton has nothing to solve
-    run_pipeline(*fine)
-    with pytest.raises(ConvergenceError) as batch:
-        run_pipelines([fine, newton_fails, fill_fails])
-    assert repr(vars(batch.value)) == repr(vars(alone.value))
-    assert str(batch.value) == str(alone.value)
-    with pytest.raises(AllocationError):
-        run_pipelines([fine, fill_fails, newton_fails])
-
-
-def test_run_pipelines_needs_one_solver_config():
-    with pytest.raises(ConfigError, match="one solver config"):
-        run_pipelines([scenario(), scenario(solver=SolverConfig(gamma_init=1.0))])
+def test_select_links_runs_where_newton_fails():
+    # At n=200, 1 W, seed 10 one UAV misses Newton's decrement target, and
+    # nothing select_links returns depends on Newton.
+    cfg = ScenarioConfig(n_uavs=200, area_side=40000.0, min_separation=300.0, seed=10,
+                         power_budget_Pb=1.0, measure_wall_time=False)
+    t = generate_scenario(cfg)
+    with pytest.raises(ConvergenceError, match="UAV 55: Newton decrement"):
+        run_pipeline(t, cfg)
+    row = select_links(t, cfg)
+    assert row.newton_iters == 0
+    assert row.throughput_p14_bps >= row.throughput_p11_bps > 0.0
 
 
 def test_sweep_grid_shape_and_order():

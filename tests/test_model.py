@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -317,6 +318,27 @@ def test_build_topology_requires_common_altitude():
     )
     with pytest.raises(ValueError):
         build_topology(nodes, ChannelParams())
+
+
+def _two_uavs(z=150.0):
+    return [Node(1, 0.0, 600.0, z, "uav"), Node(2, 500.0, 900.0, z, "uav"),
+            Node(3, 0.0, 0.0, 0.0, "ground_station")]
+
+
+@pytest.mark.parametrize("mode", ["planar", "3d"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_topology_rejects_non_finite_coordinates(bad, mode):
+    # A nan x used to strand its UAV, an infinite one to warn in the
+    # distance pass; both are bad input, rejected before any arithmetic.
+    for k, axis in [(0, "x"), (1, "y"), (2, "x"), (2, "y"), (2, "z")]:
+        nodes = _two_uavs()
+        nodes[k] = replace(nodes[k], **{axis: bad})
+        with pytest.raises(ValueError, match=f"node {k + 1} has a non-finite {axis} coordinate"):
+            build_topology(nodes, ChannelParams(), mode=mode)
+    # every UAV at one non-finite altitude, which the altitude checks let pass
+    with pytest.raises(ValueError, match="node 1 has a non-finite z coordinate"):
+        build_topology(_two_uavs(z=bad), ChannelParams(), mode=mode)
+    build_topology(_two_uavs(), ChannelParams(), mode=mode)
 
 
 def test_topology_arrays_read_only():

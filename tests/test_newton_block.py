@@ -13,8 +13,6 @@ UAV the same way, where the scalar solver went on from a point off the
 constraint plane. The row reductions it is built on are checked against each
 row alone in ``test_ragged_rows_reduce_each_row_as_alone`` and
 ``test_bound_reductions_read_the_buffers_when_called``.
-``newton_refine_many`` must give each of several problems solved in one
-loop what ``newton_refine`` gives it alone.
 """
 
 import math
@@ -38,7 +36,6 @@ from fanetsim.linksel import (
     _RaggedRows,
     build_candidates,
     newton_refine,
-    newton_refine_many,
 )
 from fanetsim.power import PowerAllocation, allocate_power
 from fanetsim.routing import build_spt
@@ -293,54 +290,6 @@ def test_block_solver_matches_scalar_reference_at_n200(seed, budget, error):
         assert got[0] is RelaxedLinkMatrix
     else:
         assert got[:2] == (ConvergenceError, error)
-
-
-# p.p underflows to zero at this power, so the UAV fails before its first
-# iteration, whatever the solver config.
-DEGENERATE = (
-    CandidateSet.from_candidates({3: (Candidate(neighbor=7, rate=1.0), Candidate(neighbor=8, rate=2.0))}),
-    PowerAllocation(power={3: 1e-165}, water_level_lambda=1.0, active_set=(3,), throughput_R=0.0),
-)
-
-
-@st.composite
-def batches(draw):
-    """1-6 problems from ``instances`` sharing the first one's solver config,
-    UAV ids colliding across them, and in half of the draws the degenerate
-    problem above at a drawn position."""
-    drawn = draw(st.lists(instances(), min_size=1, max_size=6))
-    problems = [(c, alloc) for c, alloc, _ in drawn]
-    if draw(st.booleans()):
-        problems.insert(draw(st.integers(0, len(problems) - 1)), DEGENERATE)
-    return problems[:6], drawn[0][2]
-
-
-def shown(outcome):
-    if isinstance(outcome, ConvergenceError):
-        return type(outcome), str(outcome), repr(vars(outcome))
-    return repr(outcome)
-
-
-@settings(max_examples=100, deadline=None)
-@given(batches())
-def test_batch_gives_each_problem_its_result_alone(batch):
-    problems, cfg = batch
-    want_traces = [[] for _ in problems]
-    want = []
-    with warnings.catch_warnings():
-        # rates below about 1e-300 bps make 1/(gamma*scale) overflow
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for (c, alloc), trace in zip(problems, want_traces):
-            try:
-                want.append(newton_refine(c, alloc, cfg, trace=trace))
-            except ConvergenceError as err:
-                want.append(err)
-        got_traces = [[] for _ in problems]
-        got = newton_refine_many(problems, cfg, got_traces)
-        untraced = newton_refine_many(problems, cfg)
-    assert [shown(x) for x in got] == [shown(x) for x in want]
-    assert [shown(x) for x in untraced] == [shown(x) for x in want]
-    assert repr(got_traces) == repr(want_traces)
 
 
 # Widths on both sides of numpy's 8-wide pairwise-sum blocks and ddot's 16-
