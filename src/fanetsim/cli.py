@@ -225,13 +225,11 @@ def _cmd_trace(args, out: dict) -> int:
     cfg = replace(cfg, n_uavs=cfg.scalar_n(), power_budget_Pb=cfg.scalar_pb())
     rows: list[dict] = []
     run_pipeline(generate_scenario(cfg), cfg, trace=rows)
-    fh = out["out"]
-    fh.write(TRACE_HEADER + "\n")
-    for r in rows:
-        fh.write(
-            f"{r['uav_id']},{r['gamma']!r},{r['iteration']},{r['phi']!r},"
-            f"{r['decrement']!r},{r['step_size']!r},{r['constraint_residual']!r}\n"
-        )
+    out["out"].write(TRACE_HEADER + "\n" + "".join(
+        f"{r['uav_id']},{r['gamma']!r},{r['iteration']},{r['phi']!r},"
+        f"{r['decrement']!r},{r['step_size']!r},{r['constraint_residual']!r}\n"
+        for r in rows
+    ))
     return EXIT_OK
 
 

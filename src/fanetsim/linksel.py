@@ -531,7 +531,7 @@ def _degenerate(v: np.ndarray) -> np.ndarray:
 
 
 def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
-                powers: np.ndarray, cfg: SolverConfig, solved: dict, traces: dict | None) -> None:
+                powers: np.ndarray, cfg: SolverConfig, solved: dict, traces: list | None) -> None:
     """Barrier-scheduled projected Newton ascent for every relaxed UAV at once.
 
     Row g of ``rows``, with its slice of the flat ``rates_raw`` and
@@ -548,8 +548,10 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     retries evaluate phi on copies of the rejected rows, and p.trial is
     reduced again only on passes that had retries. ``solved[uav_id]``
     receives (final interior point, accepted-iteration count, last
-    decrement) or the exception that stopped the UAV; ``traces[uav_id]``,
-    when given, receives its per-iteration rows.
+    decrement) or the exception that stopped the UAV. ``traces``, when
+    given, receives one tuple of trace columns per pass over the rows live
+    in it: UAV id, barrier weight, iteration, phi, decrement, step fraction
+    (0.0 where no step was taken) and constraint residual.
     """
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
     p_vec = rows.repeat(powers)
@@ -688,18 +690,10 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
             reduce_p_dots()
 
         if traces is not None:
+            live = np.flatnonzero(alive)
             residual = np.abs(dots[1, 0] - powers) / np.maximum(np.abs(powers), 1e-300)
-            pass_rows = {g: {
-                "uav_id": int(uav[g]),
-                "gamma": gammas[rnd[g]],
-                "iteration": int(it[g]),
-                "phi": float(scale[g] * phi[0, g]),
-                "decrement": float(decrement[g]),
-                "step_size": 0.0,
-                "constraint_residual": float(residual[g]),
-            } for g in np.flatnonzero(alive).tolist()}
-            for g, trace_row in pass_rows.items():
-                traces[int(uav[g])].append(trace_row)
+            pass_cols = (uav[live], np.array(gammas)[rnd[live]], it[live],
+                         scale[live] * phi[0, live], decrement[live])
 
         converged = alive & (decrement <= cfg.epsilon_decrement)
         moving = alive & ~converged
@@ -730,8 +724,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         total += accepted
         it += accepted
         if traces is not None:
-            for g in np.flatnonzero(accepted).tolist():
-                pass_rows[g]["step_size"] = float(tau[g])
+            traces.append((*pass_cols, np.where(accepted, tau, 0.0)[live], residual[live]))
 
         # A row fails when its line search gives up or its round runs out of
         # iterations.
@@ -773,18 +766,29 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     order = np.argsort(width, kind="stable")
     rates_raw = c.rate[elems][np.argsort(width.repeat(width), kind="stable")]
     solved: dict[int, tuple[list[float], int, float] | ConvergenceError] = {}
-    traces = None if trace is None else {i: [] for i in uav.tolist()}
+    traces = None if trace is None else []
     _solve_rows(uav[order], _RaggedRows(width[order]), rates_raw, powers[relax][order],
                 cfg, solved, traces)
+
+    failed = next((i for i in uav.tolist() if isinstance(solved[i], ConvergenceError)), None)
+    if traces:
+        # Passes arrive in order, so a stable sort by UAV id keeps each UAV's
+        # rows in pass order.
+        cols = [np.concatenate(col) for col in zip(*traces)]
+        by_uav = np.argsort(cols[0], kind="stable")
+        if failed is not None:
+            by_uav = by_uav[:np.searchsorted(cols[0][by_uav], failed, side="right")]
+        trace.extend([{"uav_id": i, "gamma": gamma, "iteration": k, "phi": phi, "decrement": dec,
+                       "step_size": step, "constraint_residual": res}
+                      for i, gamma, k, phi, dec, step, res
+                      in zip(*(col[by_uav].tolist() for col in cols))])
+    if failed is not None:
+        raise solved[failed]
 
     values: list[float] = []
     total_iters = 0
     worst_decrement = 0.0
     for i in uav.tolist():
-        if trace is not None:
-            trace.extend(traces[i])
-        if isinstance(solved[i], ConvergenceError):
-            raise solved[i]
         x, iters, decrement = solved[i]
         total_iters += iters
         worst_decrement = max(worst_decrement, decrement)

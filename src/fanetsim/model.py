@@ -21,6 +21,7 @@ GROUND_STATION = "ground_station"
 SPEED_OF_LIGHT_M_S = 3.0e8
 
 _DISTANCE_MODES = ("planar", "3d")
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 def is_integer(value) -> bool:
@@ -218,15 +219,33 @@ class Topology:
         return tuple(int(j) + 1 for j in np.flatnonzero(row))
 
 
+def _real_coordinates(values: list, axis: str) -> np.ndarray:
+    """One axis of node coordinates as a float array.
+
+    Raises ValueError unless every value is an int or a float. Told to
+    make floats, numpy turns "5" into 5.0, so the dtype is inferred and
+    checked first; it also turns a bool among floats into 1.0 unasked, so
+    bools are looked for by type.
+    """
+    array = np.array(values)
+    if array.dtype.kind in "iuf" and array.ndim == 1 and _BOOL_TYPES.isdisjoint(map(type, values)):
+        return array.astype(float, copy=False)
+    k = next((k for k, v in enumerate(values) if not is_real(v)), None)
+    if k is None:
+        raise ValueError(f"{axis} coordinates make a {array.dtype} array, not ints or floats")
+    raise ValueError(f"node {k + 1} has a non-real {axis} coordinate {values[k]!r}")
+
+
 def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") -> Topology:
     """Assemble a Topology from a node list, validating the id convention.
 
     Expects UAV ids 1..n plus a single ground station with id n+1. Raises on
-    duplicate ids, a nan or infinite coordinate, coincident coordinates (zero
-    distance has no finite gain), mixed UAV altitudes, or a ground station
-    off the ground. A link is
-    admissible when it lies within the threshold and its gain is positive:
-    where d**beta overflows the gain is 0.0 and no power can use the link.
+    duplicate ids, a coordinate that is not an int or a float (a string, a
+    bool, None, a complex), a nan or infinite coordinate, coincident
+    coordinates (zero distance has no finite gain), mixed UAV altitudes, or a
+    ground station off the ground. A link is admissible when it lies within
+    the threshold and its gain is positive: where d**beta overflows the gain
+    is 0.0 and no power can use the link.
     """
     if not nodes:
         raise ValueError("node list is empty")
@@ -242,7 +261,7 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     ids = [nd.id for nd in ordered]
     if ids != list(range(1, n + 2)) or gs_nodes[0].id != n + 1:
         raise ValueError("node ids must be UAVs 1..n and ground station n+1")
-    coords = {axis: np.array([getattr(nd, axis) for nd in ordered], dtype=float)
+    coords = {axis: _real_coordinates([getattr(nd, axis) for nd in ordered], axis)
               for axis in ("x", "y", "z")}
     for axis, values in coords.items():
         finite = np.isfinite(values)

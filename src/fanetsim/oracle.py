@@ -14,7 +14,6 @@ unchanged; each gives the same bits as one level or one fixed step at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,17 +131,25 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
 
 
 def _valid_assignment_mask(parents: np.ndarray, gs_id: int) -> np.ndarray:
-    """Rows whose parent pointers form a GS-rooted tree (no cycles)."""
-    n = parents.shape[1]
-    # Pointer jumping: after n hops every node of a valid tree sits at the GS.
-    current = parents.copy()
-    rows = np.arange(parents.shape[0])[:, None]
-    for _ in range(n):
-        is_uav = current <= n
-        idx = np.where(is_uav, current - 1, 0)
-        hopped = parents[rows, idx]
-        current = np.where(is_uav, hopped, current)
-    return np.all(current == gs_id, axis=1)
+    """Rows whose parent pointers form a GS-rooted tree (no cycles).
+
+    ``parents[r, i - 1]`` is UAV i's parent in row r; UAVs are 1..n and the
+    ground station is ``gs_id`` = n + 1. Pointer doubling runs on every row
+    at once, with node ids made flat indices into one (rows, n + 1) table
+    and the ground station its own parent: after k passes ``up`` holds the
+    node 2**k parent links above each node. A tree is at most n deep and
+    2**n.bit_length() > n, so a row is a tree exactly when every UAV then
+    sits at the ground station.
+    """
+    rows, n = parents.shape
+    base = np.arange(rows, dtype=np.int64)[:, None] * (n + 1) - 1
+    root = base + gs_id
+    up = np.empty((rows, n + 1), dtype=np.int64)
+    np.add(parents, base, out=up[:, :n])
+    up[:, n:] = root
+    for _ in range(n.bit_length()):
+        up = up.ravel()[up]
+    return (up[:, :n] == root).all(axis=1)
 
 
 def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> OracleResult:
@@ -172,27 +179,31 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
         adm = t.admissible_neighbors(i)
         if not adm:
             raise DisconnectedTopologyError([i])
-        neighbor_lists.append(adm)
+        neighbor_lists.append(np.array(adm, dtype=np.int64))
 
-    parents = np.array(list(itertools.product(*neighbor_lists)), dtype=np.int64)
+    # Every combination of choices, in itertools.product's order: the last
+    # UAV's choice varies fastest.
+    grids = np.meshgrid(*neighbor_lists, indexing="ij")
+    parents = np.stack(grids, axis=-1).reshape(-1, n)
     mask = _valid_assignment_mask(parents, gs_id)
     if not np.any(mask):
         raise DisconnectedTopologyError(list(t.uav_ids))
     trees = parents[mask]
 
     # Noise floor of each link, in power units, per tree: sigma^2 B / h.
-    cols = np.repeat(np.arange(n)[None, :], trees.shape[0], axis=0)
-    floors = p.noise_power / t.gains[cols, trees - 1]
+    floors = p.noise_power / t.gains[np.arange(n), trees - 1]
 
     lo = np.min(floors, axis=1)
     hi = np.max(floors, axis=1) + total_budget_w
+    gap = np.empty_like(floors)
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
-        spent = np.sum(np.maximum(0.0, mid[:, None] - floors), axis=1)
-        over = spent > total_budget_w
+        np.subtract(mid[:, None], floors, out=gap)
+        np.maximum(0.0, gap, out=gap)
+        over = np.add.reduce(gap, axis=1) > total_budget_w
         new_hi = np.where(over, mid, hi)
         new_lo = np.where(over, lo, mid)
-        if np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo):
+        if (new_hi == hi).all() and (new_lo == lo).all():
             break
         hi, lo = new_hi, new_lo
     water = 0.5 * (lo + hi)

@@ -389,6 +389,31 @@ def test_underflowing_barrier_scale_is_a_convergence_error():
     assert alone and repr(beside) == repr(alone)
 
 
+def test_trace_stops_after_the_first_failing_uav():
+    # UAV 2's tied top rates make its line search give up; UAV 3 solves
+    # beside it, but the trace ends with UAV 2's rows. Each UAV's rows are
+    # the ones it gives alone, grouped by UAV id and in pass order.
+    tied = [37881151.2, 45097485.8, 68331279.2, 78905767.5, 1e8, 1e8]
+    rows = {1: {2: 4.1e7, 3: 2.2e7, 4: 6.5e7}, 2: dict(zip([1, 3, 4, 5, 6, 7], tied)),
+            3: {1: 3.0e7, 2: 5.5e7}}
+    trace: list = []
+    with pytest.raises(ConvergenceError, match="UAV 2: .* at barrier weight 1000$"):
+        newton_refine(simple_candidates(rows), uniform_alloc([1, 2, 3]), trace=trace)
+    alone: dict = {1: [], 2: []}
+    newton_refine(simple_candidates({1: rows[1]}), uniform_alloc([1]), trace=alone[1])
+    with pytest.raises(ConvergenceError):
+        newton_refine(simple_candidates({2: rows[2]}), uniform_alloc([2]), trace=alone[2])
+    assert [row["uav_id"] for row in trace] == [1] * len(alone[1]) + [2] * len(alone[2])
+    assert repr(trace) == repr(alone[1] + alone[2])
+    for rows_of_uav in alone.values():
+        passes = [(row["gamma"], row["iteration"]) for row in rows_of_uav]
+        assert passes == sorted(set(passes))
+    # Python numbers only: an np.float64 would print as np.float64(...) in
+    # the trace CSV
+    assert {type(value) for row in trace for value in row.values()} == {int, float}
+    assert all(type(row[key]) is int for row in trace for key in ("uav_id", "iteration"))
+
+
 # ----------------------------------------------------------------- rounding
 
 

@@ -341,6 +341,27 @@ def test_build_topology_rejects_non_finite_coordinates(bad, mode):
     build_topology(_two_uavs(), ChannelParams(), mode=mode)
 
 
+@pytest.mark.parametrize("bad", ["5", True, None, 1 + 0j])
+def test_build_topology_rejects_non_real_coordinates(bad):
+    # numpy used to turn "5" into 5.0, and turns True among floats into 1.0
+    for k, axis in [(0, "x"), (1, "y"), (2, "x"), (2, "y"), (2, "z")]:
+        nodes = _two_uavs()
+        nodes[k] = replace(nodes[k], **{axis: bad})
+        with pytest.raises(ValueError, match=f"node {k + 1} has a non-real {axis} coordinate"):
+            build_topology(nodes, ChannelParams())
+    with pytest.raises(ValueError, match="node 1 has a non-real z coordinate"):
+        build_topology(_two_uavs(z=bad), ChannelParams())
+
+
+def test_build_topology_takes_numpy_and_integer_coordinates():
+    want = build_topology(_two_uavs(), ChannelParams())
+    for cast in (int, np.int64, np.uint16, np.float32, np.float64):
+        nodes = [replace(nd, x=cast(nd.x), y=cast(nd.y), z=cast(nd.z)) for nd in _two_uavs()]
+        got = build_topology(nodes, ChannelParams())
+        assert got.distances.tobytes() == want.distances.tobytes()
+        assert got.gains.tobytes() == want.gains.tobytes()
+
+
 def test_topology_arrays_read_only():
     t = synth_topology([{2: 1.0}])
     with pytest.raises(ValueError):

@@ -175,6 +175,55 @@ def test_tree_enum_star_prefers_best_gain_parents():
     assert res.best_configuration["parent"] == {1: 2, 2: 3}
 
 
+def walked_assignment_mask(parents, gs_id):
+    """Per row: does every UAV reach the ground station by single parent
+    hops before it revisits a node?"""
+    n = parents.shape[1]
+    mask = []
+    for row in parents.tolist():
+        ok = True
+        for i in range(1, n + 1):
+            node, seen = i, set()
+            while node != gs_id and node not in seen:
+                seen.add(node)
+                node = row[node - 1]
+            ok = ok and node == gs_id
+        mask.append(ok)
+    return np.array(mask, dtype=bool)
+
+
+@st.composite
+def parent_arrays(draw):
+    """(A, n) parent ids in 1..n+1, the ground station n+1. A row is a free
+    draw (self-loops and 2-cycles come up often), a depth-n chain through
+    every UAV, or that chain with its last UAV pointed back into it, which
+    closes a cycle of any length from 1 to n."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["free", "chain", "cycle"]))
+        if kind == "free":
+            rows.append(draw(st.lists(st.integers(1, n + 1), min_size=n, max_size=n)))
+            continue
+        order = draw(st.permutations(range(1, n + 1)))
+        row = [0] * n
+        for child, parent in zip(order, order[1:] + [n + 1]):
+            row[child - 1] = parent
+        if kind == "cycle":
+            row[order[-1] - 1] = order[draw(st.integers(0, n - 1))]
+        rows.append(row)
+    return np.array(rows, dtype=np.int64), n + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent_arrays())
+def test_assignment_mask_equals_parent_walk(instance):
+    parents, gs_id = instance
+    mask = _valid_assignment_mask(parents, gs_id)
+    assert mask.dtype == bool and mask.shape == (parents.shape[0],)
+    assert mask.tolist() == walked_assignment_mask(parents, gs_id).tolist()
+
+
 def test_tree_enum_raises_when_disconnected():
     t = synth_topology([{3: 1.0}, {}])
     with pytest.raises(DisconnectedTopologyError):
