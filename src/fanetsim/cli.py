@@ -43,7 +43,7 @@ from .model import (
     reference_gain_from_frequency,
 )
 from .power import AllocationError, allocate_power
-from .routing import DisconnectedTopologyError, build_spt
+from .routing import DisconnectedTopologyError, build_spt, parent_link_values
 
 TREE_DUMP_HEADER = "uav_id,parent_id,distance_m,gain,power_w,rate_bps"
 TRACE_HEADER = "uav_id,gamma,iteration,phi,decrement,step_size,constraint_residual"
@@ -203,12 +203,13 @@ def _cmd_run(args, out: dict) -> int:
     if "tree_dump" in out:
         fh = out["tree_dump"]
         fh.write(TREE_DUMP_HEADER + "\n")
-        for i, j in sorted(row.refined_tree.parent.items()):
-            d = topo.distance(i, j)
-            h = topo.gain(i, j)
+        parent = row.refined_tree.parent
+        uavs = sorted(parent)
+        for i, d, h in zip(uavs, parent_link_values(topo.distances, parent, uavs),
+                           parent_link_values(topo.gains, parent, uavs)):
             watts = row.allocation.power[i]
             rate = link_capacity(watts, h, cfg.channel)
-            fh.write(f"{i},{j},{d!r},{h!r},{watts!r},{rate!r}\n")
+            fh.write(f"{i},{parent[i]},{d!r},{h!r},{watts!r},{rate!r}\n")
     return EXIT_OK
 
 
@@ -248,8 +249,8 @@ def _validate_power_against_grid(rng) -> str:
         nodes.append(Node(id=n + 1, x=2000.0, y=-500.0, z=0.0, role=GROUND_STATION))
         topo = build_topology(nodes, p)
         tree = build_spt(topo)  # every UAV is within 4,924 m of the station, inside d_th
-        floors = [p.noise_power / topo.gain(i, tree.parent[i]) for i in sorted(tree.parent)]
-        pb = float(rng.uniform(100, 1000)) * n * max(floors)
+        gains = parent_link_values(topo.gains, tree.parent, sorted(tree.parent))
+        pb = float(rng.uniform(100, 1000)) * n * max(p.noise_power / h for h in gains)
         alloc = allocate_power(tree, topo, pb, p)
         ref = oracle.grid_power_oracle(tree, topo, pb, p)
         if abs(alloc.throughput_R - ref.best_value) > 1e-6 * ref.best_value:

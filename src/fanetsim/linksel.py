@@ -3,13 +3,14 @@
 Each UAV i that holds power P_i > 0 gets a candidate list of alternative
 parents (in-range nodes whose adoption keeps the relay structure a tree,
 excluding the current parent), read for all such UAVs at once from one mask
-over the incidence matrix and the tree's preorder intervals. The lists form
-one table in compressed sparse rows, a ``CandidateSet``: per-UAV rows of
-neighbor ids and rates in flat arrays, every rate priced in one array pass.
-Newton gathers its rows from those arrays, and rounding takes each row's
-top rate with one ``np.maximum.reduceat``. The binary
-reselection is relaxed to interior variables L in (0,1) per candidate with
-log barriers at both ends,
+over the incidence matrix and the tree's preorder intervals from ``routing``.
+The lists form one table in compressed sparse rows, a ``CandidateSet``:
+per-UAV rows of neighbor ids and rates in flat arrays, every rate priced in
+one array pass. Every rate is read from those arrays: Newton gathers its
+rows, rounding takes each row's top rate with one ``np.maximum.reduceat``,
+and the barrier calculus looks up its pairs. The binary reselection is
+relaxed to interior variables L in (0,1) per candidate with log barriers at
+both ends,
 
     phi(L) = sum_ik L_ik * R_ik * D_ik
              + (1/gamma) * sum_ik [ log(L_ik) + log(1 - L_ik) ],
@@ -71,7 +72,7 @@ import numpy as np
 
 from .model import ChannelParams, Topology, is_integer, is_real, link_capacities
 from .power import AllocationError, PowerAllocation, network_throughput
-from .routing import RoutingTree, path_costs, validate_tree
+from .routing import RoutingTree, _euler_intervals, parent_link_values, path_costs, validate_tree
 
 # Barrier weight schedule: gamma_init, then gamma_growth-fold per round.
 BARRIER_ROUNDS = 3
@@ -186,16 +187,6 @@ class CandidateSet:
         return types.MappingProxyType({i: tuple(cands[lo:hi]) for i, lo, hi
                                        in zip(self.uavs.tolist(), bounds, bounds[1:])})
 
-    def entries(self) -> list[tuple[int, Candidate]]:
-        """All (uav, candidate) pairs in canonical (uav, neighbor) order."""
-        return [(i, cand) for i, cands in self.candidates.items() for cand in cands]
-
-    def lookup(self, uav_id: int, neighbor: int) -> Candidate:
-        for cand in self.candidates.get(uav_id, ()):
-            if cand.neighbor == neighbor:
-                return cand
-        raise KeyError(f"({uav_id}, {neighbor}) is not a candidate pair")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -258,34 +249,6 @@ class RelaxedLinkMatrix:
     pinned: dict[int, int] = field(default_factory=dict)
 
 
-def _euler_intervals(parent: dict[int, int], n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Preorder entry and exit numbers of a parent map, by node index id - 1.
-
-    The root is the last node (the ground station). Node k lies in node i's
-    subtree exactly when tin[i] <= tin[k] < tout[i]; nodes that the root does
-    not reach keep tin = tout = -1.
-    """
-    children: dict[int, list[int]] = {}
-    for child, par in parent.items():
-        children.setdefault(par, []).append(child)
-    tin = np.full(n_nodes, -1, dtype=np.intp)
-    tout = np.full(n_nodes, -1, dtype=np.intp)
-    order = []
-    stack = [n_nodes]
-    while stack:
-        node = stack.pop()
-        tin[node - 1] = len(order)
-        order.append(node)
-        stack.extend(children.get(node, ()))
-    # A preorder numbers each subtree contiguously: tout = tin + subtree size.
-    size = dict.fromkeys(order, 1)
-    for node in reversed(order[1:]):
-        size[parent[node]] += size[node]
-    for node in order:
-        tout[node - 1] = tin[node - 1] + size[node]
-    return tin, tout
-
-
 def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
                      p: ChannelParams) -> CandidateSet:
     """Alternative parents for every UAV that holds power, at its frozen power.
@@ -328,29 +291,37 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
                         cols + 1, rate)
 
 
-def _as_mapping(L_r) -> Mapping[tuple[int, int], float]:
-    if isinstance(L_r, RelaxedLinkMatrix):
-        return L_r.L_r
-    return L_r
+def _checked_entries(L_r, c: CandidateSet, gamma: float) -> list[tuple[tuple[int, int], float, float]]:
+    """((i, k), value, rate) for each entry of ``L_r``, a mapping or a
+    RelaxedLinkMatrix, in sorted order, each rate read from the table's
+    arrays. Raises what barrier_objective documents, for the first bad entry."""
+    if gamma <= 0.0:
+        raise ValueError("barrier weight gamma must be positive")
+    values = L_r.L_r if isinstance(L_r, RelaxedLinkMatrix) else L_r
+    uav_of = np.repeat(c.uavs, np.diff(c.indptr))
+    rates = dict(zip(zip(uav_of.tolist(), c.neighbor.tolist()), c.rate.tolist()))
+    entries = []
+    for (i, k), v in sorted(values.items()):
+        if (i, k) not in rates:
+            raise KeyError(f"({i}, {k}) is not a candidate pair")
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"L_r[{i},{k}] = {v} is outside the open interval (0, 1)")
+        entries.append(((i, k), v, rates[i, k]))
+    return entries
 
 
 def barrier_objective(L_r, c: CandidateSet, gamma: float) -> float:
     """Evaluate phi over the entries of ``L_r``.
 
-    Every key must be a candidate pair and every value strictly inside
-    (0, 1); boundary or exterior values raise ValueError because the barrier
-    is undefined there.
+    Every key must be a candidate pair, else KeyError, and every value
+    strictly inside (0, 1); boundary or exterior values raise ValueError
+    because the barrier is undefined there.
     """
-    if gamma <= 0.0:
-        raise ValueError("barrier weight gamma must be positive")
-    values = _as_mapping(L_r)
+    entries = _checked_entries(L_r, c, gamma)
     total = 0.0
     inv_gamma = 1.0 / gamma
-    for (i, k), v in sorted(values.items()):
-        cand = c.lookup(i, k)
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"L_r[{i},{k}] = {v} is outside the open interval (0, 1)")
-        total += v * cand.rate
+    for _, v, rate in entries:
+        total += v * rate
         total += inv_gamma * (math.log(v) + math.log(1.0 - v))
     return total
 
@@ -360,20 +331,15 @@ def gradient_hessian(L_r, c: CandidateSet, gamma: float):
 
     The cross terms vanish because the objective is separable per entry, so
     the Hessian is returned as a mapping of diagonal values, each strictly
-    negative on the interior.
+    negative on the interior. Raises as barrier_objective does.
     """
-    if gamma <= 0.0:
-        raise ValueError("barrier weight gamma must be positive")
-    values = _as_mapping(L_r)
+    entries = _checked_entries(L_r, c, gamma)
     grad: dict[tuple[int, int], float] = {}
     hess: dict[tuple[int, int], float] = {}
     inv_gamma = 1.0 / gamma
-    for (i, k), v in sorted(values.items()):
-        cand = c.lookup(i, k)
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"L_r[{i},{k}] = {v} is outside the open interval (0, 1)")
-        grad[(i, k)] = cand.rate + inv_gamma * (1.0 / v - 1.0 / (1.0 - v))
-        hess[(i, k)] = -inv_gamma * (1.0 / v**2 + 1.0 / (1.0 - v) ** 2)
+    for pair, v, rate in entries:
+        grad[pair] = rate + inv_gamma * (1.0 / v - 1.0 / (1.0 - v))
+        hess[pair] = -inv_gamma * (1.0 / v**2 + 1.0 / (1.0 - v) ** 2)
     return grad, hess
 
 
@@ -825,9 +791,8 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
     at_top = c.rate == top.repeat(np.diff(c.indptr))
     best = np.minimum.reduceat(np.where(at_top, np.arange(c.rate.size), c.rate.size), starts)
     uavs = c.uavs.tolist()
-    parents = np.array([parent[i] for i in uavs], dtype=np.intp)
     current = link_capacities(np.array([alloc.power[i] for i in uavs], dtype=float),
-                              t.gains[c.uavs - 1, parents - 1], p)
+                              np.array(parent_link_values(t.gains, parent, uavs)), p)
     proposals = sorted(zip((c.rate[best] - current).tolist(), uavs, c.neighbor[best].tolist()),
                        key=lambda pr: (-pr[0], pr[1]))
 

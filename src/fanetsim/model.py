@@ -133,20 +133,20 @@ def distance(a: Node, b: Node, mode: str = "planar") -> float:
 
 
 def channel_gain(d: float, p: ChannelParams) -> float:
-    """Free-space power gain at separation ``d``: ref_gain / d**beta."""
-    if d <= 0.0:
+    """Free-space power gain at separation ``d`` > 0 (not nan): ref_gain / d**beta."""
+    if not d > 0.0:
         raise ValueError("channel gain requires a strictly positive distance")
     return p.ref_gain_alpha0 / d**p.pathloss_beta
 
 
 def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> float:
-    """Shannon capacity of one link in bits/s.
+    """Shannon capacity of one link in bits/s; a nan power or gain raises.
 
     B * log2(1 + P*h / (sigma^2 * B)); zero transmit power gives exactly 0.
     """
-    if transmit_power_w < 0.0:
+    if not transmit_power_w >= 0.0:
         raise ValueError("transmit power must be nonnegative")
-    if gain <= 0.0:
+    if not gain > 0.0:
         raise ValueError("link gain must be strictly positive")
     snr = transmit_power_w * gain / p.noise_power
     return p.bandwidth_B * math.log2(1.0 + snr)
@@ -160,9 +160,9 @@ def link_capacities(transmit_powers_w: np.ndarray, gains: np.ndarray,
     float64 operations in link_capacity's order; the logarithm is math.log2
     per element, since np.log2 differs from it in the last bit.
     """
-    if (transmit_powers_w < 0.0).any():
+    if not (transmit_powers_w >= 0.0).all():
         raise ValueError("transmit power must be nonnegative")
-    if (gains <= 0.0).any():
+    if not (gains > 0.0).all():
         raise ValueError("link gain must be strictly positive")
     with np.errstate(over="ignore", invalid="ignore"):
         snr = transmit_powers_w * gains / p.noise_power

@@ -127,14 +127,14 @@ def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
     tree's throughput.
 
     Every link's arguments are checked first, and the first one in UAV id
-    order that link_capacity rejects raises its error. A link at power 0.0
-    and a finite gain then adds exactly 0.0, so it is not priced.
+    order that link_capacity rejects, nan included, raises its error. A link
+    at power 0.0 and a finite gain then adds exactly 0.0, so it is not priced.
     """
     uavs = sorted(tree.parent)
     links = list(zip([alloc.power[i] for i in uavs],
                      parent_link_values(t.gains, tree.parent, uavs)))
     for power, gain in links:
-        if power < 0.0 or gain <= 0.0:
+        if not power >= 0.0 or not gain > 0.0:
             link_capacity(power, gain, p)
     return _fsum(link_capacity(power, gain, p) for power, gain in links
                  if not (power == 0.0 and gain < math.inf))

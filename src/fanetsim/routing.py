@@ -22,9 +22,9 @@ equally distant UAVs are tight for each other, and the lowest-id rule could
 make each the other's parent; taking parents only among earlier-settled
 nodes keeps the map a tree.
 
-path_costs sums outward too, cost[i] = cost[parent[i]] + w[i, parent[i]]. The
-argmin attains dist[i], so on the tree's own parent map it returns the
-tree's path costs bit for bit.
+path_costs sums outward too, cost[i] = cost[parent[i]] + w[i, parent[i]],
+along the parent map's preorder. The argmin attains dist[i], so on the
+tree's own parent map it returns the tree's path costs bit for bit.
 """
 
 from __future__ import annotations
@@ -146,9 +146,48 @@ def parent_link_values(values: np.ndarray, parent: dict[int, int], uavs: list[in
     return values[np.array(uavs) - 1, np.array([parent[i] for i in uavs]) - 1].tolist()
 
 
+def _preorder(parent: dict[int, int], root: int) -> list[int]:
+    """The nodes that ``root`` reaches through ``parent``, in a preorder from
+    ``root``: every node comes after its parent, and each subtree is one
+    contiguous run. An entry for ``root`` itself is ignored."""
+    children: dict[int, list[int]] = {}
+    for child, par in parent.items():
+        children.setdefault(par, []).append(child)
+    if root in parent:
+        children[parent[root]].remove(root)
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children.get(node, ()))
+    return order
+
+
+def _euler_intervals(parent: dict[int, int], n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder entry and exit numbers of a parent map, by node index id - 1.
+
+    The root is the last node (the ground station). Node k lies in node i's
+    subtree exactly when tin[i] <= tin[k] < tout[i] (the parenthesis theorem,
+    Cormen et al., *Introduction to Algorithms*, section 22.3); nodes that
+    the root does not reach keep tin = tout = -1.
+    """
+    order = _preorder(parent, n_nodes)
+    # A preorder numbers each subtree contiguously: tout = tin + subtree size.
+    size = dict.fromkeys(order, 1)
+    for node in reversed(order[1:]):
+        size[parent[node]] += size[node]
+    tin = np.full(n_nodes, -1, dtype=np.intp)
+    tout = tin.copy()
+    at = np.array(order) - 1
+    tin[at] = np.arange(len(order))
+    tout[at] = tin[at] + np.fromiter(size.values(), np.intp, len(order))
+    return tin, tout
+
+
 def path_costs(parent: dict[int, int], t: Topology, weight: str) -> dict[int, float]:
     """Summed ``weight`` of the links from each UAV to the ground station along
-    ``parent``; raises ValueError when the parent map loops."""
+    ``parent``; raises ValueError naming the lowest UAV whose walk misses it."""
     if weight not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
     uavs = sorted(parent)
@@ -156,20 +195,13 @@ def path_costs(parent: dict[int, int], t: Topology, weight: str) -> dict[int, fl
         length = dict.fromkeys(uavs, 1.0)
     else:
         length = dict(zip(uavs, parent_link_values(t.distances, parent, uavs)))
-    n = t.n_uavs
     cost = {t.gs.id: 0.0}
-    for start in uavs:
-        chain = []
-        node = start
-        while node not in cost:
-            if len(chain) > n:
-                raise ValueError(f"the parent walk from UAV {start} loops")
-            chain.append(node)
-            node = parent[node]
-        total = cost[node]
-        for node in reversed(chain):
-            total = cost[node] = total + length[node]
-    return {i: cost[i] for i in uavs}
+    for node in _preorder(parent, t.gs.id)[1:]:
+        cost[node] = cost[parent[node]] + length[node]
+    try:
+        return {i: cost[i] for i in uavs}
+    except KeyError as missed:
+        raise ValueError(f"the parent walk from UAV {missed.args[0]} loops") from None
 
 
 def _is_tree(parent: dict[int, int], t: Topology) -> bool:

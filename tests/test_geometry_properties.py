@@ -4,16 +4,17 @@ build_topology, build_spt and the placement connectivity check are numpy
 code; each test below re-derives the same result with the per-pair Python
 loops they replaced and demands exact equality: bit-equal link lengths and
 admissible gains, the same parents, path costs and stranded UAVs.
-path_costs must return the shortest-path tree's own costs bit for bit.
+path_costs must return the shortest-path tree's own costs bit for bit, and
+the costs or the error of the chain walk it replaced on any parent map.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fanetsim.harness import _connected_to_gs
+from fanetsim.harness import PlacementError, ScenarioConfig, _connected_to_gs, generate_scenario, select_links
 from fanetsim.model import (
     GROUND_STATION,
     UAV,
@@ -24,7 +25,14 @@ from fanetsim.model import (
     channel_gain,
     distance,
 )
-from fanetsim.routing import DisconnectedTopologyError, build_spt, path_costs, validate_tree
+from fanetsim.routing import (
+    _WEIGHT_MODES,
+    DisconnectedTopologyError,
+    build_spt,
+    parent_link_values,
+    path_costs,
+    validate_tree,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -285,6 +293,84 @@ def test_path_costs_rejects_loops_and_unknown_weight():
         path_costs({1: 3, 2: 1}, t, "meters")
     assert path_costs({1: 3, 2: 1}, t, "hops") == {1: 1.0, 2: 2.0}
     assert path_costs({1: 3, 2: 1}, t, "distance") == {1: 1000.0, 2: 2000.0}
+
+
+def reference_path_costs(parent, t, weight):
+    """path_costs as the memoised chain walk it was before it summed along
+    the tree's preorder."""
+    if weight not in _WEIGHT_MODES:
+        raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
+    uavs = sorted(parent)
+    if weight == "hops":
+        length = dict.fromkeys(uavs, 1.0)
+    else:
+        length = dict(zip(uavs, parent_link_values(t.distances, parent, uavs)))
+    n = t.n_uavs
+    cost = {t.gs.id: 0.0}
+    for start in uavs:
+        chain = []
+        node = start
+        while node not in cost:
+            if len(chain) > n:
+                raise ValueError(f"the parent walk from UAV {start} loops")
+            chain.append(node)
+            node = parent[node]
+        total = cost[node]
+        for node in reversed(chain):
+            total = cost[node] = total + length[node]
+    return {i: cost[i] for i in uavs}
+
+
+@st.composite
+def parent_maps(draw):
+    """The shortest-path or the refined tree of a placed layout, built under
+    either weight, with a cycle of 0 (none), 1 (a self-loop), 2 or more
+    UAVs written over it."""
+    cfg = ScenarioConfig(n_uavs=draw(st.integers(1, 30)), seed=draw(st.integers(0, 99)),
+                         power_budget_Pb=draw(st.sampled_from([1e-3, 1.0])),
+                         spt_weight=draw(st.sampled_from(["distance", "hops"])), trials=1)
+    try:
+        t = generate_scenario(cfg)
+    except PlacementError:
+        assume(False)
+    if draw(st.booleans()):
+        parent = dict(build_spt(t, cfg.spt_weight).parent)
+    else:
+        parent = dict(select_links(t, cfg).refined_tree.parent)
+    cycle = draw(st.permutations(t.uav_ids))[:draw(st.sampled_from([0, 1, 2, 3, 7]))]
+    parent.update(zip(cycle, cycle[1:] + cycle[:1]))
+    return parent, t
+
+
+def path_cost_outcome(costs_of, parent, t, weight):
+    try:
+        return repr(costs_of(parent, t, weight))
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@PROPERTY
+@given(parent_maps())
+def test_path_costs_match_the_chain_walk(case):
+    parent, t = case
+    for weight in ("distance", "hops"):
+        assert (path_cost_outcome(path_costs, parent, t, weight)
+                == path_cost_outcome(reference_path_costs, parent, t, weight))
+
+
+def test_path_costs_on_an_unknown_parent_and_a_ground_station_entry():
+    # The chain walk raised KeyError on UAV 2's unknown parent under "hops".
+    nodes = [Node(1, 0.0, 1000.0, 150.0, UAV), Node(2, 0.0, 2000.0, 150.0, UAV),
+             Node(3, 0.0, 0.0, 0.0, GROUND_STATION)]
+    t = build_topology(nodes, ChannelParams())
+    with pytest.raises(KeyError):
+        reference_path_costs({1: 3, 2: 7}, t, "hops")
+    with pytest.raises(ValueError, match=r"^the parent walk from UAV 2 loops$"):
+        path_costs({1: 3, 2: 7}, t, "hops")
+    # An entry for the ground station itself is ignored, as the chain walk
+    # ignored it; the preorder must not walk back into its root.
+    parent = {1: 3, 2: 1, 3: 1}
+    assert repr(path_costs(parent, t, "hops")) == repr(reference_path_costs(parent, t, "hops"))
 
 
 @st.composite

@@ -86,14 +86,18 @@ def test_candidate_rates_at_frozen_power():
     p = toy_params()
     a = allocate_power(tree, t, 3.0, p)
     c = build_candidates(tree, t, a, p)
-    for i, cand in c.entries():
-        assert cand.rate == link_capacity(a.power[i], t.gain(i, cand.neighbor), p)
+    for i, cands in c.candidates.items():
+        for cand in cands:
+            assert cand.rate == link_capacity(a.power[i], t.gain(i, cand.neighbor), p)
 
 
-def test_lookup_raises_on_unknown_pair():
-    c = simple_candidates({1: {2: 1.0}})
-    with pytest.raises(KeyError):
-        c.lookup(1, 3)
+@pytest.mark.parametrize("evaluate", [barrier_objective, gradient_hessian])
+@pytest.mark.parametrize("pair", [(1, 3), (2, 1)])
+def test_unknown_pair_raises_key_error(evaluate, pair):
+    # UAV 1 has a row without neighbor 3; UAV 2 has no row
+    c = simple_candidates({1: {2: 1.0}, 3: {1: 2.0}})
+    with pytest.raises(KeyError, match=rf"\({pair[0]}, {pair[1]}\) is not a candidate pair"):
+        evaluate({(1, 2): 0.5, pair: 0.5}, c, 1.0)
 
 
 def test_build_candidates_reports_an_overflowing_rate():
@@ -112,7 +116,8 @@ def test_candidate_table_layout_and_view():
     assert c.rate.tolist() == [0.5, 1.0, 2.0]
     assert dict(c.candidates) == {1: (Candidate(2, 0.5),),
                                   3: (Candidate(1, 1.0), Candidate(4, 2.0))}
-    assert c.entries() == [(1, Candidate(2, 0.5)), (3, Candidate(1, 1.0)), (3, Candidate(4, 2.0))]
+    assert [(i, cand) for i, cands in c.candidates.items() for cand in cands] == [
+        (1, Candidate(2, 0.5)), (3, Candidate(1, 1.0)), (3, Candidate(4, 2.0))]
     with pytest.raises(TypeError):
         c.candidates[5] = ()
     for arr in (c.uavs, c.indptr, c.neighbor, c.rate):
@@ -643,7 +648,7 @@ def test_newton_choice_is_the_highest_rate_candidate(problem):
         return  # Newton gives up on some tied top rates; rounding does not read it
     for i, cands in c.candidates.items():
         best = max(cands, key=lambda cand: (cand.rate, -cand.neighbor))
-        chosen = c.lookup(i, newton_choice(relaxed, c, i))
+        chosen = next(cand for cand in cands if cand.neighbor == newton_choice(relaxed, c, i))
         top = best.rate
         below = max((cand.rate for cand in cands if cand.rate < top), default=None)
         if below is None or top - below >= 1e-6 * top:

@@ -22,8 +22,9 @@ from fanetsim.model import (
     noise_density_from_dbm_per_hz,
     reference_gain_from_frequency,
 )
+from fanetsim.power import PowerAllocation, network_throughput
 
-from conftest import synth_topology, toy_params
+from conftest import star_tree, synth_topology, toy_params
 
 
 def test_distance_planar_ignores_altitude():
@@ -150,6 +151,33 @@ def test_link_capacities_reject_what_link_capacity_rejects():
     with pytest.raises(ValueError, match="link gain"):
         link_capacities(np.array([1.0, 1.0]), np.array([1e-9, 0.0]), p)
     assert link_capacities(np.empty(0), np.empty(0), p).shape == (0,)
+
+
+def _star_throughput(powers, gains, p):
+    alloc = PowerAllocation(power=dict(enumerate(powers, start=1)), water_level_lambda=1.0,
+                            active_set=(), throughput_R=math.nan)
+    t = synth_topology([{len(gains) + 1: g} for g in gains])
+    return network_throughput(alloc, star_tree(len(gains)), t, p)
+
+
+# Each call priced to nan before the guards were written as `not x >= 0.0`
+# and `not x > 0.0`.
+@pytest.mark.parametrize("price, message", [
+    (lambda p: link_capacity(math.nan, 1e-9, p), "transmit power"),
+    (lambda p: link_capacity(1.0, math.nan, p), "link gain"),
+    (lambda p: link_capacities(np.array([1.0, math.nan]), np.array([1e-9, 1e-9]), p),
+     "transmit power"),
+    (lambda p: link_capacities(np.array([1.0, 1.0]), np.array([math.nan, 1e-9]), p),
+     "link gain"),
+    (lambda p: channel_gain(math.nan, p), "positive distance"),
+    (lambda p: _star_throughput([1.0, math.nan], [2.0, 2.0], p), "transmit power"),
+    (lambda p: _star_throughput([1.0, 1.0], [2.0, math.nan], p), "link gain"),
+], ids=["link_capacity-power", "link_capacity-gain", "link_capacities-power",
+        "link_capacities-gain", "channel_gain", "network_throughput-power",
+        "network_throughput-gain"])
+def test_nan_rates_and_gains_are_rejected(price, message):
+    with pytest.raises(ValueError, match=message):
+        price(toy_params())
 
 
 def _adjacent(x: float, k: int, toward: float) -> list[float]:

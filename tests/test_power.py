@@ -141,8 +141,8 @@ link_gains = st.sampled_from([1e-300, 0.25, 2.0, 1e300, math.inf, math.nan, 0.0,
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(link_powers, link_gains), min_size=1, max_size=6))
-# Zero power on an infinite or nan gain is priced (nan); a later link's bad
-# power does not hide an earlier link's bad gain.
+# Zero power on an infinite gain is priced (nan), and a nan gain raises; a
+# later link's bad power does not hide an earlier link's bad gain.
 @example([(0.0, math.inf), (1.0, 2.0)])
 @example([(0.0, math.nan), (0.0, 2.0)])
 @example([(0.0, 2.0), (0.5, 0.0), (-1.0, 2.0)])
