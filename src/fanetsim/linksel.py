@@ -27,13 +27,16 @@ The per-UAV problems are independent and have the same form, so every UAV
 with m >= 2 candidates is solved as one row of a flat array that holds all
 their candidates end to end, rows sorted by m, in lock step: each
 pass gives every live row one Newton iteration at its own barrier weight,
-converged rows move on to their next round, and finished rows retire. An
-op's Newton cost thus follows its slowest UAV's pass count, not the sum of
-such counts over candidate counts. The state lives in flat buffers
-allocated once; retired rows stay in place behind a mask, on harmless
-values, so no pass compacts or copies the live rows. Each row's arithmetic
-is the same, bit for bit, as solving that UAV alone on its own length-m
-vectors:
+converged rows move on to their next round, and rows that finish or fail
+retire, including those that fail before their first iteration. An op's
+Newton cost thus follows its slowest UAV's pass count, not the sum of such
+counts over candidate counts. The state lives in flat buffers allocated
+once; retired rows stay in place behind a mask, on harmless values, so no
+pass compacts or copies the live rows. One evaluator gives phi for every
+row of those buffers, -inf for a row with an element outside the open box,
+whose nan or -inf log terms reach only that row's reductions. Each row's
+arithmetic is the same, bit for bit, as solving that UAV alone on its own
+length-m vectors:
 
 - rows are never padded, so every dot product and sum runs over exactly m
   elements (padding would move elements across OpenBLAS ``ddot``'s 16-wide
@@ -53,7 +56,8 @@ vectors:
   ``ddot`` per row each: p.H^-1.p with p.H^-1.g, and (rates, p) with
   (x, trial point), which gives phi's linear terms and the p.trial that the
   drift correction reuses for rows that took their first trial step;
-- only the Armijo retries run on a compacted copy of the rows they concern.
+- only the Armijo retries copy rows: each retry evaluates phi on a
+  compacted copy of the rows it still rejects.
 
 A UAV's outcome therefore does not depend on which other UAVs share the
 array, and ``newton_refine`` reports the UAVs in id order, raising the lowest
@@ -62,6 +66,7 @@ failing UAV's error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import types
@@ -424,7 +429,7 @@ class _RaggedRows:
         return np.maximum.reduceat(a, self.starts)
 
     def any(self, a: np.ndarray) -> np.ndarray:
-        return np.logical_or.reduceat(a, self.starts)
+        return np.logical_or.reduceat(a, self.starts, axis=-1)
 
 
 def _inside_box(x: np.ndarray) -> bool:
@@ -432,8 +437,8 @@ def _inside_box(x: np.ndarray) -> bool:
 
 
 def _bind_phi(rows: _RaggedRows, x: np.ndarray, rates: np.ndarray, rates_dot=None) -> tuple:
-    """What `_phi_in_box` needs to evaluate phi on the points in buffer ``x``:
-    a scratch buffer for the log terms and the reductions bound to it and to
+    """What `_phi` needs to evaluate phi on the points in buffer ``x``: a
+    scratch buffer for the log terms and the reductions bound to it and to
     ``x``. A caller that reduces rates.x together with other dots passes that
     call, which must return rates.x, as ``rates_dot``."""
     lead = x.shape[:-1]
@@ -443,52 +448,23 @@ def _bind_phi(rows: _RaggedRows, x: np.ndarray, rates: np.ndarray, rates_dot=Non
     return terms, rates_dot, rows.bind_sum(terms[0], np.empty((*lead, rows.n_rows)))
 
 
-def _phi_in_box(x: np.ndarray, inv_gamma_scaled: np.ndarray, bound: tuple) -> np.ndarray:
-    """Rate-normalized phi per row at points strictly inside the box."""
+def _phi(rows: _RaggedRows, x: np.ndarray, inv_gamma_scaled: np.ndarray, bound: tuple) -> np.ndarray:
+    """Rate-normalized phi per row at the points in the buffer ``x`` that
+    ``bound`` was built on, (..., size) to (..., rows); -inf for a row with
+    an element outside the open box (0, 1). That row's nan or -inf log terms
+    reach only its own reductions."""
     terms, rates_dot, log_sum = bound
     logs, log1p_terms = terms
-    np.log(x, out=logs)
-    np.negative(x, out=log1p_terms)
-    np.log1p(log1p_terms, out=log1p_terms)
-    np.add(logs, log1p_terms, out=logs)
-    return rates_dot() + inv_gamma_scaled * log_sum()
-
-
-def _phi_rows(rows: _RaggedRows, x: np.ndarray, rates: np.ndarray,
-              inv_gamma_scaled: np.ndarray) -> np.ndarray:
-    """Rate-normalized phi per row; -inf for a row outside the open box.
-
-    ``x`` may stack several points per row, shape (k, size); phi is then (k, rows).
-    """
-    if _inside_box(x):
-        return _phi_in_box(x, inv_gamma_scaled, _bind_phi(rows, x, rates))
-    if x.ndim > 1:
-        return np.stack([_phi_rows(rows, point, rates, inv_gamma_scaled) for point in x])
-    inside = ~rows.any((x <= 0.0) | (x >= 1.0))
-    phi = np.full(rows.n_rows, -math.inf)
-    sub, elems = rows.take(inside)
-    xi = x[elems]
-    phi[inside] = _phi_in_box(xi, inv_gamma_scaled[inside], _bind_phi(sub, xi, rates[elems]))
+    inside = _inside_box(x)
+    with contextlib.nullcontext() if inside else np.errstate(divide="ignore", invalid="ignore"):
+        np.log(x, out=logs)
+        np.negative(x, out=log1p_terms)
+        np.log1p(log1p_terms, out=log1p_terms)
+        np.add(logs, log1p_terms, out=logs)
+        phi = rates_dot() + inv_gamma_scaled * log_sum()
+    if not inside:
+        phi[rows.any((x <= 0.0) | (x >= 1.0))] = -math.inf
     return phi
-
-
-def _backtrack(rows: _RaggedRows, x: np.ndarray, step: np.ndarray, rates: np.ndarray,
-               inv_gamma_scaled: np.ndarray, slope: np.ndarray, phi0: np.ndarray,
-               tau: np.ndarray, rejected: np.ndarray, cfg: SolverConfig) -> None:
-    """Shrink ``tau`` in place on the rows that rejected their first trial
-    point, until each passes the Armijo test or falls below
-    _MIN_STEP_FRACTION. Each retry evaluates phi on the still-rejected rows
-    alone."""
-    while rejected.any():
-        tau[rejected] *= cfg.backtrack_tau_shrink
-        rejected &= tau >= _MIN_STEP_FRACTION
-        if rejected.any():
-            sub, elems = rows.take(rejected)
-            t = tau[rejected]
-            phi = _phi_rows(sub, x[elems] + sub.repeat(t) * step[elems], rates[elems],
-                            inv_gamma_scaled[rejected])
-            rejected[rejected] = ~(phi >= phi0[rejected]
-                                   + cfg.backtrack_alpha * t * slope[rejected])
 
 
 def _degenerate(v: np.ndarray) -> np.ndarray:
@@ -506,13 +482,15 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     scale-free; the Newton iterates are unchanged by that normalization.
     Every pass gives each live row one iteration at its own barrier weight:
     converged rows move to their next round, and rows that finish or fail
-    retire in place behind the ``alive`` mask.
+    retire in place behind the ``alive`` mask, rows that fail before the
+    first pass included.
 
     The state lives in flat buffers allocated once, and each reduction is
     bound once to its buffers' per-run views. A pass writes into those
-    buffers and allocates per-row arrays and one element mask; only Armijo
-    retries evaluate phi on copies of the rejected rows, and p.trial is
-    reduced again only on passes that had retries. ``solved[uav_id]``
+    buffers and allocates per-row arrays and one element mask. Phi comes
+    from ``_phi`` alone, on x and the trial point together, with p.x and
+    p.trial. Only Armijo retries copy rows, the still-rejected ones, and
+    p.trial is reduced again only on passes that had retries. ``solved[uav_id]``
     receives (final interior point, accepted-iteration count, last
     decrement) or the exception that stopped the UAV. ``traces``, when
     given, receives one tuple of trace columns per pass over the rows live
@@ -523,23 +501,10 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     p_vec = rows.repeat(powers)
     scale = rows.max(np.abs(rates_raw))
     scale[scale == 0.0] = 1.0
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         p_dot_p = rows.dot(p_vec, p_vec)
         gamma_scale = np.multiply.outer(scale, gammas)
-    failing = _degenerate(p_dot_p) | (gamma_scale == 0.0).any(axis=1)
-    if failing.any():
-        # p.p underflowed to zero or overflowed, so the projection onto the
-        # constraint plane is lost, or gamma*scale underflowed to zero, so the
-        # barrier weight 1/(gamma*scale) is undefined: the UAV fails before its
-        # first iteration.
-        for g in np.flatnonzero(failing):
-            solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
-        keep = ~failing
-        rows, elems = rows.take(keep)
-        uav, rates_raw, powers = uav[keep], rates_raw[elems], powers[keep]
-        p_dot_p, scale, gamma_scale = p_dot_p[keep], scale[keep], gamma_scale[keep]
-    if not rows.n_rows:
-        return
+        inv_by_round = 1.0 / gamma_scale
     n, size = rows.n_rows, rows.size
     row_of = rows.repeat(np.arange(n))
 
@@ -547,8 +512,6 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         """Each row's scalar repeated over its elements, into ``out``."""
         return per_row.take(row_of, out=out, mode="clip")
 
-    with np.errstate(over="ignore"):
-        inv_by_round = 1.0 / gamma_scale
     powers = powers.copy()
 
     # Per-element buffers, stacked where one call serves several operands:
@@ -572,12 +535,6 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     reduce_p_dots = rows.bind_dot(p_vec, xt, dots[1])
     phi_bound = _bind_phi(rows, xt, rates, rates_dot=lambda: reduce_dots()[0])
 
-    # Start from the all-ones point of the power identity, pulled to the
-    # margin and projected onto the constraint plane: lands at uniform 1/m.
-    x.fill(1.0 - INTERIOR_MARGIN)
-    np.clip(x + rows.repeat((powers - rows.dot(p_vec, x)) / p_dot_p) * p_vec,
-            INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN, out=x)
-
     inv = inv_by_round[:, 0].copy()
     rnd = np.zeros(n, dtype=np.intp)
     it = np.zeros(n, dtype=np.intp)
@@ -585,9 +542,9 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     alive = np.ones(n, dtype=bool)
 
     def retire(dead):
-        # A retired row keeps running on harmless values (the box's centre,
-        # zero rates, unit powers and barrier weight) that no result reads
-        # and that raise no floating-point warning.
+        # A retired row keeps running on harmless values (a point inside the
+        # box, zero rates, unit powers and barrier weight) that no result
+        # reads and that raise no floating-point warning.
         alive[dead] = False
         elems = rows.repeat(dead)
         x[elems] = 0.5
@@ -597,25 +554,40 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         powers[dead] = 1.0
         p_dot_p[dead] = rows.widths[dead]
 
+    # p.p underflowed to zero or overflowed, so the projection onto the
+    # constraint plane is lost, or gamma*scale underflowed to zero, so the
+    # barrier weight 1/(gamma*scale) is undefined: the UAV fails before its
+    # first iteration.
+    failing = _degenerate(p_dot_p) | (gamma_scale == 0.0).any(axis=1)
+    for g in np.flatnonzero(failing):
+        solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
+    retire(failing)
+    # Start from the all-ones point of the power identity, pulled to the
+    # margin and projected onto the constraint plane: lands at uniform 1/m.
+    x.fill(1.0 - INTERIOR_MARGIN)
+    np.clip(x + rows.repeat((powers - rows.dot(p_vec, x)) / p_dot_p) * p_vec,
+            INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN, out=x)
+
     while alive.any():
-        # grad = rates + inv * (1/x - 1/(1-x)), hess = -inv * (1/x**2 + 1/(1-x)**2)
-        np.subtract(1.0, x, out=omx)
-        spread(inv, inv_e)
-        np.divide(1.0, x, out=t1)
-        np.divide(1.0, omx, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(inv_e, t1, out=t1)
-        np.add(rates, t1, out=grad)
-        np.square(x, out=t1)
-        np.divide(1.0, t1, out=t1)
-        np.square(omx, out=t2)
-        np.divide(1.0, t2, out=t2)
-        np.add(t1, t2, out=t1)
-        np.negative(inv_e, out=hess)
-        np.multiply(hess, t1, out=hess)
+        # grad = rates + inv * (1/x - 1/(1-x)), hess = -inv * (1/x**2 + 1/(1-x)**2).
+        # An iterate on the box boundary makes them infinite or nan, and
         # hess is -0.0 where gamma*scale overflowed, so 1/(gamma*scale) is 0:
-        # the divide gives inf, and the row fails below on p.H^-1.p.
-        with np.errstate(divide="ignore", over="ignore"):
+        # either way the row fails below on p.H^-1.p.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.subtract(1.0, x, out=omx)
+            spread(inv, inv_e)
+            np.divide(1.0, x, out=t1)
+            np.divide(1.0, omx, out=t2)
+            np.subtract(t1, t2, out=t1)
+            np.multiply(inv_e, t1, out=t1)
+            np.add(rates, t1, out=grad)
+            np.square(x, out=t1)
+            np.divide(1.0, t1, out=t1)
+            np.square(omx, out=t2)
+            np.divide(1.0, t2, out=t2)
+            np.add(t1, t2, out=t1)
+            np.negative(inv_e, out=hess)
+            np.multiply(hess, t1, out=hess)
             np.divide(rpg[1:], hess, out=hinv)
             reduce_p_hinv()
         failing = alive & _degenerate(p_hinv[0])
@@ -649,11 +621,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         np.multiply(t1, step, out=t1)
         np.add(x, t1, out=trial)
         # phi at x and at the trial point, and p.x, p.trial with them.
-        if _inside_box(xt):
-            phi = _phi_in_box(xt, inv, phi_bound)
-        else:
-            phi = _phi_rows(rows, xt, rates, inv)
-            reduce_p_dots()
+        phi = _phi(rows, xt, inv, phi_bound)
 
         if traces is not None:
             live = np.flatnonzero(alive)
@@ -675,7 +643,20 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
 
         rejected = moving & ~(phi[1] >= phi[0] + cfg.backtrack_alpha * tau * slope)
         if rejected.any():
-            _backtrack(rows, x, step, rates, inv, slope, phi[0], tau, rejected, cfg)
+            # Armijo retries shrink tau on the rejected rows until each passes
+            # or falls below _MIN_STEP_FRACTION, each evaluating phi on a copy
+            # of the still-rejected rows alone.
+            while True:
+                tau[rejected] *= cfg.backtrack_tau_shrink
+                rejected &= tau >= _MIN_STEP_FRACTION
+                if not rejected.any():
+                    break
+                sub, elems = rows.take(rejected)
+                t = tau[rejected]
+                point = x[elems] + sub.repeat(t) * step[elems]
+                retry = _phi(sub, point, inv[rejected], _bind_phi(sub, point, rates[elems]))
+                rejected[rejected] = ~(retry >= phi[0, rejected]
+                                       + cfg.backtrack_alpha * t * slope[rejected])
             spread(tau, t1)
             np.multiply(t1, step, out=t1)
             np.add(x, t1, out=trial)

@@ -118,12 +118,18 @@ def distance(a: Node, b: Node, mode: str = "planar") -> float:
 
     The planar mode ignores altitude, which is the appropriate choice when
     every UAV flies at one shared altitude; "3d" includes the z offset for
-    mixed-altitude experiments.
+    mixed-altitude experiments. A nan or infinite coordinate on either node,
+    altitude included, raises ValueError.
     """
     if a.id == b.id:
         raise ValueError(f"distance between node {a.id} and itself is undefined")
     if mode not in _DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {mode!r}; use one of {_DISTANCE_MODES}")
+    for node in (a, b):
+        for axis in ("x", "y", "z"):
+            value = getattr(node, axis)
+            if not math.isfinite(value):
+                raise ValueError(f"node {node.id} has a non-finite {axis} coordinate {value!r}")
     dx = a.x - b.x
     dy = a.y - b.y
     if mode == "planar":

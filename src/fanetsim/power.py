@@ -77,7 +77,7 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     uavs = sorted(tree.parent)
     gain = dict(zip(uavs, parent_link_values(t.gains, tree.parent, uavs)))
     for i in uavs:
-        if gain[i] <= 0.0:
+        if not gain[i] > 0.0:
             raise ValueError(f"parent link of UAV {i} has nonpositive gain")
     floor = {i: p.noise_power / gain[i] for i in uavs}
     # Links by (floor, id), as sorted is stable. Float subtraction is monotone,

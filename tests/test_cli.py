@@ -570,6 +570,10 @@ def test_usage_error_without_subcommand():
       "--bandwidth-hz", "3e306", "--noise-dbm-hz", "-3100", "--alpha0", "1e3", "--seed", "0"],
      EXIT_NO_CONVERGENCE,
      "solver error: UAV 1: Newton decrement nan after 0 iterations at barrier weight 10\n"),
+    # at a final barrier weight of 1.6e10 an iterate lands on the box
+    # boundary: the row fails on its nan Newton system, without a warning
+    (["sweep", "--n-uavs", "6", "--gamma-growth", "4e4"], EXIT_NO_CONVERGENCE,
+     "solver error: UAV 2: Newton decrement nan after 15 iterations at barrier weight 1.6e+10"),
 ])
 def test_float_range_edges_end_in_typed_errors(argv, code, message, capsys):
     # These used to end in a traceback (exit 1), in nan Newton iterates from

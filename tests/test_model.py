@@ -46,6 +46,20 @@ def test_distance_same_node_rejected():
         distance(a, a)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_distance_rejects_non_finite_coordinates(bad, axis, which):
+    # A nan coordinate used to give a nan distance; every axis is checked in
+    # both modes, altitude included.
+    nodes = [Node(1, 0.0, 0.0, 150.0, "uav"), Node(2, 3.0, 4.0, 0.0, "ground_station")]
+    nodes[which] = replace(nodes[which], **{axis: bad})
+    for mode in ("planar", "3d"):
+        with pytest.raises(ValueError, match=f"node {which + 1} has a non-finite {axis} "
+                                             f"coordinate {bad!r}"):
+            distance(*nodes, mode=mode)
+
+
 def test_reference_gain_at_1ghz():
     # (c / 4 pi f)^2 with c = 3.0e8
     got = reference_gain_from_frequency(1e9)

@@ -12,7 +12,8 @@ near 1e154 W and above, beyond the draws here), ``newton_refine`` fails the
 UAV the same way, where the scalar solver went on from a point off the
 constraint plane. The row reductions it is built on are checked against each
 row alone in ``test_ragged_rows_reduce_each_row_as_alone`` and
-``test_bound_reductions_read_the_buffers_when_called``.
+``test_bound_reductions_read_the_buffers_when_called``, and its one phi
+evaluator in ``test_phi_gives_each_row_its_value_alone``.
 """
 
 import math
@@ -34,6 +35,8 @@ from fanetsim.linksel import (
     RelaxedLinkMatrix,
     SolverConfig,
     _RaggedRows,
+    _bind_phi,
+    _phi,
     build_candidates,
     newton_refine,
 )
@@ -383,3 +386,42 @@ def test_bound_reductions_read_the_buffers_when_called(case):
                     [float(x @ y) for x, y in zip(lefts[i], rights[j])])
         # The columns between the strided slices are never written.
         assert not dots[:, 1::2].any() and not sums[:, ::2].any()
+
+
+@st.composite
+def packed_points(draw):
+    """Rows of sorted widths with rates, barrier weights and two points per
+    row, stacked as the solver stacks x and its trial point. Some rows of a
+    point hold an element on or beyond the box boundary."""
+    widths = sorted(draw(st.lists(st.sampled_from(RAGGED_WIDTHS), min_size=1, max_size=10)))
+    size = sum(widths)
+    rates = draw(arrays(np.float64, size, elements=st.floats(0.0, 1.0)))
+    inv = draw(arrays(np.float64, len(widths),
+                      elements=st.sampled_from([1e-8, 1e-3, 0.1, 1.0, 1e4])))
+    interior = st.floats(1e-12, 1.0 - 1e-12, exclude_min=True, exclude_max=True)
+    xt = draw(arrays(np.float64, (2, size), elements=interior))
+    starts = np.cumsum([0, *widths[:-1]])
+    for point in xt:
+        for row in draw(st.lists(st.integers(0, len(widths) - 1), max_size=len(widths))):
+            at = starts[row] + draw(st.integers(0, widths[row] - 1))
+            point[at] = draw(st.sampled_from([0.0, -0.0, 1.0, -1e-300, -0.5, 1.0 + 2**-52, 7.0]))
+    return np.array(widths, dtype=np.intp), rates, inv, xt
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_points())
+def test_phi_gives_each_row_its_value_alone(case):
+    # Each row inside the open box gets phi evaluated on it alone, and each
+    # row with an element on or beyond the boundary gets -inf, from one point
+    # or from the stacked pair, without a warning.
+    widths, rates, inv, xt = case
+    rows = _RaggedRows(widths)
+    bounds = np.cumsum([0, *widths.tolist()]).tolist()
+    want = [[repr(_phi_scaled(point[lo:hi], rates[lo:hi], float(g)))
+             for lo, hi, g in zip(bounds, bounds[1:], inv)] for point in xt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _phi(rows, xt, inv, _bind_phi(rows, xt, rates))
+        alone = [_phi(rows, point, inv, _bind_phi(rows, point, rates)) for point in xt]
+    assert [[repr(v) for v in phi] for phi in stacked.tolist()] == want
+    assert [[repr(v) for v in phi.tolist()] for phi in alone] == want

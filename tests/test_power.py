@@ -214,6 +214,14 @@ def test_water_level_beyond_the_float_range():
         allocate_power(star_tree(1), t, 1e308, toy_params(bandwidth=1e10, noise=1e-10))
 
 
+def test_rejects_nan_parent_link_gain():
+    # A nan gain used to pass a `gain <= 0.0` check and end in a misleading
+    # water-level overflow.
+    t = synth_topology([{3: 2.0, 2: 1.0}, {3: math.nan, 1: 1.0}])
+    with pytest.raises(ValueError, match="parent link of UAV 2 has nonpositive gain"):
+        allocate_power(star_tree(2), t, 1.0, toy_params())
+
+
 def test_rejects_invalid_tree():
     t = synth_topology([{3: 1.0}, {3: 1.0}])
     bad = RoutingTree(parent={1: 3}, path_cost={1: 1.0})  # uav2 missing
