@@ -38,11 +38,10 @@ from .harness import (
 from .linksel import ConvergenceError, SolverConfig
 from .model import (
     ChannelParams,
-    link_capacity,
     noise_density_from_dbm_per_hz,
     reference_gain_from_frequency,
 )
-from .power import AllocationError, allocate_power
+from .power import AllocationError, allocate_power, link_rates
 from .routing import DisconnectedTopologyError, build_spt, parent_link_values
 
 TREE_DUMP_HEADER = "uav_id,parent_id,distance_m,gain,power_w,rate_bps"
@@ -205,10 +204,10 @@ def _cmd_run(args, out: dict) -> int:
         fh.write(TREE_DUMP_HEADER + "\n")
         parent = row.refined_tree.parent
         uavs = sorted(parent)
-        for i, d, h in zip(uavs, parent_link_values(topo.distances, parent, uavs),
-                           parent_link_values(topo.gains, parent, uavs)):
+        for i, d, h, rate in zip(uavs, parent_link_values(topo.distances, parent, uavs),
+                                 parent_link_values(topo.gains, parent, uavs),
+                                 link_rates(row.allocation, row.refined_tree, topo, cfg.channel)):
             watts = row.allocation.power[i]
-            rate = link_capacity(watts, h, cfg.channel)
             fh.write(f"{i},{parent[i]},{d!r},{h!r},{watts!r},{rate!r}\n")
     return EXIT_OK
 

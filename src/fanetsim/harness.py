@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -299,36 +299,26 @@ def generate_scenario(cfg: ScenarioConfig) -> Topology:
     return topo
 
 
-@dataclass
-class _Staged:
-    """A scenario's relay tree, water-filled allocation and candidate links."""
-
-    tree: RoutingTree
-    alloc: PowerAllocation
-    cands: CandidateSet
-
-
-def _route_and_fill(t: Topology, cfg: ScenarioConfig) -> _Staged:
-    """The stages before link selection: SPT, water-filling, candidates."""
+def _select(t: Topology, cfg: ScenarioConfig,
+            refine: Callable[[CandidateSet, PowerAllocation], int]) -> PipelineRow:
+    """The pipeline's stages in order: SPT, water-filling, candidates,
+    ``refine`` (which returns Newton's iteration count) and rounding. The
+    row's wall_ms is 0.0."""
     pb = cfg.scalar_pb()
     tree = build_spt(t, weight=cfg.spt_weight)
     alloc = allocate_power(tree, t, pb, cfg.channel)
-    return _Staged(tree, alloc, build_candidates(tree, t, alloc, cfg.channel))
-
-
-def _round(t: Topology, cfg: ScenarioConfig, staged: _Staged, newton_iters: int) -> PipelineRow:
-    """Rounding, and the scenario's row with wall_ms still 0.0."""
-    refined, refined_throughput = round_and_update(
-        staged.cands, staged.tree, staged.alloc, t, cfg.channel)
+    cands = build_candidates(tree, t, alloc, cfg.channel)
+    newton_iters = refine(cands, alloc)
+    refined, refined_throughput = round_and_update(cands, tree, alloc, t, cfg.channel)
     return PipelineRow(
-        pb_watts=cfg.scalar_pb(),
+        pb_watts=pb,
         n_uavs=t.n_uavs,
         seed=cfg.seed,
-        throughput_p11_bps=staged.alloc.throughput_R,
+        throughput_p11_bps=alloc.throughput_R,
         throughput_p14_bps=refined_throughput,
         newton_iters=newton_iters,
         wall_ms=0.0,
-        allocation=staged.alloc,
+        allocation=alloc,
         refined_tree=refined,
     )
 
@@ -337,9 +327,8 @@ def run_pipeline(t: Topology, cfg: ScenarioConfig, trace: list | None = None) ->
     """Route, water-fill, refine the link choices, and record both throughputs;
     a ``trace`` list collects Newton's per-iteration rows (see newton_refine)."""
     start = time.perf_counter() if cfg.measure_wall_time else None
-    staged = _route_and_fill(t, cfg)
-    relaxed = newton_refine(staged.cands, staged.alloc, cfg.solver, trace=trace)
-    row = _round(t, cfg, staged, relaxed.iterations)
+    row = _select(t, cfg, lambda cands, alloc:
+                  newton_refine(cands, alloc, cfg.solver, trace=trace).iterations)
     if start is not None:
         row.wall_ms = (time.perf_counter() - start) * 1e3
     return row
@@ -349,7 +338,7 @@ def select_links(t: Topology, cfg: ScenarioConfig) -> PipelineRow:
     """``run_pipeline``'s row without the Newton stage. Rounding reads the
     candidate rates, not Newton's solve, so every field equals
     ``run_pipeline``'s except newton_iters, which is 0, and wall_ms (0.0)."""
-    return _round(t, cfg, _route_and_fill(t, cfg), 0)
+    return _select(t, cfg, lambda cands, alloc: 0)
 
 
 def _aggregate(rows: list[PipelineRow], pb: float, n: int) -> list[dict]:

@@ -75,9 +75,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import ChannelParams, Topology, is_integer, is_real, link_capacities
-from .power import AllocationError, PowerAllocation, network_throughput
-from .routing import RoutingTree, _euler_intervals, parent_link_values, path_costs, validate_tree
+from .model import ChannelParams, Topology, is_integer, is_real, link_capacities, link_capacity
+from .power import AllocationError, PowerAllocation, _fsum, link_rates
+from .routing import RoutingTree, _euler_intervals, path_costs, validate_tree
 
 # Barrier weight schedule: gamma_init, then gamma_growth-fold per round.
 BARRIER_ROUNDS = 3
@@ -757,14 +757,16 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
     Equal rates go to the lowest neighbor id. A swap is taken only when the
     rate strictly beats the current parent link at the UAV's frozen power and
     the swapped tree is still a valid tree, so total throughput never
-    decreases; an invalid input tree raises ValueError. Returns the updated
-    tree, with path costs in the input tree's weight, and its throughput.
+    decreases. Each accepted link is priced from the topology, and one that
+    prices below the UAV's current link raises ValueError, as does an invalid
+    input tree. Returns the updated tree, with path costs in the input tree's
+    weight, and its throughput, the fsum of its link rates.
     """
     report = validate_tree(tree, t)
     if not report.ok:
         raise ValueError(f"routing tree is invalid: {report}")
     parent = dict(tree.parent)
-    before = network_throughput(alloc, tree, t, p)
+    rate = dict(zip(sorted(parent), link_rates(alloc, tree, t, p)))
 
     # Each row's highest rate, and the first (lowest-id) neighbor that has it.
     starts = c.indptr[:-1]
@@ -772,9 +774,8 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
     at_top = c.rate == top.repeat(np.diff(c.indptr))
     best = np.minimum.reduceat(np.where(at_top, np.arange(c.rate.size), c.rate.size), starts)
     uavs = c.uavs.tolist()
-    current = link_capacities(np.array([alloc.power[i] for i in uavs], dtype=float),
-                              np.array(parent_link_values(t.gains, parent, uavs)), p)
-    proposals = sorted(zip((c.rate[best] - current).tolist(), uavs, c.neighbor[best].tolist()),
+    proposals = sorted(zip([r - rate[i] for r, i in zip(c.rate[best].tolist(), uavs)],
+                           uavs, c.neighbor[best].tolist()),
                        key=lambda pr: (-pr[0], pr[1]))
 
     # ``parent`` stays a valid tree, so re-parenting i onto an admissible k
@@ -787,13 +788,14 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
         while node != gs and node != i:
             node = parent[node]
         if node != i:
+            new_rate = link_capacity(alloc.power[i], t.gain(i, k), p)
+            if new_rate < rate[i]:
+                raise ValueError(
+                    f"UAV {i}'s link to {k} prices at {new_rate!r}, below its current "
+                    f"{rate[i]!r}: candidate rates disagree with the allocation"
+                )
             parent[i] = k
+            rate[i] = new_rate
 
     refined = RoutingTree(parent, path_costs(parent, t, tree.weight), tree.weight)
-    after = network_throughput(alloc, refined, t, p)
-    if after < before:
-        raise ValueError(
-            f"rounding lowered throughput from {before!r} to {after!r}: "
-            "candidate rates disagree with the allocation"
-        )
-    return refined, after
+    return refined, _fsum(rate.values())

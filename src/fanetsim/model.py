@@ -139,10 +139,21 @@ def distance(a: Node, b: Node, mode: str = "planar") -> float:
 
 
 def channel_gain(d: float, p: ChannelParams) -> float:
-    """Free-space power gain at separation ``d`` > 0 (not nan): ref_gain / d**beta."""
+    """Free-space power gain at separation ``d`` > 0 (not nan): ref_gain / d**beta.
+
+    As in build_topology, a d**beta beyond the float range gives 0.0, and a
+    separation too short for a finite gain raises ValueError.
+    """
     if not d > 0.0:
         raise ValueError("channel gain requires a strictly positive distance")
-    return p.ref_gain_alpha0 / d**p.pathloss_beta
+    try:
+        loss = d**p.pathloss_beta
+    except OverflowError:
+        return 0.0
+    gain = p.ref_gain_alpha0 / loss if loss > 0.0 else math.inf
+    if gain == math.inf:
+        raise ValueError(f"a separation of {d!r} m is too short for a finite gain")
+    return gain
 
 
 def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> float:

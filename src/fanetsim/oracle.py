@@ -63,8 +63,8 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     result is bit-identical to it. ``evaluations`` counts the simplex grid
     points covered.
     """
-    if total_budget_w <= 0.0:
-        raise ValueError("total power budget must be strictly positive")
+    if not 0.0 < total_budget_w < math.inf:
+        raise ValueError("total power budget must be positive and finite")
     if not 0.0 < resolution <= 1.0:
         raise ValueError("resolution must be a step fraction in (0, 1]")
     uavs = sorted(tree.parent)
@@ -170,8 +170,8 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
     to the cap. Returns the best tree with its powers; ``evaluations``
     counts the valid trees.
     """
-    if total_budget_w <= 0.0:
-        raise ValueError("total power budget must be strictly positive")
+    if not 0.0 < total_budget_w < math.inf:
+        raise ValueError("total power budget must be positive and finite")
     n = t.n_uavs
     gs_id = t.gs.id
     neighbor_lists = []

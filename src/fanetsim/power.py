@@ -121,14 +121,14 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     return alloc
 
 
-def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
-                       p: ChannelParams) -> float:
-    """Summed rate of ``alloc`` over the tree's parent links: the one sum of a
-    tree's throughput.
+def link_rates(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
+               p: ChannelParams) -> list[float]:
+    """Each UAV's parent-link rate at its allocated power, in UAV id order: the
+    one pricing of a tree's links.
 
     Every link's arguments are checked first, and the first one in UAV id
     order that link_capacity rejects, nan included, raises its error. A link
-    at power 0.0 and a finite gain then adds exactly 0.0, so it is not priced.
+    at power 0.0 and a finite gain is 0.0 without being priced.
     """
     uavs = sorted(tree.parent)
     links = list(zip([alloc.power[i] for i in uavs],
@@ -136,5 +136,12 @@ def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
     for power, gain in links:
         if not power >= 0.0 or not gain > 0.0:
             link_capacity(power, gain, p)
-    return _fsum(link_capacity(power, gain, p) for power, gain in links
-                 if not (power == 0.0 and gain < math.inf))
+    return [0.0 if power == 0.0 and gain < math.inf else link_capacity(power, gain, p)
+            for power, gain in links]
+
+
+def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
+                       p: ChannelParams) -> float:
+    """Summed rate of ``alloc`` over the tree's parent links: the fsum of
+    ``link_rates``."""
+    return _fsum(link_rates(alloc, tree, t, p))

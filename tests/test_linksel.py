@@ -598,6 +598,19 @@ def test_round_rejects_cyclic_tree():
         round_and_update(c, cyclic, uniform_alloc([1, 2, 3]), t, p)
 
 
+def test_round_rejects_a_swap_that_lowers_its_own_link():
+    # UAV 1 claims 100.0 toward 3 but that link prices at 1.0, below its
+    # current log2(5); UAV 2's true swap to 3 gains more than UAV 1 loses,
+    # so a check on the summed throughput alone would let both through.
+    t = synth_topology([{4: 4.0, 3: 1.0}, {4: 1.0, 3: 16.0}, {4: 1.0}])
+    p = toy_params()
+    c = simple_candidates({1: {3: 100.0}, 2: {3: link_capacity(1.0, 16.0, p)}})
+    with pytest.raises(ValueError, match=(
+            r"^UAV 1's link to 3 prices at 1\.0, below its current 2\.321928094887362: "
+            r"candidate rates disagree with the allocation$")):
+        round_and_update(c, star_tree(3), uniform_alloc([1, 2, 3]), t, p)
+
+
 # ------------------------------------------- Newton's choice is the rate choice
 
 

@@ -127,6 +127,27 @@ def test_channel_gain_rejects_nonpositive_distance():
         channel_gain(0.0, p)
 
 
+# Powers of two keep the layout's length exactly d wherever d*d is in range.
+@pytest.mark.parametrize("d, beta", [
+    (1000.0, 2.0),
+    (2.0 ** -500, 2.0),  # a gain near the top of the float range
+    (2.0 ** -520, 2.0),  # d**beta is subnormal and the gain overflows
+    (2.0 ** -600, 2.0),  # d**beta underflows to 0.0
+    (2.0 ** 600, 2.0),  # d**beta overflows: no gain
+    (10000.0, 85.0),
+])
+def test_channel_gain_agrees_with_build_topology(d, beta):
+    p = ChannelParams(pathloss_beta=beta, link_threshold_dth=1e300)
+    nodes = [Node(1, 0.0, 0.0, 150.0, "uav"), Node(2, d, 0.0, 0.0, "ground_station")]
+    try:
+        want = float(build_topology(nodes, p).gains[0, 1]).hex()
+    except ValueError:
+        with pytest.raises(ValueError, match="too short for a finite gain"):
+            channel_gain(d, p)
+    else:
+        assert channel_gain(d, p).hex() == want
+
+
 def test_link_capacity_frozen_example():
     # 1 W into gain 5.6994e-10 on the default channel.  Value frozen from
     # an independent high-precision evaluation of B*ln(1+snr)/ln(2).

@@ -99,12 +99,23 @@ def test_grid_rejects_oversized_problem():
         grid_power_oracle(star_tree(n), t, 1.0, toy_params(), resolution=1e-4)
 
 
+BAD_BUDGETS = (0.0, math.nan, math.inf, -math.inf)
+
+
 def test_grid_rejects_bad_args():
     t = synth_topology([{2: 1.0}])
-    with pytest.raises(ValueError):
-        grid_power_oracle(star_tree(1), t, 0.0, toy_params())
+    for budget in BAD_BUDGETS:
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            grid_power_oracle(star_tree(1), t, budget, toy_params())
     with pytest.raises(ValueError):
         grid_power_oracle(star_tree(1), t, 1.0, toy_params(), resolution=0.0)
+
+
+def test_tree_enum_rejects_bad_budgets():
+    t = synth_topology([{2: 1.0}])
+    for budget in BAD_BUDGETS:
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            tree_enum_oracle(t, budget, toy_params())
 
 
 def test_tree_enum_unique_topology_matches_allocator():

@@ -14,6 +14,7 @@ from fanetsim.power import (
     PowerAllocation,
     _fsum,
     allocate_power,
+    link_rates,
     network_throughput,
 )
 from fanetsim.routing import RoutingTree, build_spt, validate_tree
@@ -116,21 +117,22 @@ def test_water_level_consistent_with_powers():
         )
 
 
-def reference_network_throughput(alloc, tree, t, p):
-    """network_throughput as it was before it skipped zero-power links: every
-    parent link priced with link_capacity, in UAV id order."""
-    return _fsum(link_capacity(alloc.power[i], t.gain(i, tree.parent[i]), p)
-                 for i in sorted(tree.parent))
+def reference_link_rates(alloc, tree, t, p):
+    """Every parent link priced with link_capacity in UAV id order, zero-power
+    links included."""
+    return [link_capacity(alloc.power[i], t.gain(i, tree.parent[i]), p)
+            for i in sorted(tree.parent)]
 
 
-def throughput_outcome(sum_rates, powers, gains):
-    """The sum's bits over a star of links, or its exception's type and text."""
+def star_outcome(fn, powers, gains):
+    """The repr of ``fn``'s result over a star of links, or its exception's
+    type and text."""
     n = len(powers)
     t = synth_topology([{n + 1: g} for g in gains])
     alloc = PowerAllocation(power=dict(enumerate(powers, start=1)), water_level_lambda=1.0,
                             active_set=(), throughput_R=math.nan)
     try:
-        return sum_rates(alloc, star_tree(n), t, toy_params()).hex()
+        return repr(fn(alloc, star_tree(n), t, toy_params()))
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
 
@@ -149,8 +151,11 @@ link_gains = st.sampled_from([1e-300, 0.25, 2.0, 1e300, math.inf, math.nan, 0.0,
 @example([(math.nan, 2.0), (0.0, 2.0)])
 def test_network_throughput_matches_pricing_every_link(links):
     powers, gains = zip(*links)
-    assert (throughput_outcome(network_throughput, powers, gains)
-            == throughput_outcome(reference_network_throughput, powers, gains))
+    assert (star_outcome(link_rates, powers, gains)
+            == star_outcome(reference_link_rates, powers, gains))
+    assert (star_outcome(network_throughput, powers, gains)
+            == star_outcome(lambda *args: math.fsum(link_rates(*args)), powers, gains)
+            == star_outcome(lambda *args: _fsum(reference_link_rates(*args)), powers, gains))
 
 
 def test_throughput_matches_network_throughput():
