@@ -6,10 +6,13 @@ monotone bisection on the shared water level (inside tree_enum_oracle), and
 relay trees are enumerated outright. Feasible only at desk scale, which is
 the point.
 
-Both run as array code. The grid's dynamic program fills blocks of budget
-levels at once from a sliding window over the previous links' best values,
-and the bisection stops at the first step that leaves every tree's bracket
-unchanged; each gives the same bits as one level or one fixed step at a time.
+Both run as array code and give the same bits as one level or one fixed
+step at a time. The grid's dynamic program fills blocks of budget levels at
+once from a sliding window over the previous link's best values, keeps each
+link's best values and recovers the split from them. The bisection runs on a
+link-major table of noise floors, so each step's spend per tree is one
+running sum down its columns, and it stops once a step leaves every tree's
+bracket unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ _GRID_BUDGET = 2 ** 28
 _DP_BLOCK = 64
 # Cap on bisection steps; the loop ends earlier once a step changes nothing.
 _BISECTION_ITERS = 200
+# The bisection tests whether its brackets have settled every this many steps.
+_SETTLE_CHECK = 8
+# numpy sums a contiguous row of this many terms or more pairwise, not left
+# to right.
+_PAIRWISE_TERMS = 8
 
 
 @dataclass
@@ -50,12 +58,15 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     objective is separable across links) at a fraction of the cost.
 
     Link ``row`` at budget level b takes the level m maximising
-    ``rate[row, m] + best[b - m]`` over m <= b, the first such m on ties.
-    Levels are filled in blocks of up to ``_DP_BLOCK``: one reversed sliding
-    window over the previous best values lines ``best[b - m]`` up under
-    ``rate[row, m]`` for a whole block, the few pairs with m > b in the
-    block's last columns are set to -inf, and one argmax per level picks m.
-    The backtrack reads the last link at the full budget only, so that link
+    ``rate[row, m] + best[row - 1, b - m]`` over m <= b, the first such m on
+    ties. Levels are filled in blocks of up to ``_DP_BLOCK``: a sliding
+    window over a reversed copy of ``best[row - 1]`` lines ``best[row - 1,
+    b - m]`` up under ``rate[row, m]`` for a whole block, reading both
+    forward in memory; the few pairs with m > b in the block's last columns
+    are set to -inf, and one max per level gives ``best[row, b]``. No choice
+    matrix is kept: the backtrack recovers each link's m with one argmax
+    over the same sums at the level the links after it left, so ties still
+    go to the first m. The last link is read at the full budget only, so it
     fills that one level.
     Each sum is the same two-operand add as a level-at-a-time loop, and the
     rate table is ``link_capacity``'s arithmetic element by element
@@ -89,42 +100,42 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
             rate_table[row] = np.fromiter(map(math.log2, one_plus_snr.tolist()), float, steps + 1)
             rate_table[row] *= p.bandwidth_B
 
-    # best[b] = max summed rate of the first row+1 links using budget b*step.
-    best = rate_table[0].copy()
-    choice = np.zeros((n, steps + 1), dtype=np.int64)
-    choice[0] = np.arange(steps + 1)
-    # padded = [0]*steps ++ best, so window[b, m] = best[b - m] for m <= b.
-    padded = np.zeros(2 * steps + 1)
-    window = sliding_window_view(padded, steps + 1)[:, ::-1]
+    # best[row, b] = max summed rate of links 0..row using budget b*step.
+    best = np.empty((n, steps + 1))
+    best[0] = rate_table[0]
+    # reverse = best[row - 1] backwards ++ [0]*steps, so window[b, m] =
+    # best[row - 1, b - m] for m <= b, each window row forward in memory.
+    reverse = np.zeros(2 * steps + 1)
+    window = sliding_window_view(reverse, steps + 1)[::-1]
     block = min(_DP_BLOCK, steps + 1)
     totals = np.empty(block * (steps + 1))  # each block's sums, C-contiguous
     beyond = np.triu(np.ones((block, block), dtype=bool), k=1)  # m > b
     for row in range(1, n):
-        padded[steps:] = best
+        reverse[:steps + 1] = best[row - 1, ::-1]
         # The last link is read at the full budget only; levels below
         # ``first`` are left unset and never read.
         first = steps if row == n - 1 else 0
-        new_best = np.empty(steps + 1)
         for lo in range(first, steps + 1, block):
             hi = min(lo + block, steps + 1)
             k = hi - lo
             sums = totals[:k * hi].reshape(k, hi)
             np.add(rate_table[row, :hi], window[lo:hi, :hi], out=sums)
             np.copyto(sums[:, lo:], -math.inf, where=beyond[:k, :k])
-            m = np.argmax(sums, axis=1)
-            choice[row, lo:hi] = m
-            new_best[lo:hi] = sums[np.arange(k), m]
-        best = new_best
+            np.max(sums, axis=1, out=best[row, lo:hi])
 
+    # Each link's level is the first m reaching the best sum at what the
+    # links after it left over: the same adds as its block, without the
+    # m > b pairs.
     powers = {}
     b = steps
-    for row in range(n - 1, -1, -1):
-        m = int(choice[row, b])
+    for row in range(n - 1, 0, -1):
+        m = int(np.argmax(rate_table[row, :b + 1] + best[row - 1, b::-1]))
         powers[uavs[row]] = float(levels[m])
         b -= m
+    powers[uavs[0]] = float(levels[b])
     evaluations = math.comb(steps + n - 1, n - 1)
     return OracleResult(
-        best_value=float(best[steps]),
+        best_value=float(best[n - 1, steps]),
         best_configuration={"powers": powers},
         evaluations=evaluations,
     )
@@ -152,6 +163,16 @@ def _valid_assignment_mask(parents: np.ndarray, gs_id: int) -> np.ndarray:
     return (up[:, :n] == root).all(axis=1)
 
 
+def _tree_sums(table: np.ndarray) -> np.ndarray:
+    """Per-tree sums of a C-ordered link-major table, with the bits numpy
+    gives each tree's row of the tree-major table. Rows of fewer than
+    ``_PAIRWISE_TERMS`` links sum left to right, as a running sum down axis
+    0 does; longer ones are copied tree-major for numpy's pairwise order."""
+    if table.shape[0] < _PAIRWISE_TERMS:
+        return np.add.reduce(table, axis=0)
+    return np.add.reduce(table.T.copy(), axis=1)
+
+
 def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> OracleResult:
     """Throughput of the best relay tree over all valid parent assignments.
 
@@ -162,13 +183,19 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
 
         sum_i max(0, W - sigma^2 B / h_i) = P_b,
 
-    a monotone scalar equation, run in parallel across trees. Each step is a
-    function of the brackets (lo, hi) alone, so the loop stops at the first
-    step that leaves every bracket unchanged: the remaining steps of the
-    ``_BISECTION_ITERS`` cap would repeat it, and the result is the capped
-    loop's bit for bit. A bracket holding NaN never compares equal and runs
-    to the cap. Returns the best tree with its powers; ``evaluations``
-    counts the valid trees.
+    a monotone scalar equation, run in parallel across trees. The floors sit
+    link-major, one column per tree, and each step's spend per tree is summed
+    down a column. That running sum has the bits of numpy's sum of the
+    tree's row only below ``_PAIRWISE_TERMS`` links; trees of more links are
+    summed as contiguous rows (``_tree_sums``). Each step is a function of
+    the brackets (lo, hi) alone, so once a step leaves every bracket
+    unchanged all later ones do too; the loop tests for that every
+    ``_SETTLE_CHECK`` steps and stops, and the result is the
+    ``_BISECTION_ITERS``-step loop's bit for bit. A bracket holding NaN never
+    compares equal and runs to the cap. A budget near the float range makes
+    the spends and rates overflow to inf, silently, as Python floats do:
+    ``best_value`` is then inf. Returns the best tree with its powers;
+    ``evaluations`` counts the valid trees.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
@@ -190,29 +217,30 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
         raise DisconnectedTopologyError(list(t.uav_ids))
     trees = parents[mask]
 
-    # Noise floor of each link, in power units, per tree: sigma^2 B / h.
-    floors = p.noise_power / t.gains[np.arange(n), trees - 1]
+    # Noise floor of each link, in power units, link-major and C-ordered:
+    # floors[i - 1, r] = sigma^2 B / h for UAV i's link in tree r.
+    floors = p.noise_power / t.gains[np.arange(n)[:, None], trees.T.copy() - 1]
 
-    lo = np.min(floors, axis=1)
-    hi = np.max(floors, axis=1) + total_budget_w
+    lo = np.min(floors, axis=0)
+    hi = np.max(floors, axis=0) + total_budget_w
     gap = np.empty_like(floors)
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        np.subtract(mid[:, None], floors, out=gap)
-        np.maximum(0.0, gap, out=gap)
-        over = np.add.reduce(gap, axis=1) > total_budget_w
-        new_hi = np.where(over, mid, hi)
-        new_lo = np.where(over, lo, mid)
-        if (new_hi == hi).all() and (new_lo == lo).all():
-            break
-        hi, lo = new_hi, new_lo
-    water = 0.5 * (lo + hi)
-    powers = np.maximum(0.0, water[:, None] - floors)
-    values = p.bandwidth_B * np.sum(np.log2(1.0 + powers / floors), axis=1)
+    with np.errstate(over="ignore"):
+        for step in range(1, _BISECTION_ITERS + 1):
+            mid = 0.5 * (lo + hi)
+            np.subtract(mid, floors, out=gap)
+            np.maximum(0.0, gap, out=gap)
+            over = _tree_sums(gap) > total_budget_w
+            if step % _SETTLE_CHECK == 0 and (np.where(over, hi, lo) == mid).all():
+                break
+            hi = np.where(over, mid, hi)
+            lo = np.where(over, lo, mid)
+        water = 0.5 * (lo + hi)
+        powers = np.maximum(0.0, water - floors)
+        values = p.bandwidth_B * _tree_sums(np.log2(1.0 + powers / floors))
 
     best_row = int(np.argmax(values))
     best_parents = {i: int(trees[best_row, i - 1]) for i in t.uav_ids}
-    best_powers = {i: float(powers[best_row, i - 1]) for i in t.uav_ids}
+    best_powers = {i: float(powers[i - 1, best_row]) for i in t.uav_ids}
     return OracleResult(
         best_value=float(values[best_row]),
         best_configuration={"parent": best_parents, "powers": best_powers},

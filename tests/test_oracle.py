@@ -1,13 +1,17 @@
 """Reference optimizers: exhaustive power grid and tree enumeration."""
 
+import functools
 import itertools
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanetsim.harness import ScenarioConfig, generate_scenario
 from fanetsim.model import ChannelParams, link_capacity
 from fanetsim.oracle import (
     OracleResult,
@@ -376,27 +380,34 @@ def test_grid_oracle_bit_identical_to_level_loop(instance):
 
 # Noise floors 1/h over up to 120 decades: where a tree's bracket spans
 # about 90 decades or more around the water level, the bisection does not
-# settle within its 200 steps and both loops run to the cap.
+# settle within its 200 steps and both loops run to the cap. Trees of up to
+# 9 links cross numpy's switch to pairwise sums at 8 terms; beyond 5 UAVs
+# each keeps at most 3 links, so at most 3**9 assignments are enumerated.
 @st.composite
 def tree_instances(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
     shared = draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=3))
     exponent = st.sampled_from(shared) | st.floats(-60.0, 60.0)
     rows = []
     for i in range(1, n + 1):
         others = [j for j in range(1, n + 2) if j != i]
-        picked = draw(st.lists(st.sampled_from(others), min_size=1, max_size=len(others),
+        cap = len(others) if n <= 5 else 3
+        picked = draw(st.lists(st.sampled_from(others), min_size=1, max_size=cap,
                                unique=True))
         rows.append({j: 10.0 ** draw(exponent) for j in picked})
     return synth_topology(rows), draw(budgets)
 
 
 WIDE_FLOORS = (synth_topology([{2: 1e-60, 3: 1e30}, {1: 1e30, 3: 1e-60}]), 1e-14)
+# Eight UAVs, each linked to the ground station and to the next UAV around a
+# ring: 255 trees of 8 links, whose spends numpy sums pairwise.
+RING_OF_EIGHT = (synth_topology([{9: 1.0 / i, i % 8 + 1: 0.3 * i} for i in range(1, 9)]), 1.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_instances())
 @example(WIDE_FLOORS)
+@example(RING_OF_EIGHT)
 def test_tree_oracle_bit_identical_to_fixed_bisection(instance):
     t, budget = instance
     p = toy_params()
@@ -409,6 +420,31 @@ def test_wide_floors_run_the_bisection_to_its_cap():
     _, floors = tree_floors(t, toy_params())
     assert not np.array_equal(fixed_bisection(floors, budget, 199),
                               fixed_bisection(floors, budget, 200))
+
+
+def test_ring_of_eight_sums_pairwise():
+    # the explicit example above is one where a running sum of a tree's
+    # spends differs from numpy's sum of the tree's row
+    t, budget = RING_OF_EIGHT
+    _, floors = tree_floors(t, toy_params())
+    lo, hi = fixed_bisection(floors, budget)
+    gap = np.maximum(0.0, 0.5 * (lo + hi)[:, None] - floors)
+    running = functools.reduce(np.add, gap.T)
+    assert floors.shape[1] == 8
+    assert not np.array_equal(running, np.sum(gap, axis=1))
+
+
+def test_tree_enum_huge_budget_is_infinite_without_warning():
+    # as grid_power_oracle: rates overflow to inf silently at budgets near
+    # the float range
+    t = generate_scenario(ScenarioConfig(n_uavs=5, seed=1))
+    for budget in (1e307, 1e308, sys.float_info.max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = tree_enum_oracle(t, budget, ChannelParams())
+        assert res.best_value == math.inf
+        with np.errstate(over="ignore"):
+            assert repr(res) == repr(loop_tree_enum_oracle(t, budget, ChannelParams()))
 
 
 def test_validate_instances_bit_identical():
