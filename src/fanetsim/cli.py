@@ -42,7 +42,7 @@ from .model import (
     reference_gain_from_frequency,
 )
 from .power import AllocationError, allocate_power, link_rates
-from .routing import DisconnectedTopologyError, build_spt, parent_link_values
+from .routing import _WEIGHT_MODES, DisconnectedTopologyError, build_spt, parent_link_values
 
 TREE_DUMP_HEADER = "uav_id,parent_id,distance_m,gain,power_w,rate_bps"
 TRACE_HEADER = "uav_id,gamma,iteration,phi,decrement,step_size,constraint_residual"
@@ -84,7 +84,7 @@ _SCENARIO_FLAGS = (
     ("--trials", int, None, "trials", "seeds per sweep grid point"),
     ("--gs-x", float, None, "gs_x", "ground station x (default: mid side)"),
     ("--gs-y", float, None, "gs_y", "ground station y (default: 0)"),
-    ("--spt-weight", ("distance", "hops"), None, "spt_weight", "tree edge weight"),
+    ("--spt-weight", _WEIGHT_MODES, None, "spt_weight", "tree edge weight"),
     ("--no-wall-time", bool, None, "measure_wall_time",
      "record wall_ms as 0 for byte-reproducible output"),
     ("--bandwidth-hz", float, "channel", "bandwidth_B", "system bandwidth B"),

@@ -36,7 +36,7 @@ from .model import (
     is_real,
 )
 from .power import PowerAllocation, allocate_power
-from .routing import RoutingTree, build_spt
+from .routing import _WEIGHT_MODES, RoutingTree, build_spt
 
 # The measured columns, shared by the per-seed and the aggregate sweep CSV.
 _MEASURED = ("throughput_p11_bps", "throughput_p14_bps", "newton_iters", "wall_ms")
@@ -53,6 +53,11 @@ _BATCH = 32
 # decided again with libm pow (see _far_enough).
 _SEP_BAND = 1e-12
 _TINY = float(np.finfo(float).tiny)
+
+
+def _entries(value) -> list:
+    """A sweep field's values: the items of a list or tuple, else the value."""
+    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 class ConfigError(ValueError):
@@ -84,22 +89,19 @@ class ScenarioConfig:
     placement_retry_budget: int = 100
 
     def __post_init__(self):
-        n_entries = self.n_uavs if isinstance(self.n_uavs, (list, tuple)) else [self.n_uavs]
         for name, value in (
-            *(("n_uavs", n) for n in n_entries),
+            *(("n_uavs", n) for n in _entries(self.n_uavs)),
             ("seed", self.seed),
             ("trials", self.trials),
             ("placement_retry_budget", self.placement_retry_budget),
         ):
             if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        pb_entries = (self.power_budget_Pb if isinstance(self.power_budget_Pb, (list, tuple))
-                      else [self.power_budget_Pb])
         for name, value in (
             ("area_side", self.area_side),
             ("altitude_H", self.altitude_H),
             ("min_separation", self.min_separation),
-            *(("power_budget_Pb", pb) for pb in pb_entries),
+            *(("power_budget_Pb", pb) for pb in _entries(self.power_budget_Pb)),
             *(() if self.gs_x is None else (("gs_x", self.gs_x),)),
             ("gs_y", self.gs_y),
         ):
@@ -132,18 +134,14 @@ class ScenarioConfig:
             raise ConfigError("trials must be at least 1")
         if self.placement_retry_budget < 1:
             raise ConfigError("placement_retry_budget must be at least 1")
-        if self.spt_weight not in ("distance", "hops"):
-            raise ConfigError("spt_weight must be 'distance' or 'hops'")
+        if self.spt_weight not in _WEIGHT_MODES:
+            raise ConfigError(f"spt_weight must be {' or '.join(map(repr, _WEIGHT_MODES))}")
 
     def n_values(self) -> list[int]:
-        if isinstance(self.n_uavs, (list, tuple)):
-            return [int(n) for n in self.n_uavs]
-        return [int(self.n_uavs)]
+        return [int(n) for n in _entries(self.n_uavs)]
 
     def pb_values(self) -> list[float]:
-        if isinstance(self.power_budget_Pb, (list, tuple)):
-            return [float(pb) for pb in self.power_budget_Pb]
-        return [float(self.power_budget_Pb)]
+        return [float(pb) for pb in _entries(self.power_budget_Pb)]
 
     def scalar_n(self) -> int:
         values = self.n_values()

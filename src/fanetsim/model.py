@@ -171,16 +171,20 @@ def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> flo
 
 def link_capacities(transmit_powers_w: np.ndarray, gains: np.ndarray,
                     p: ChannelParams) -> np.ndarray:
-    """``link_capacity`` on each (power, gain) pair of two arrays, bit for bit.
+    """``link_capacity`` on each (power, gain) pair of two arrays, bit for bit:
+    the one array code that prices links.
 
-    The products, the quotient and the sum are numpy's correctly rounded
-    float64 operations in link_capacity's order; the logarithm is math.log2
-    per element, since np.log2 differs from it in the last bit.
+    The first pair in array order that link_capacity rejects, nan included,
+    raises link_capacity's own error, so an array fails as pricing it pair
+    by pair does. The products, the quotient and the sum are numpy's
+    correctly rounded float64 operations in link_capacity's order; the
+    logarithm is math.log2 per element, since np.log2 differs from it in the
+    last bit.
     """
-    if not (transmit_powers_w >= 0.0).all():
-        raise ValueError("transmit power must be nonnegative")
-    if not (gains > 0.0).all():
-        raise ValueError("link gain must be strictly positive")
+    ok = (transmit_powers_w >= 0.0) & (gains > 0.0)
+    if not ok.all():
+        k = int(ok.argmin())
+        link_capacity(transmit_powers_w.item(k), gains.item(k), p)
     with np.errstate(over="ignore", invalid="ignore"):
         snr = transmit_powers_w * gains / p.noise_power
         logs = np.fromiter(map(math.log2, (1.0 + snr).tolist()), dtype=float, count=snr.size)

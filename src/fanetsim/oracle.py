@@ -3,8 +3,10 @@
 These deliberately avoid the closed-form machinery under test: power splits
 are optimized over an exhaustive budget grid (grid_power_oracle) or by
 monotone bisection on the shared water level (inside tree_enum_oracle), and
-relay trees are enumerated outright. Feasible only at desk scale, which is
-the point.
+relay trees are enumerated outright. The grid prices its links with
+``model.link_capacities``, the same kernel as the rates it checks; only the
+search over splits is its own. Feasible only at desk scale, which is the
+point.
 
 Both run as array code and give the same bits as one level or one fixed
 step at a time. The grid's dynamic program fills blocks of budget levels at
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import ChannelParams, Topology
-from .routing import DisconnectedTopologyError, RoutingTree
+from .model import ChannelParams, Topology, link_capacities
+from .routing import DisconnectedTopologyError, RoutingTree, parent_link_values
 
 # Refuse grids whose dynamic program would exceed this many cell updates.
 _GRID_BUDGET = 2 ** 28
@@ -69,10 +71,11 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     go to the first m. The last link is read at the full budget only, so it
     fills that one level.
     Each sum is the same two-operand add as a level-at-a-time loop, and the
-    rate table is ``link_capacity``'s arithmetic element by element
-    (``math.log2``, not ``np.log2``, which differs in the last bit), so the
-    result is bit-identical to it. ``evaluations`` counts the simplex grid
-    points covered.
+    rate table is one ``link_capacities`` call over every (level, link)
+    pair, ``link_capacity``'s bits element by element, so the result is
+    bit-identical to it. A parent link whose gain is not positive, nan
+    included, raises ``link_capacity``'s error. ``evaluations`` counts the
+    simplex grid points covered.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
@@ -88,17 +91,11 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     step_w = total_budget_w * resolution
     levels = np.arange(steps + 1) * step_w
 
-    # Per-link rate at every grid level: B * log2(1 + P*h / (sigma^2 B)).
-    # Python floats overflow to inf silently; so do these.
-    rate_table = np.empty((n, steps + 1))
-    for row, i in enumerate(uavs):
-        gain = t.gain(i, tree.parent[i])
-        if gain <= 0.0:
-            raise ValueError("link gain must be strictly positive")
-        with np.errstate(over="ignore", invalid="ignore"):
-            one_plus_snr = 1.0 + levels * gain / p.noise_power
-            rate_table[row] = np.fromiter(map(math.log2, one_plus_snr.tolist()), float, steps + 1)
-            rate_table[row] *= p.bandwidth_B
+    # Per-link rate at every grid level, row-major by link; a rate beyond
+    # the float range is inf, as in link_capacity.
+    gains = np.array(parent_link_values(t.gains, tree.parent, uavs))
+    rate_table = link_capacities(np.tile(levels, n), gains.repeat(steps + 1),
+                                 p).reshape(n, steps + 1)
 
     # best[row, b] = max summed rate of links 0..row using budget b*step.
     best = np.empty((n, steps + 1))
@@ -194,11 +191,14 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
     ``_BISECTION_ITERS``-step loop's bit for bit. A bracket holding NaN never
     compares equal and runs to the cap. A budget near the float range makes
     the spends and rates overflow to inf, silently, as Python floats do:
-    ``best_value`` is then inf. Returns the best tree with its powers;
-    ``evaluations`` counts the valid trees.
+    ``best_value`` is then inf. An admissible link whose gain is not
+    positive, nan included, raises ``link_capacity``'s error. Returns the
+    best tree with its powers; ``evaluations`` counts the valid trees.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
+    if not (t.gains[t.incidence != 0] > 0.0).all():
+        raise ValueError("link gain must be strictly positive")
     n = t.n_uavs
     gs_id = t.gs.id
     neighbor_lists = []

@@ -18,7 +18,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import ChannelParams, Topology, link_capacity
+import numpy as np
+
+from .model import ChannelParams, Topology, link_capacities
 from .routing import RoutingTree, parent_link_values, validate_tree
 
 # Anything at or below this fraction of the budget is treated as a clamped link.
@@ -124,20 +126,15 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
 def link_rates(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
                p: ChannelParams) -> list[float]:
     """Each UAV's parent-link rate at its allocated power, in UAV id order: the
-    one pricing of a tree's links.
+    one pricing of a tree's links, all of them in one link_capacities call.
 
-    Every link's arguments are checked first, and the first one in UAV id
-    order that link_capacity rejects, nan included, raises its error. A link
-    at power 0.0 and a finite gain is 0.0 without being priced.
+    The first link in UAV id order that link_capacity rejects, nan included,
+    raises its error.
     """
     uavs = sorted(tree.parent)
-    links = list(zip([alloc.power[i] for i in uavs],
-                     parent_link_values(t.gains, tree.parent, uavs)))
-    for power, gain in links:
-        if not power >= 0.0 or not gain > 0.0:
-            link_capacity(power, gain, p)
-    return [0.0 if power == 0.0 and gain < math.inf else link_capacity(power, gain, p)
-            for power, gain in links]
+    powers = np.array([alloc.power[i] for i in uavs])
+    gains = np.array(parent_link_values(t.gains, tree.parent, uavs))
+    return link_capacities(powers, gains, p).tolist()
 
 
 def network_throughput(alloc: PowerAllocation, tree: RoutingTree, t: Topology,

@@ -268,35 +268,25 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
         if parent.get(j) == i:
             report.loop_free.append(f"UAVs {min(i, j)} and {max(i, j)} parent each other")
 
-    # Each walk follows parents until it meets a node whose outcome is known
-    # (the ground station first), then gives that outcome to every node it
-    # passed; a walk that ends on a missing or unknown parent, or on a node
-    # of its own chain (a cycle), gives them "cannot reach". So every parent
-    # link is followed once per call, and every cycle is met by exactly one
-    # walk.
-    reaches = {gs_id: True}
+    # Reachability is the preorder's; then one pass from the UAVs in id
+    # order walks the entries not yet seen, and a walk that stops on a node
+    # of its own chain has closed a cycle. Each entry is walked once per
+    # call, so every cycle is met by exactly one walk.
+    known = {i: j for i, j in parent.items() if i in uav_set}
+    seen = set(_preorder(known, gs_id))
+    report.gs_rooted = [f"UAV {i} cannot reach the ground station"
+                        for i in uav_ids if i not in seen]
     for start in uav_ids:
         chain: dict[int, int] = {}  # node -> position in this walk
         node = start
-        while node not in reaches:
+        while node in known and node not in seen:
+            seen.add(node)
             chain[node] = len(chain)
-            nxt = parent.get(node)
-            if nxt is None or nxt not in valid_ids:
-                ok = False
-                break
-            if nxt in chain:
-                cycle = sorted(list(chain)[chain[nxt]:])
-                report.loop_free.append(f"parent cycle through UAVs {cycle}")
-                ok = False
-                break
-            node = nxt
-        else:
-            ok = reaches[node]
-        for node in chain:
-            reaches[node] = ok
-        if not ok:
-            report.gs_rooted.append(f"UAV {start} cannot reach the ground station")
+            node = known[node]
+        if node in chain:
+            cycle = sorted(list(chain)[chain[node]:])
+            report.loop_free.append(f"parent cycle through UAVs {cycle}")
 
-    # Deduplicate mutual-pair messages that the cycle walk also found.
+    # Deduplicate mutual-pair messages that the cycle pass also found.
     report.loop_free = sorted(set(report.loop_free))
     return report

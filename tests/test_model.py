@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fanetsim.model import (
     ChannelParams,
@@ -223,25 +223,38 @@ def _adjacent(x: float, k: int, toward: float) -> list[float]:
     return out
 
 
+def pricing_outcome(price):
+    """The hex of each rate ``price()`` returns, or its exception's type and text."""
+    try:
+        return [rate.hex() for rate in price()]
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
 @st.composite
 def pricing_draws(draw):
-    """A channel and (power, gain) pairs: free draws; 2000 seeded draws over
-    24 decades of SNR; runs of adjacent powers and gains; power * gain or
-    the SNR in the subnormal range; and SNRs just under allocate_power's
-    overflow guard, which rejects a budget whose budget * gain / noise_power
-    is inf. Gains aimed at a target come from exact rationals, which float()
-    rounds correctly."""
+    """A channel and (power, gain) pairs: free draws; free draws with nan,
+    +-inf, -1.0, 0.0 and -0.0 at random positions among the powers and
+    gains; 2000 seeded draws over 24 decades of SNR; runs of adjacent powers
+    and gains; power * gain or the SNR in the subnormal range; and SNRs just
+    under allocate_power's overflow guard, which rejects a budget whose
+    budget * gain / noise_power is inf. Gains aimed at a target come from
+    exact rationals, which float() rounds correctly."""
     p = ChannelParams(
         bandwidth_B=draw(st.sampled_from([1e7, 1.0]) | st.floats(1e-3, 1e12)),
         noise_density_sigma2=draw(st.sampled_from([ChannelParams().noise_density_sigma2, 1.0])
                                   | st.floats(1e-25, 1e5)),
     )
     noise = p.noise_power
-    kind = draw(st.sampled_from(["free", "bulk", "adjacent", "subnormal", "guard"]))
+    kind = draw(st.sampled_from(["free", "bad", "bulk", "adjacent", "subnormal", "guard"]))
     k = draw(st.integers(0, 5))
     if kind == "free":
         power = st.just(0.0) | st.floats(0.0, 1e6)
         return p, draw(st.lists(st.tuples(power, st.floats(5e-324, 1e6)), min_size=1, max_size=20))
+    if kind == "bad":
+        bad = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+        return p, draw(st.lists(st.tuples(st.floats(0.0, 1e6) | bad, st.floats(5e-324, 1e6) | bad),
+                                min_size=1, max_size=20))
     if kind == "bulk":
         # np.log2 and math.log2 disagree on a few in a thousand of these
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -271,12 +284,14 @@ def pricing_draws(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(pricing_draws())
+# a bad gain in an earlier pair wins over a bad power in a later one
+@example((ChannelParams(), [(1.0, math.nan), (-1.0, 1e-9)]))
 def test_link_capacities_equal_link_capacity_bit_for_bit(draw):
+    # pricing pair by pair, the first pair that fails wins
     p, pairs = draw
     powers, gains = map(np.array, zip(*pairs))
-    got = link_capacities(powers, gains, p)
-    assert [rate.hex() for rate in got.tolist()] == [
-        link_capacity(pw, g, p).hex() for pw, g in pairs]
+    assert (pricing_outcome(lambda: link_capacities(powers, gains, p).tolist())
+            == pricing_outcome(lambda: [link_capacity(pw, g, p) for pw, g in pairs]))
 
 
 def _grid_nodes():

@@ -115,11 +115,25 @@ def test_grid_rejects_bad_args():
         grid_power_oracle(star_tree(1), t, 1.0, toy_params(), resolution=0.0)
 
 
+@pytest.mark.parametrize("gain", [math.nan, 0.0, -1.0])
+def test_grid_rejects_a_bad_parent_link_gain(gain):
+    t = synth_topology([{3: gain}, {3: 1e-7}])
+    with pytest.raises(ValueError, match="link gain must be strictly positive"):
+        grid_power_oracle(RoutingTree({1: 3, 2: 3}, {}), t, 1.0, ChannelParams())
+
+
 def test_tree_enum_rejects_bad_budgets():
     t = synth_topology([{2: 1.0}])
     for budget in BAD_BUDGETS:
         with pytest.raises(ValueError, match="budget must be positive and finite"):
             tree_enum_oracle(t, budget, toy_params())
+
+
+@pytest.mark.parametrize("gain", [math.nan, 0.0, -1.0])
+def test_tree_enum_rejects_a_bad_admissible_gain(gain):
+    t = synth_topology([{3: gain, 2: 1e-7}, {3: 1e-7}])
+    with pytest.raises(ValueError, match="link gain must be strictly positive"):
+        tree_enum_oracle(t, 1.0, ChannelParams())
 
 
 def test_tree_enum_unique_topology_matches_allocator():

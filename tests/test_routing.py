@@ -316,6 +316,10 @@ CHAIN_2 = synth_topology([{2: 1.0}, {3: 1.0}])
 @example((synth_topology([{3: 1.0}, {1: 1.0}]), {1: 3, 2: True}))
 @example((synth_topology([{3: 1.0}, {1: 1.0}]), {True: 3, 2: 1}))
 @example((synth_topology([{2: 1.0}]), {1: True}))
+# UAV 1 enters the cycle 4 -> 5 -> 6 -> 4 from below its ids; 2 <-> 7 is a
+# second, disjoint cycle
+@example((synth_topology([{4: 1.0}, {7: 1.0}, {8: 1.0}, {5: 1.0}, {6: 1.0}, {4: 1.0}, {2: 1.0}]),
+          {1: 4, 2: 7, 3: 8, 4: 5, 5: 6, 6: 4, 7: 2}))
 def test_validate_tree_matches_the_walk_from_every_uav(case):
     t, parent = case
     tree = RoutingTree(parent=parent, path_cost={})
