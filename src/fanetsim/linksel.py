@@ -30,7 +30,10 @@ pass gives every live row one Newton iteration at its own barrier weight,
 converged rows move on to their next round, and rows that finish or fail
 retire, including those that fail before their first iteration. An op's
 Newton cost thus follows its slowest UAV's pass count, not the sum of such
-counts over candidate counts. The state lives in flat buffers allocated
+counts over candidate counts. The solve runs under one floating-point
+policy: an overflow, a division by zero or an invalid operation gives inf or
+nan without a warning, and a row whose Newton system degenerates on them
+fails with ConvergenceError. The state lives in flat buffers allocated
 once; retired rows stay in place behind a mask, on harmless values, so no
 pass compacts or copies the live rows. One evaluator gives phi for every
 row of those buffers, -inf for a row with an element outside the open box,
@@ -91,10 +94,12 @@ class ConvergenceError(RuntimeError):
     """Newton refinement failed to reach the decrement target.
 
     The decrement is nan where the Newton system itself degenerated: p.p or
-    p.H^-1.p underflowed to zero (powers below about 1e-161 W, or barrier
-    weights so small that 1/(gamma*scale) overflows) or left the float range
-    (powers above about 1e150 W), or gamma*scale underflowed to zero (rates
-    near the smallest subnormal).
+    p.H^-1.p underflowed to zero (powers below about 1e-161 W, barrier
+    weights so small that 1/(gamma*scale) overflows, or rates near the
+    smallest subnormal, where gamma*scale underflows to zero and the barrier
+    weight is infinite) or left the float range (powers above about 1e150 W).
+    The solver reports such a row with this error and never with a
+    floating-point warning.
     """
 
     def __init__(self, uav_id: int, gamma: float, decrement: float, iterations: int):
@@ -472,6 +477,7 @@ def _degenerate(v: np.ndarray) -> np.ndarray:
     return (v == 0.0) | ~np.isfinite(v)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
                 powers: np.ndarray, cfg: SolverConfig, solved: dict, traces: list | None) -> None:
     """Barrier-scheduled projected Newton ascent for every relaxed UAV at once.
@@ -496,15 +502,17 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     given, receives one tuple of trace columns per pass over the rows live
     in it: UAV id, barrier weight, iteration, phi, decrement, step fraction
     (0.0 where no step was taken) and constraint residual.
+
+    The whole solve runs under this function's one ``np.errstate``: inf and
+    nan results raise no warning, and a row whose Newton system degenerates
+    on them fails with ConvergenceError.
     """
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
     p_vec = rows.repeat(powers)
     scale = rows.max(np.abs(rates_raw))
     scale[scale == 0.0] = 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        p_dot_p = rows.dot(p_vec, p_vec)
-        gamma_scale = np.multiply.outer(scale, gammas)
-        inv_by_round = 1.0 / gamma_scale
+    p_dot_p = rows.dot(p_vec, p_vec)
+    inv_by_round = 1.0 / np.multiply.outer(scale, gammas)
     n, size = rows.n_rows, rows.size
     row_of = rows.repeat(np.arange(n))
 
@@ -544,7 +552,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     def retire(dead):
         # A retired row keeps running on harmless values (a point inside the
         # box, zero rates, unit powers and barrier weight) that no result
-        # reads and that raise no floating-point warning.
+        # reads; they keep _inside_box and the failure checks off its elements.
         alive[dead] = False
         elems = rows.repeat(dead)
         x[elems] = 0.5
@@ -555,10 +563,8 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         p_dot_p[dead] = rows.widths[dead]
 
     # p.p underflowed to zero or overflowed, so the projection onto the
-    # constraint plane is lost, or gamma*scale underflowed to zero, so the
-    # barrier weight 1/(gamma*scale) is undefined: the UAV fails before its
-    # first iteration.
-    failing = _degenerate(p_dot_p) | (gamma_scale == 0.0).any(axis=1)
+    # constraint plane is lost: the UAV fails before its first iteration.
+    failing = _degenerate(p_dot_p)
     for g in np.flatnonzero(failing):
         solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
     retire(failing)
@@ -570,26 +576,26 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
 
     while alive.any():
         # grad = rates + inv * (1/x - 1/(1-x)), hess = -inv * (1/x**2 + 1/(1-x)**2).
-        # An iterate on the box boundary makes them infinite or nan, and
-        # hess is -0.0 where gamma*scale overflowed, so 1/(gamma*scale) is 0:
-        # either way the row fails below on p.H^-1.p.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.subtract(1.0, x, out=omx)
-            spread(inv, inv_e)
-            np.divide(1.0, x, out=t1)
-            np.divide(1.0, omx, out=t2)
-            np.subtract(t1, t2, out=t1)
-            np.multiply(inv_e, t1, out=t1)
-            np.add(rates, t1, out=grad)
-            np.square(x, out=t1)
-            np.divide(1.0, t1, out=t1)
-            np.square(omx, out=t2)
-            np.divide(1.0, t2, out=t2)
-            np.add(t1, t2, out=t1)
-            np.negative(inv_e, out=hess)
-            np.multiply(hess, t1, out=hess)
-            np.divide(rpg[1:], hess, out=hinv)
-            reduce_p_hinv()
+        # An iterate on the box boundary makes them infinite or nan, hess is
+        # -inf where gamma*scale underflowed to zero and -0.0 where it
+        # overflowed: each way the row fails below on p.H^-1.p, the
+        # underflowed one at its first pass.
+        np.subtract(1.0, x, out=omx)
+        spread(inv, inv_e)
+        np.divide(1.0, x, out=t1)
+        np.divide(1.0, omx, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.multiply(inv_e, t1, out=t1)
+        np.add(rates, t1, out=grad)
+        np.square(x, out=t1)
+        np.divide(1.0, t1, out=t1)
+        np.square(omx, out=t2)
+        np.divide(1.0, t2, out=t2)
+        np.add(t1, t2, out=t1)
+        np.negative(inv_e, out=hess)
+        np.multiply(hess, t1, out=hess)
+        np.divide(rpg[1:], hess, out=hinv)
+        reduce_p_hinv()
         failing = alive & _degenerate(p_hinv[0])
         if failing.any():
             # p.H^-1.p underflowed to zero or left the float range, so the

@@ -157,7 +157,8 @@ def channel_gain(d: float, p: ChannelParams) -> float:
 
 
 def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> float:
-    """Shannon capacity of one link in bits/s; a nan power or gain raises.
+    """Shannon capacity of one link in bits/s; a nan power, or a nan or
+    infinite gain, raises.
 
     B * log2(1 + P*h / (sigma^2 * B)); zero transmit power gives exactly 0.
     """
@@ -165,6 +166,8 @@ def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> flo
         raise ValueError("transmit power must be nonnegative")
     if not gain > 0.0:
         raise ValueError("link gain must be strictly positive")
+    if gain == math.inf:
+        raise ValueError("link gain must be finite")
     snr = transmit_power_w * gain / p.noise_power
     return p.bandwidth_B * math.log2(1.0 + snr)
 
@@ -181,7 +184,7 @@ def link_capacities(transmit_powers_w: np.ndarray, gains: np.ndarray,
     logarithm is math.log2 per element, since np.log2 differs from it in the
     last bit.
     """
-    ok = (transmit_powers_w >= 0.0) & (gains > 0.0)
+    ok = (transmit_powers_w >= 0.0) & (gains > 0.0) & (gains < math.inf)
     if not ok.all():
         k = int(ok.argmin())
         link_capacity(transmit_powers_w.item(k), gains.item(k), p)

@@ -73,9 +73,9 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     Each sum is the same two-operand add as a level-at-a-time loop, and the
     rate table is one ``link_capacities`` call over every (level, link)
     pair, ``link_capacity``'s bits element by element, so the result is
-    bit-identical to it. A parent link whose gain is not positive, nan
-    included, raises ``link_capacity``'s error. ``evaluations`` counts the
-    simplex grid points covered.
+    bit-identical to it. A parent link whose gain is not positive and
+    finite, nan included, raises ``link_capacity``'s error. ``evaluations``
+    counts the simplex grid points covered.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
@@ -192,13 +192,15 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
     compares equal and runs to the cap. A budget near the float range makes
     the spends and rates overflow to inf, silently, as Python floats do:
     ``best_value`` is then inf. An admissible link whose gain is not
-    positive, nan included, raises ``link_capacity``'s error. Returns the
-    best tree with its powers; ``evaluations`` counts the valid trees.
+    positive and finite, nan included, raises ``link_capacity``'s error.
+    Returns the best tree with its powers; ``evaluations`` counts the valid
+    trees.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
-    if not (t.gains[t.incidence != 0] > 0.0).all():
-        raise ValueError("link gain must be strictly positive")
+    # Pricing the admissible gains raises for the first one it rejects.
+    gains = t.gains[t.incidence != 0]
+    link_capacities(np.zeros(gains.size), gains, p)
     n = t.n_uavs
     gs_id = t.gs.id
     neighbor_lists = []

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -586,14 +585,29 @@ def test_float_range_edges_end_in_typed_errors(argv, code, message, capsys):
 def test_degenerate_newton_system_is_a_convergence_error(capsys):
     # At gamma_init 5e-324, 1/(gamma*scale) overflows and p.H^-1.p underflows
     # to zero: the UAV fails with a nan decrement instead of a bare
-    # ZeroDivisionError. Newton warns on the way there.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(["run", "--n-uavs", "4", "--altitude", "1e-300", "--alpha0", "0.5",
-                   "--seed", "7", "--gamma-init", "5e-324", "--gs-x", "0"])
+    # ZeroDivisionError, and without a warning.
+    rc = main(["run", "--n-uavs", "4", "--altitude", "1e-300", "--alpha0", "0.5",
+               "--seed", "7", "--gamma-init", "5e-324", "--gs-x", "0"])
     assert rc == EXIT_NO_CONVERGENCE
     assert capsys.readouterr().err == ("solver error: UAV 2: Newton decrement nan after "
                                        "0 iterations at barrier weight 4.94066e-324\n")
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_tiny_rates_solve_without_a_warning(command, tmp_path, capsys):
+    # At a bandwidth of 1e-308 Hz every rate is near 1e-305 bps, and the
+    # Newton steps are so short that the box cap x/|step| overflows. The
+    # solve still converges, and warnings are errors under the test settings.
+    argv = [command, "--n-uavs", "6", "--area-side", "8000", "--min-separation", "300",
+            "--bandwidth-hz", "1e-308", "--noise-dbm-hz", "100", "--pb", "1", "--no-wall-time"]
+    path = tmp_path / "trace.csv"
+    assert main(argv + (["--out", str(path)] if command == "trace" else [])) == 0
+    if command == "run":
+        out = capsys.readouterr().out
+        assert "throughput_p11_bps   5.779145e-305\n" in out
+        assert "throughput_p14_bps   5.781978e-305\n" in out
+    else:
+        assert len(path.read_text().splitlines()) == 13
 
 
 # Values that sit on or beyond the edge of each field's range, as flag text
@@ -684,12 +698,9 @@ def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, invocation):
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
     stdout, stderr = io.StringIO(), io.StringIO()
-    # A RuntimeWarning does not decide an exit code outside the tests, so it
-    # is not raised here: Newton's nan iterates at barrier weights outside its
-    # working range warn and then exit 4 (see CHANGES.md).
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # A RuntimeWarning is an error under the test settings, so every fuzzed
+    # run must also end without one.
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage error

@@ -196,7 +196,8 @@ def _star_throughput(powers, gains, p):
 
 
 # Each call priced to nan before the guards were written as `not x >= 0.0`
-# and `not x > 0.0`.
+# and `not x > 0.0`; an infinite gain priced to inf, or to nan at zero power,
+# before the guard `gain == math.inf` (no topology holds one).
 @pytest.mark.parametrize("price, message", [
     (lambda p: link_capacity(math.nan, 1e-9, p), "transmit power"),
     (lambda p: link_capacity(1.0, math.nan, p), "link gain"),
@@ -207,9 +208,15 @@ def _star_throughput(powers, gains, p):
     (lambda p: channel_gain(math.nan, p), "positive distance"),
     (lambda p: _star_throughput([1.0, math.nan], [2.0, 2.0], p), "transmit power"),
     (lambda p: _star_throughput([1.0, 1.0], [2.0, math.nan], p), "link gain"),
+    (lambda p: link_capacity(1.0, math.inf, p), "^link gain must be finite$"),
+    (lambda p: link_capacity(0.0, math.inf, p), "^link gain must be finite$"),
+    (lambda p: link_capacities(np.array([1.0, 0.0]), np.array([1e-9, math.inf]), p),
+     "^link gain must be finite$"),
+    (lambda p: _star_throughput([1.0, 1.0], [2.0, math.inf], p), "^link gain must be finite$"),
 ], ids=["link_capacity-power", "link_capacity-gain", "link_capacities-power",
         "link_capacities-gain", "channel_gain", "network_throughput-power",
-        "network_throughput-gain"])
+        "network_throughput-gain", "link_capacity-inf-gain", "link_capacity-zero-power-inf-gain",
+        "link_capacities-inf-gain", "network_throughput-inf-gain"])
 def test_nan_rates_and_gains_are_rejected(price, message):
     with pytest.raises(ValueError, match=message):
         price(toy_params())
@@ -231,6 +238,33 @@ def pricing_outcome(price):
         return type(exc), str(exc)
 
 
+CHANNELS = st.builds(
+    ChannelParams,
+    bandwidth_B=st.sampled_from([1e7, 1.0]) | st.floats(1e-3, 1e12),
+    noise_density_sigma2=(st.sampled_from([ChannelParams().noise_density_sigma2, 1.0])
+                          | st.floats(1e-25, 1e5)),
+)
+
+
+def _subnormal_gain(draw, power: float, noise: float) -> float:
+    """A gain at which power * gain, or power * gain / noise, is subnormal."""
+    target = Fraction(draw(st.floats(5e-324, 2.2250738585072014e-308)))
+    if draw(st.booleans()):
+        target *= Fraction(noise)
+    gain = float(target / Fraction(power))
+    assume(gain > 0.0)
+    return gain
+
+
+def _guard_gain(power: float, noise: float) -> float:
+    """The largest gain that passes allocate_power's overflow guard at this power."""
+    assume(noise <= min(power, 1.0))
+    gain = float(Fraction(sys.float_info.max) * Fraction(noise) / Fraction(power))
+    while power * gain / noise == math.inf:
+        gain = math.nextafter(gain, 0.0)
+    return gain
+
+
 @st.composite
 def pricing_draws(draw):
     """A channel and (power, gain) pairs: free draws; free draws with nan,
@@ -240,11 +274,7 @@ def pricing_draws(draw):
     under allocate_power's overflow guard, which rejects a budget whose
     budget * gain / noise_power is inf. Gains aimed at a target come from
     exact rationals, which float() rounds correctly."""
-    p = ChannelParams(
-        bandwidth_B=draw(st.sampled_from([1e7, 1.0]) | st.floats(1e-3, 1e12)),
-        noise_density_sigma2=draw(st.sampled_from([ChannelParams().noise_density_sigma2, 1.0])
-                                  | st.floats(1e-25, 1e5)),
-    )
+    p = draw(CHANNELS)
     noise = p.noise_power
     kind = draw(st.sampled_from(["free", "bad", "bulk", "adjacent", "subnormal", "guard"]))
     k = draw(st.integers(0, 5))
@@ -265,20 +295,10 @@ def pricing_draws(draw):
         powers = _adjacent(power, k, math.inf)
         gains = _adjacent(draw(st.floats(1e-15, 1e3)), draw(st.integers(0, 5)), math.inf)
     elif kind == "subnormal":
-        # a subnormal power * gain, or a subnormal power * gain / noise_power
-        target = Fraction(draw(st.floats(5e-324, 2.2250738585072014e-308)))
-        if draw(st.booleans()):
-            target *= Fraction(noise)
-        gain = float(target / Fraction(power))
-        assume(gain > 0.0)
-        powers, gains = [power], _adjacent(gain, k, math.inf)
+        powers, gains = [power], _adjacent(_subnormal_gain(draw, power, noise), k, math.inf)
     else:
         # the largest gain that passes the guard at this power, and below it
-        assume(noise <= min(power, 1.0))
-        gain = float(Fraction(sys.float_info.max) * Fraction(noise) / Fraction(power))
-        while power * gain / noise == math.inf:
-            gain = math.nextafter(gain, 0.0)
-        powers, gains = _adjacent(power, k, 0.0), _adjacent(gain, k, 0.0)
+        powers, gains = _adjacent(power, k, 0.0), _adjacent(_guard_gain(power, noise), k, 0.0)
     return p, [(pw, g) for pw in powers for g in gains]
 
 
@@ -292,6 +312,42 @@ def test_link_capacities_equal_link_capacity_bit_for_bit(draw):
     powers, gains = map(np.array, zip(*pairs))
     assert (pricing_outcome(lambda: link_capacities(powers, gains, p).tolist())
             == pricing_outcome(lambda: [link_capacity(pw, g, p) for pw, g in pairs]))
+
+
+@st.composite
+def gain_runs(draw):
+    """A channel, a power and an ascending run of adjacent finite gains:
+    free draws, zero power over the whole gain range, power * gain or the
+    SNR in the subnormal range, and runs across allocate_power's overflow
+    guard, from below the largest gain it passes to above it."""
+    p = draw(CHANNELS)
+    noise = p.noise_power
+    kind = draw(st.sampled_from(["free", "zero", "subnormal", "guard"]))
+    k = draw(st.integers(1, 40))
+    power = 0.0 if kind == "zero" else draw(st.sampled_from([1.0, 1e-3]) | st.floats(1e-6, 1e3))
+    if kind == "zero":
+        run = _adjacent(draw(st.floats(5e-324, sys.float_info.max)), k, 0.0)[::-1]
+    elif kind == "free":
+        run = _adjacent(draw(st.floats(5e-324, 1e6)), k, math.inf)
+    elif kind == "subnormal":
+        run = _adjacent(_subnormal_gain(draw, power, noise), k, math.inf)
+    else:
+        gain = _guard_gain(power, noise)
+        run = _adjacent(gain, k, 0.0)[::-1] + _adjacent(gain, k, math.inf)[1:]
+    gains = [g for g in run if 0.0 < g < math.inf]
+    assume(len(gains) > 1)
+    return p, power, gains
+
+
+@settings(max_examples=300, deadline=None)
+@given(gain_runs())
+def test_rate_never_falls_as_the_gain_rises_by_one_float(draw):
+    # At a fixed power, each floating-point step of the rate is non-decreasing
+    # in the gain, so the highest-gain candidate has the highest rate.
+    p, power, gains = draw
+    for rates in ([link_capacity(power, g, p) for g in gains],
+                  link_capacities(np.full(len(gains), power), np.array(gains), p).tolist()):
+        assert all(b >= a for a, b in zip(rates, rates[1:])), rates
 
 
 def _grid_nodes():

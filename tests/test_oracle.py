@@ -115,10 +115,17 @@ def test_grid_rejects_bad_args():
         grid_power_oracle(star_tree(1), t, 1.0, toy_params(), resolution=0.0)
 
 
-@pytest.mark.parametrize("gain", [math.nan, 0.0, -1.0])
+BAD_GAINS = [math.nan, 0.0, -1.0, math.inf]
+
+
+def bad_gain_message(gain: float) -> str:
+    return "^link gain must be finite$" if gain == math.inf else "^link gain must be strictly positive$"
+
+
+@pytest.mark.parametrize("gain", BAD_GAINS)
 def test_grid_rejects_a_bad_parent_link_gain(gain):
     t = synth_topology([{3: gain}, {3: 1e-7}])
-    with pytest.raises(ValueError, match="link gain must be strictly positive"):
+    with pytest.raises(ValueError, match=bad_gain_message(gain)):
         grid_power_oracle(RoutingTree({1: 3, 2: 3}, {}), t, 1.0, ChannelParams())
 
 
@@ -129,10 +136,10 @@ def test_tree_enum_rejects_bad_budgets():
             tree_enum_oracle(t, budget, toy_params())
 
 
-@pytest.mark.parametrize("gain", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("gain", BAD_GAINS)
 def test_tree_enum_rejects_a_bad_admissible_gain(gain):
     t = synth_topology([{3: gain, 2: 1e-7}, {3: 1e-7}])
-    with pytest.raises(ValueError, match="link gain must be strictly positive"):
+    with pytest.raises(ValueError, match=bad_gain_message(gain)):
         tree_enum_oracle(t, 1.0, ChannelParams())
 
 
