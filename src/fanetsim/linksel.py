@@ -57,10 +57,12 @@ length-m vectors:
   another order), and ``np.add.reduce`` the same pairwise sum per row as
   ``np.sum``. Dots that share a pass are stacked on leading axes, one
   ``ddot`` per row each: p.H^-1.p with p.H^-1.g, and (rates, p) with
-  (x, trial point), which gives phi's linear terms and the p.trial that the
-  drift correction reuses for rows that took their first trial step;
-- only the Armijo retries copy rows: each retry evaluates phi on a
-  compacted copy of the rows it still rejects.
+  (x, trial point, first backtrack's point), which gives phi's linear terms
+  and the p.point that the drift correction reuses for the accepted point;
+- only Armijo backtracking past the first backtrack copies rows: the rows
+  still rejected search blocks of step fractions, the products of repeated
+  shrinking, with one phi evaluation on a compacted copy per block, and
+  each takes the first fraction that passes or falls below the floor.
 
 A UAV's outcome therefore does not depend on which other UAVs share the
 array, and ``newton_refine`` reports the UAVs in id order, raising the lowest
@@ -88,6 +90,11 @@ BARRIER_ROUNDS = 3
 INTERIOR_MARGIN = 1e-6
 # Line search gives up below this step fraction.
 _MIN_STEP_FRACTION = 1e-14
+# Past its first backtrack, the line search tries this many step fractions in
+# its first block, twice as many in each block after, and at most
+# _MAX_BLOCK per block, which bounds a block's working set.
+_FIRST_BLOCK = 4
+_MAX_BLOCK = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -386,7 +393,8 @@ class _RaggedRows:
         return _RaggedRows(self.widths[keep]), np.repeat(keep, self.widths)
 
     def repeat(self, per_row: np.ndarray) -> np.ndarray:
-        return per_row.repeat(self.widths)
+        """Each row's entry repeated over its elements, along the last axis."""
+        return per_row.repeat(self.widths, axis=-1)
 
     def views(self, packed: np.ndarray) -> list[np.ndarray]:
         """Each run's (..., rows, width) view of a packed (..., size) array."""
@@ -478,8 +486,8 @@ def _degenerate(v: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
-                powers: np.ndarray, cfg: SolverConfig, solved: dict, traces: list | None) -> None:
+def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray, powers: np.ndarray,
+                cfg: SolverConfig, traces: list | None) -> tuple:
     """Barrier-scheduled projected Newton ascent for every relaxed UAV at once.
 
     Row g of ``rows``, with its slice of the flat ``rates_raw`` and
@@ -493,21 +501,30 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
 
     The state lives in flat buffers allocated once, and each reduction is
     bound once to its buffers' per-run views. A pass writes into those
-    buffers and allocates per-row arrays and one element mask. Phi comes
-    from ``_phi`` alone, on x and the trial point together, with p.x and
-    p.trial. Only Armijo retries copy rows, the still-rejected ones, and
-    p.trial is reduced again only on passes that had retries. ``solved[uav_id]``
-    receives (final interior point, accepted-iteration count, last
-    decrement) or the exception that stopped the UAV. ``traces``, when
-    given, receives one tuple of trace columns per pass over the rows live
-    in it: UAV id, barrier weight, iteration, phi, decrement, step fraction
-    (0.0 where no step was taken) and constraint residual.
+    buffers and allocates per-row arrays and a few element masks. Phi comes
+    from ``_phi`` alone, on x, the trial point and the first backtrack's
+    point together, with p.x, p.trial and p.half. A row that Armijo rejects
+    at the full step is tried at its first backtrack from those buffers.
+    Only rows rejected there too are copied: they search blocks of further step
+    fractions, ``_FIRST_BLOCK`` at first and twice as many per block after,
+    up to ``_MAX_BLOCK``, with one phi evaluation per block. Each row takes
+    the first fraction of its repeated shrinking that passes Armijo or falls
+    below ``_MIN_STEP_FRACTION``, with that fraction's point and p.point.
+
+    Returns (x, iterations, decrement, errors): the finished rows' final
+    interior points, laid out as ``rates_raw``; each row's accepted-iteration
+    count and last decrement; and {uav_id: the ConvergenceError that stopped
+    it}. A failed row's entries in the first three are not meaningful.
+    ``traces``, when given, receives one tuple of trace columns per pass over
+    the rows live in it: UAV id, barrier weight, iteration, phi, decrement,
+    step fraction (0.0 where no step was taken) and constraint residual.
 
     The whole solve runs under this function's one ``np.errstate``: inf and
     nan results raise no warning, and a row whose Newton system degenerates
     on them fails with ConvergenceError.
     """
     gammas = [cfg.gamma_init * cfg.gamma_growth**r for r in range(BARRIER_ROUNDS)]
+    shrink = cfg.backtrack_tau_shrink
     p_vec = rows.repeat(powers)
     scale = rows.max(np.abs(rates_raw))
     scale[scale == 0.0] = 1.0
@@ -523,25 +540,31 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     powers = powers.copy()
 
     # Per-element buffers, stacked where one call serves several operands:
-    # (rates, p) meet (x, trial) in phi, and (p, grad) are divided by hess.
+    # (rates, p) meet (x, trial, half) in phi, and (p, grad) are divided by
+    # hess. half is the point of the first backtrack, the step times
+    # backtrack_tau_shrink (a halving at the default shrink).
     rpg = np.empty((3, size))
     rates, p_vec, grad = rpg
     np.divide(rates_raw, rows.repeat(scale), out=rates)
     spread(powers, p_vec)
-    xt = np.empty((2, size))
-    x, trial = xt
+    points = np.empty((3, size))
+    x, trial, half = points
     hinv = np.empty((2, size))  # H^-1.p, H^-1.g
     omx, inv_e, hess, step, room, t1, t2 = np.empty((7, size))
     positive, nonzero = np.empty((2, size), dtype=bool)
     # Per-row results and the reductions that fill them.
     p_hinv = np.empty((2, n))  # p.H^-1.p, p.H^-1.g
     slope = np.empty(n)
-    dots = np.empty((2, 2, n))  # (rates, p) . (x, trial)
+    dots = np.empty((2, 3, n))  # (rates, p) . (x, trial, half)
+    p_dot_trial = dots[1, 1]
     reduce_p_hinv = rows.bind_dot(p_vec, hinv, p_hinv)
     reduce_slope = rows.bind_dot(grad, step, slope)
-    reduce_dots = rows.bind_dot(rpg[:2, None], xt, dots)
-    reduce_p_dots = rows.bind_dot(p_vec, xt, dots[1])
-    phi_bound = _bind_phi(rows, xt, rates, rates_dot=lambda: reduce_dots()[0])
+    reduce_dots = rows.bind_dot(rpg[:2, None], points, dots)
+    phi_bound = _bind_phi(rows, points, rates, rates_dot=lambda: reduce_dots()[0])
+    # What the solve returns.
+    result = np.empty(size)
+    final_decrement = np.empty(n)
+    errors: dict[int, ConvergenceError] = {}
 
     inv = inv_by_round[:, 0].copy()
     rnd = np.zeros(n, dtype=np.intp)
@@ -566,7 +589,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
     # constraint plane is lost: the UAV fails before its first iteration.
     failing = _degenerate(p_dot_p)
     for g in np.flatnonzero(failing):
-        solved[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
+        errors[int(uav[g])] = ConvergenceError(int(uav[g]), gammas[0], math.nan, 0)
     retire(failing)
     # Start from the all-ones point of the power identity, pulled to the
     # margin and projected onto the constraint plane: lands at uniform 1/m.
@@ -601,7 +624,7 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
             # p.H^-1.p underflowed to zero or left the float range, so the
             # Newton step does not exist.
             for g in np.flatnonzero(failing):
-                solved[int(uav[g])] = ConvergenceError(
+                errors[int(uav[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], math.nan, int(total[g]))
             retire(failing)
             continue
@@ -623,11 +646,14 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         room.fill(math.inf)
         np.divide(t1, t2, out=room, where=nonzero)
         tau = np.fmin(0.99 * rows.min(room), 1.0)
-        spread(tau, t1)
-        np.multiply(t1, step, out=t1)
-        np.add(x, t1, out=trial)
-        # phi at x and at the trial point, and p.x, p.trial with them.
-        phi = _phi(rows, xt, inv, phi_bound)
+        halved = tau * shrink
+        for fraction, point in ((tau, trial), (halved, half)):
+            spread(fraction, t1)
+            np.multiply(t1, step, out=t1)
+            np.add(x, t1, out=point)
+        # phi at x, the trial point and the first backtrack's point, and p
+        # times each of them.
+        phi = _phi(rows, points, inv, phi_bound)
 
         if traces is not None:
             live = np.flatnonzero(alive)
@@ -641,35 +667,51 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         if converged.any():
             rnd += converged
             it[converged] = 0
-            for g in np.flatnonzero(finished):
-                solved[int(uav[g])] = (x[rows.starts[g]:rows.starts[g] + rows.widths[g]].tolist(),
-                                       int(total[g]), float(decrement[g]))
+            np.copyto(result, x, where=rows.repeat(finished))
+            final_decrement[finished] = decrement[finished]
             advanced = converged & ~finished
             inv[advanced] = inv_by_round[advanced, rnd[advanced]]
 
         rejected = moving & ~(phi[1] >= phi[0] + cfg.backtrack_alpha * tau * slope)
         if rejected.any():
-            # Armijo retries shrink tau on the rejected rows until each passes
-            # or falls below _MIN_STEP_FRACTION, each evaluating phi on a copy
-            # of the still-rejected rows alone.
-            while True:
-                tau[rejected] *= cfg.backtrack_tau_shrink
-                rejected &= tau >= _MIN_STEP_FRACTION
-                if not rejected.any():
-                    break
+            # Armijo backtracking shrinks tau on the rejected rows until each
+            # passes or falls below _MIN_STEP_FRACTION. The first backtrack's
+            # phi and p.half are already in the buffers.
+            tau[rejected] = halved[rejected]
+            rejected &= tau >= _MIN_STEP_FRACTION
+            passed = rejected & (phi[2] >= phi[0] + cfg.backtrack_alpha * tau * slope)
+            np.copyto(trial, half, where=rows.repeat(passed))
+            p_dot_trial[passed] = dots[1, 2, passed]
+            rejected &= ~passed
+            block = _FIRST_BLOCK
+            while rejected.any():
+                # The next ``block`` fractions of each still-rejected row, the
+                # products of repeated shrinking, evaluated on a copy of those
+                # rows at once.
                 sub, elems = rows.take(rejected)
-                t = tau[rejected]
-                point = x[elems] + sub.repeat(t) * step[elems]
-                retry = _phi(sub, point, inv[rejected], _bind_phi(sub, point, rates[elems]))
-                rejected[rejected] = ~(retry >= phi[0, rejected]
-                                       + cfg.backtrack_alpha * t * slope[rejected])
-            spread(tau, t1)
-            np.multiply(t1, step, out=t1)
-            np.add(x, t1, out=trial)
-            reduce_p_dots()
+                at = np.flatnonzero(rejected)
+                fractions = np.full((block + 1, at.size), shrink)
+                fractions[0] = tau[at]
+                fractions = np.multiply.accumulate(fractions)[1:]
+                tried = x[elems] + sub.repeat(fractions) * step[elems]
+                rp = np.stack((rates[elems], p_vec[elems]))
+                tried_dots = np.empty((2, block, at.size))  # (rates, p) . tried
+                reduce_tried = sub.bind_dot(rp[:, None], tried, tried_dots)
+                retry = _phi(sub, tried, inv[at],
+                             _bind_phi(sub, tried, rp[0], rates_dot=lambda: reduce_tried()[0]))
+                done = ((fractions < _MIN_STEP_FRACTION)
+                        | (retry >= phi[0, at] + cfg.backtrack_alpha * fractions * slope[at]))
+                # Each row's first settling fraction, or the block's last one.
+                level = np.where(done.any(axis=0), done.argmax(axis=0), block - 1)
+                cols = np.arange(at.size)
+                tau[at] = fractions[level, cols]
+                trial[elems] = tried[sub.repeat(level), np.arange(sub.size)]
+                p_dot_trial[at] = tried_dots[1, level, cols]
+                rejected[at] = ~done[level, cols]
+                block = min(2 * block, _MAX_BLOCK)
         # The step is constraint-tangent by construction; shave off the
         # accumulated rounding drift so the residual stays at noise level.
-        spread((powers - dots[1, 1]) / p_dot_p, t1)
+        spread((powers - p_dot_trial) / p_dot_p, t1)
         np.multiply(t1, p_vec, out=t1)
         np.add(trial, t1, out=trial)
         np.copyto(x, trial, where=rows.repeat(moving))
@@ -686,9 +728,10 @@ def _solve_rows(uav: np.ndarray, rows: _RaggedRows, rates_raw: np.ndarray,
         if dead.any():
             for g in np.flatnonzero(failed):
                 iterations = cfg.max_newton_iters if it[g] == cfg.max_newton_iters else int(total[g])
-                solved[int(uav[g])] = ConvergenceError(
+                errors[int(uav[g])] = ConvergenceError(
                     int(uav[g]), gammas[rnd[g]], float(decrement[g]), iterations)
             retire(dead)
+    return result, total, final_decrement, errors
 
 
 def newton_refine(c: CandidateSet, alloc: PowerAllocation,
@@ -699,16 +742,22 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     so reselection cannot help them); UAVs with a single candidate have no
     strict-interior point on the constraint plane and are recorded in
     ``pinned``. The others are solved in one lock-step loop over all their
-    candidates. Raises the lowest failing UAV's ConvergenceError when any UAV
+    candidates. A listed UAV's power that is nan, infinite or negative raises
+    ValueError. Raises the lowest failing UAV's ConvergenceError when any UAV
     exhausts max_newton_iters in some barrier round, gives up its line search,
     or meets a degenerate Newton system; pass a list as ``trace`` to collect
     per-iteration rows, in UAV id order (up to and including a failing UAV).
     """
+    powers = np.array([alloc.power[i] for i in c.uavs.tolist()], dtype=float)
+    valid = (powers >= 0.0) & (powers < math.inf)
+    if not valid.all():
+        e = int(np.argmin(valid))
+        raise ValueError(f"allocated power {float(powers[e])!r} of UAV {int(c.uavs[e])} "
+                         "is not finite and nonnegative")
     # Powered rows of one candidate are pinned, and powered rows of two or
     # more are relaxed.
-    powers = np.array([alloc.power[i] for i in c.uavs.tolist()], dtype=float)
     widths = np.diff(c.indptr)
-    powered = ~(powers <= 0.0)
+    powered = powers > 0.0
     pin = powered & (widths == 1)
     relax = powered & (widths > 1)
     elems = np.repeat(relax, widths)
@@ -717,13 +766,13 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
     # The solver takes its rows sorted by width. A stable sort of the
     # elements by their row's width moves whole rows and keeps their order.
     order = np.argsort(width, kind="stable")
-    rates_raw = c.rate[elems][np.argsort(width.repeat(width), kind="stable")]
-    solved: dict[int, tuple[list[float], int, float] | ConvergenceError] = {}
+    by_width = np.argsort(width.repeat(width), kind="stable")
     traces = None if trace is None else []
-    _solve_rows(uav[order], _RaggedRows(width[order]), rates_raw, powers[relax][order],
-                cfg, solved, traces)
+    solved, iterations, decrements, errors = _solve_rows(
+        uav[order], _RaggedRows(width[order]), c.rate[elems][by_width], powers[relax][order],
+        cfg, traces)
 
-    failed = next((i for i in uav.tolist() if isinstance(solved[i], ConvergenceError)), None)
+    failed = min(errors, default=None)
     if traces:
         # Passes arrive in order, so a stable sort by UAV id keeps each UAV's
         # rows in pass order.
@@ -736,22 +785,16 @@ def newton_refine(c: CandidateSet, alloc: PowerAllocation,
                       for i, gamma, k, phi, dec, step, res
                       in zip(*(col[by_uav].tolist() for col in cols))])
     if failed is not None:
-        raise solved[failed]
+        raise errors[failed]
 
-    values: list[float] = []
-    total_iters = 0
-    worst_decrement = 0.0
-    for i in uav.tolist():
-        x, iters, decrement = solved[i]
-        total_iters += iters
-        worst_decrement = max(worst_decrement, decrement)
-        values.extend(x)
+    values = np.empty(solved.size)
+    values[by_width] = solved
     pairs = zip(np.repeat(c.uavs, widths)[elems].tolist(), c.neighbor[elems].tolist())
     return RelaxedLinkMatrix(
-        L_r=dict(zip(pairs, values)),
+        L_r=dict(zip(pairs, values.tolist())),
         barrier_gamma=cfg.final_gamma,
-        iterations=total_iters,
-        final_decrement=worst_decrement,
+        iterations=int(iterations.sum()),
+        final_decrement=max([0.0, *decrements.tolist()]),
         pinned=dict(zip(c.uavs[pin].tolist(), c.neighbor[c.indptr[:-1][pin]].tolist())),
     )
 

@@ -170,6 +170,17 @@ def _tree_sums(table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table.T.copy(), axis=1)
 
 
+def _midpoint_rule(hi: np.ndarray):
+    """The bisection's midpoint, chosen once from the initial bracket tops:
+    ``0.5 * (lo + hi)`` while every ``hi + hi`` is finite, which the
+    brackets keep since they only shrink, else ``lo + 0.5 * (hi - lo)``,
+    which cannot overflow on a finite bracket."""
+    with np.errstate(over="ignore"):
+        if (hi + hi).max() < math.inf:
+            return lambda lo, hi: 0.5 * (lo + hi)
+    return lambda lo, hi: lo + 0.5 * (hi - lo)
+
+
 def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> OracleResult:
     """Throughput of the best relay tree over all valid parent assignments.
 
@@ -189,9 +200,12 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
     unchanged all later ones do too; the loop tests for that every
     ``_SETTLE_CHECK`` steps and stops, and the result is the
     ``_BISECTION_ITERS``-step loop's bit for bit. A bracket holding NaN never
-    compares equal and runs to the cap. A budget near the float range makes
-    the spends and rates overflow to inf, silently, as Python floats do:
-    ``best_value`` is then inf. An admissible link whose gain is not
+    compares equal and runs to the cap. Where a bracket top is so near the
+    float maximum that ``lo + hi`` could overflow, every bracket takes its
+    midpoint as ``lo + 0.5 * (hi - lo)`` (``_midpoint_rule``), so the powers
+    stay finite and within the budget. A budget near the float range makes
+    the rates overflow to inf, silently, as Python floats do: ``best_value``
+    is then inf. An admissible link whose gain is not
     positive and finite, nan included, raises ``link_capacity``'s error.
     Returns the best tree with its powers; ``evaluations`` counts the valid
     trees.
@@ -225,10 +239,11 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
 
     lo = np.min(floors, axis=0)
     hi = np.max(floors, axis=0) + total_budget_w
+    midpoint = _midpoint_rule(hi)
     gap = np.empty_like(floors)
     with np.errstate(over="ignore"):
         for step in range(1, _BISECTION_ITERS + 1):
-            mid = 0.5 * (lo + hi)
+            mid = midpoint(lo, hi)
             np.subtract(mid, floors, out=gap)
             np.maximum(0.0, gap, out=gap)
             over = _tree_sums(gap) > total_budget_w
@@ -236,7 +251,7 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
                 break
             hi = np.where(over, mid, hi)
             lo = np.where(over, lo, mid)
-        water = 0.5 * (lo + hi)
+        water = midpoint(lo, hi)
         powers = np.maximum(0.0, water - floors)
         values = p.bandwidth_B * _tree_sums(np.log2(1.0 + powers / floors))
 

@@ -341,6 +341,25 @@ def test_zero_power_uav_skipped():
     assert 1 not in out.pinned
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf, -1.0])
+def test_refine_rejects_a_power_that_is_not_finite_and_nonnegative(power):
+    # UAV 2 holds the bad power, pinned to one candidate or relaxed over two
+    for rows in ({1: {2: 1.0, 3: 2.0}, 2: {1: 0.5}}, {1: {2: 1.0, 3: 2.0}, 2: {1: 0.5, 4: 1.5}}):
+        a = PowerAllocation(power={1: 1.0, 2: power}, water_level_lambda=1.0,
+                            active_set=(1, 2), throughput_R=0.0)
+        with pytest.raises(ValueError) as ei:
+            newton_refine(simple_candidates(rows), a)
+        assert str(ei.value) == f"allocated power {power!r} of UAV 2 is not finite and nonnegative"
+
+
+def test_refine_huge_finite_power_is_a_convergence_error():
+    # p.p overflows, so the projection onto the constraint plane is lost
+    c = simple_candidates({1: {2: 1.0, 3: 2.0}})
+    with pytest.raises(ConvergenceError) as ei:
+        newton_refine(c, uniform_alloc([1], power=1e300))
+    assert str(ei.value) == "UAV 1: Newton decrement nan after 0 iterations at barrier weight 10"
+
+
 def test_trace_schema_and_monotone_ascent():
     c = simple_candidates({1: {2: 1.7, 3: 0.3, 4: 0.9}})
     trace: list = []

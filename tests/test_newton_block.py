@@ -272,6 +272,27 @@ def outcome(refine, c, alloc, cfg, trace):
 # nu = p.H^-1.g / p.H^-1.p overflows on the way to a converged result.
 @example(table({4: (0.0, 1e-5, 5e-324, 1e-300, 2.2e-311)}, {4: 1e-3},
                gamma_init=1e-300, gamma_growth=1.0, max_newton_iters=1))
+# Tied top rates: the iterate lands on the box boundary, where the longest
+# step inside the box is below _MIN_STEP_FRACTION, and the line search gives
+# up after 12 iterations.
+@example(table({1: (37881151.2, 45097485.8, 68331279.2, 78905767.5, 1e8, 1e8)}, {1: 1.0}))
+# At a decrement target of 1e-14 and barrier weights up to 1e9, Armijo
+# rejects the first halving and every fraction of the 4-, 8- and 16-level
+# blocks, and the line search gives up in the 32-level block.
+@example(table({1: (5e7, 3e7)}, {1: 1.0},
+               epsilon_decrement=1e-14, gamma_init=1e5, gamma_growth=100.0))
+# The same rows beside two more at a shrink of 0.95: UAV 1's last search
+# runs 637 fractions deep before it gives up. In one pass a row settles at
+# its first backtrack while two search on, settling in the 32- and 64-level
+# blocks.
+@example(table({1: (5e7, 3e7), 2: (9e7, 4e7, 6e7), 3: (2e7, 7e7)}, {1: 1.0, 2: 1.0, 3: 0.5},
+               epsilon_decrement=1e-14, gamma_init=1e5, gamma_growth=100.0,
+               backtrack_tau_shrink=0.95))
+# One row settles at its first backtrack, and of the two that search on,
+# one settles in the first block and one in the second.
+@example(table({1: (81216712.3, 72257467.1), 2: (48319700.8, 73289240.5, 80623229.6, 14070729.2),
+                3: (62286735.2, 70111532.1, 55574918.7, 29952018.4)}, {1: 1e-3, 2: 1.0, 3: 1e-3},
+               epsilon_decrement=1e-12, backtrack_alpha=0.1, backtrack_tau_shrink=0.95))
 def test_block_solver_matches_scalar_reference(instance):
     c, alloc, cfg = instance
     want, want_trace, _ = outcome(typed_reference, c, alloc, cfg, [])

@@ -320,15 +320,24 @@ def loop_grid_power_oracle(tree, t, total_budget_w, p, resolution=1e-3):
 
 
 def fixed_bisection(floors, total_budget_w, iters=200):
+    """The brackets after ``iters`` steps, and the water level between them.
+    Every midpoint is 0.5 * (lo + hi) unless some initial hi + hi overflows;
+    then each is lo + 0.5 * (hi - lo)."""
     lo = np.min(floors, axis=1)
     hi = np.max(floors, axis=1) + total_budget_w
+    with np.errstate(over="ignore"):
+        halve_sum = bool(np.isfinite(hi + hi).all())
+
+    def midpoint(lo, hi):
+        return 0.5 * (lo + hi) if halve_sum else lo + 0.5 * (hi - lo)
+
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
+        mid = midpoint(lo, hi)
         spent = np.sum(np.maximum(0.0, mid[:, None] - floors), axis=1)
         over = spent > total_budget_w
         hi = np.where(over, mid, hi)
         lo = np.where(over, lo, mid)
-    return lo, hi
+    return lo, hi, midpoint(lo, hi)
 
 
 def tree_floors(t, p):
@@ -353,8 +362,7 @@ def tree_floors(t, p):
 
 def loop_tree_enum_oracle(t, total_budget_w, p):
     trees, floors = tree_floors(t, p)
-    lo, hi = fixed_bisection(floors, total_budget_w)
-    water = 0.5 * (lo + hi)
+    _, _, water = fixed_bisection(floors, total_budget_w)
     powers = np.maximum(0.0, water[:, None] - floors)
     values = p.bandwidth_B * np.sum(np.log2(1.0 + powers / floors), axis=1)
 
@@ -448,8 +456,8 @@ def test_ring_of_eight_sums_pairwise():
     # spends differs from numpy's sum of the tree's row
     t, budget = RING_OF_EIGHT
     _, floors = tree_floors(t, toy_params())
-    lo, hi = fixed_bisection(floors, budget)
-    gap = np.maximum(0.0, 0.5 * (lo + hi)[:, None] - floors)
+    _, _, water = fixed_bisection(floors, budget)
+    gap = np.maximum(0.0, water[:, None] - floors)
     running = functools.reduce(np.add, gap.T)
     assert floors.shape[1] == 8
     assert not np.array_equal(running, np.sum(gap, axis=1))
@@ -466,6 +474,20 @@ def test_tree_enum_huge_budget_is_infinite_without_warning():
         assert res.best_value == math.inf
         with np.errstate(over="ignore"):
             assert repr(res) == repr(loop_tree_enum_oracle(t, budget, ChannelParams()))
+
+
+def test_tree_enum_budget_at_float_max_gives_finite_powers():
+    # lo + hi would overflow here, so the bisection halves the bracket width
+    t = synth_topology([{2: 1e-7, 3: 2e-7}, {1: 3e-7, 3: 5e-8}])
+    budget = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = tree_enum_oracle(t, budget, ChannelParams())
+    powers = list(res.best_configuration["powers"].values())
+    assert all(0.0 <= p < math.inf for p in powers)
+    assert math.fsum(p / 2.0 for p in powers) <= (budget / 2.0) * (1.0 + 1e-12)
+    with np.errstate(over="ignore"):
+        assert repr(res) == repr(loop_tree_enum_oracle(t, budget, ChannelParams()))
 
 
 def test_validate_instances_bit_identical():
