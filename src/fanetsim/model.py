@@ -302,14 +302,17 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
 
     if mode not in _DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {mode!r}; use one of {_DISTANCE_MODES}")
-    # Pairwise distances UAV row i to node column j, summed axis by axis in
-    # the order distance() uses. A length beyond the float range is inf, as
-    # in distance(), and so out of range.
+    # Pairwise distances UAV row i to node column j, dx*dx + dy*dy (+ dz*dz)
+    # summed in the order distance() uses. A length beyond the float range
+    # is inf, as in distance(), and so out of range.
     axes = ("x", "y") if mode == "planar" else ("x", "y", "z")
-    d = np.zeros((n, n + 1))
+    x = coords["x"]
+    d = np.empty((n, n + 1))
     delta = np.empty((n, n + 1))
     with np.errstate(over="ignore"):
-        for axis in axes:
+        np.subtract(x[:n, None], x, out=d)
+        np.multiply(d, d, out=d)
+        for axis in axes[1:]:
             coord = coords[axis]
             np.subtract(coord[:n, None], coord, out=delta)
             np.multiply(delta, delta, out=delta)

@@ -203,10 +203,12 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
     compares equal and runs to the cap. Where a bracket top is so near the
     float maximum that ``lo + hi`` could overflow, every bracket takes its
     midpoint as ``lo + 0.5 * (hi - lo)`` (``_midpoint_rule``), so the powers
-    stay finite and within the budget. A budget near the float range makes
-    the rates overflow to inf, silently, as Python floats do: ``best_value``
-    is then inf. An admissible link whose gain is not
-    positive and finite, nan included, raises ``link_capacity``'s error.
+    stay finite and within the budget. A link whose noise floor overflows
+    to inf gets no power, and a tree whose floors all overflow scores 0.0.
+    A budget near the float range makes the rates overflow to inf,
+    silently, as Python floats do: ``best_value`` is then inf. An admissible
+    link whose gain is not positive and finite, nan included, raises
+    ``link_capacity``'s error.
     Returns the best tree with its powers; ``evaluations`` counts the valid
     trees.
     """
@@ -234,11 +236,15 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
     trees = parents[mask]
 
     # Noise floor of each link, in power units, link-major and C-ordered:
-    # floors[i - 1, r] = sigma^2 B / h for UAV i's link in tree r.
-    floors = p.noise_power / t.gains[np.arange(n)[:, None], trees.T.copy() - 1]
+    # floors[i - 1, r] = sigma^2 B / h for UAV i's link in tree r. A floor
+    # that overflows to inf takes no power at any finite level.
+    with np.errstate(over="ignore"):
+        floors = p.noise_power / t.gains[np.arange(n)[:, None], trees.T.copy() - 1]
 
-    lo = np.min(floors, axis=0)
-    hi = np.max(floors, axis=0) + total_budget_w
+    # Each bracket tops out above the tree's finite floors; a tree with none
+    # gets the empty bracket [P_b, P_b] and spends nothing.
+    hi = np.max(floors, axis=0, where=floors < math.inf, initial=0.0) + total_budget_w
+    lo = np.minimum(np.min(floors, axis=0), hi)
     midpoint = _midpoint_rule(hi)
     gap = np.empty_like(floors)
     with np.errstate(over="ignore"):

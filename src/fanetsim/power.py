@@ -10,12 +10,14 @@ each pass clamps a suffix of the active prefix to zero and recomputes lambda.
 Where the floors dwarf the budget, B/lambda - f_i would cancel the budget
 against them, so there the floors are measured from the lowest one, f_1:
 P_i = (P_b + sum_j (f_j - f_1)) / m - (f_i - f_1), the same quantity.
+A link so weak that its floor overflows to inf gets 0.0 W.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +89,13 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     order = sorted(uavs, key=floor.__getitem__)
     floors = [floor[i] for i in order]
     level_terms = [p.noise_density_sigma2 / gain[i] for i in order]
-    if not (total_budget_w >= sys.float_info.min and floors[0] < math.inf):
+    # Floors that overflow to inf sort last; no finite water level reaches
+    # them, so their links start clamped.
+    m = bisect_left(floors, math.inf)
+    if not (total_budget_w >= sys.float_info.min and m):
         raise AllocationError(f"a budget of {total_budget_w!r} W against a lowest noise "
                               f"floor of {floors[0]!r} W leaves the normal float range")
 
-    m = len(order)
     while True:
         denominator = total_budget_w / p.bandwidth_B + _fsum(level_terms[:m])
         water_level = m / denominator if denominator > 0.0 else math.inf

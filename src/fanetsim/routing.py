@@ -1,29 +1,34 @@
 """Shortest-path relay tree rooted at the ground station.
 
-The paper builds this tree with Bellman-Ford. Here the admissible link
-weights (link length or one hop) fill a dense n x (n+1) matrix, with inf
-where a link is inadmissible, and an O(n^2) Dijkstra settles one node per
-step from the ground station. Each step takes the unsettled node u of least
-tentative distance (argmin over a key vector that holds inf for settled
-nodes), adds dist[u] and a 0/inf penalty that keeps settled UAVs out to the
-weights of the links into u (row u of a transposed copy, read contiguously),
-and lowers the keys to that sum with one in-place minimum. Each UAV's parent
-is then the argmin of dist[j] + w[i, j] over the nodes settled before it.
+The paper builds this tree with Bellman-Ford, and so does build_spt, in
+synchronous rounds over the admissible links. The links are the incidence
+matrix's nonzeros in row-major order, so each UAV's links form one run in
+ascending node id. A round gathers dist[j] at the far end of every link,
+adds the link's weight (its length, or 1.0 for hops) and lowers each UAV to
+the least sum of its run with one np.minimum.reduceat. Rounds stop at the
+first that lowers nothing. Round k reaches the UAVs whose least-cost paths
+have k links, so there is one round more than the most links on such a
+path: a handful on the paper's layouts, a few dozen at n=1000, at most n+1.
 
-The distances are Bellman-Ford's bit for bit. Float addition of a
-nonnegative weight is monotone and never decreases a sum, so both algorithms
-reach the same floating-point minimum over paths summed outward from the
-ground station. argmin returns the first of equal costs, which is the same
-lowest-id tie-break as a strict-less scan in id order, so the parents are
-Bellman-Ford's too wherever no link weight vanishes in dist[j] + w[i, j]:
-a tight predecessor j then lies strictly closer than i and settled before it.
-Where a weight does vanish (two UAVs a few ulps of distance apart), two
-equally distant UAVs are tight for each other, and the lowest-id rule could
-make each the other's parent; taking parents only among earlier-settled
-nodes keeps the map a tree.
+The distances are the same floats in any Bellman-Ford or Dijkstra order.
+Float addition of a nonnegative weight is monotone and never decreases a
+sum, so every order reaches the same floating-point minimum over paths
+summed outward from the ground station, each sum dist[j] + w[i, j].
+
+Each UAV's parent is its lowest-id tight link (dist[j] + w[i, j] ==
+dist[i]) to a node strictly closer than itself. When the lightest link
+weight exceeds np.spacing of the largest path cost, no weight vanishes in a
+sum, so every tight link leads strictly closer and the parent is the
+lowest-id tight link. Otherwise (two UAVs a few ulps of distance apart) two
+equally distant UAVs can be tight for each other, and the lowest-id rule
+could make each the other's parent. There an O(n^2) Dijkstra runs for its
+settle order alone, and the parent is the lowest-id tight link to a node
+settled earlier, which keeps the map a tree. Where no weight vanishes the
+two rules agree, since a tight node is then strictly closer and so settled
+earlier.
 
 path_costs sums outward too, cost[i] = cost[parent[i]] + w[i, parent[i]],
-along the parent map's preorder. The argmin attains dist[i], so on the
+along the parent map's preorder. Every parent link is tight, so on the
 tree's own parent map it returns the tree's path costs bit for bit.
 """
 
@@ -91,50 +96,86 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     if weight not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
     n = t.n_uavs
-    # w[v, u]: weight of the link UAV v -> node u (index = id - 1), inf if
-    # inadmissible; the ground station is column n.
-    w = np.where(t.incidence != 0, 1.0 if weight == "hops" else t.distances, np.inf)
-    into = np.ascontiguousarray(w.T)  # into[u]: weights of the links into node u
+    # The admissible links UAV rows[k] -> node cols[k] (index = id - 1, the
+    # ground station is n), row-major: each UAV's links are one run, in
+    # ascending node id, from one of ``starts`` to the next. numpy finds the
+    # nonzeros of a bool array several times faster than of an int8 one.
+    links = t.incidence.astype(bool, copy=False).ravel().nonzero()[0]
+    rows, cols = np.divmod(links, n + 1)
+    if weight == "hops":
+        w = lightest = 1.0
+    else:
+        w = t.distances.take(links)
+        lightest = w.min(initial=np.inf)
+    first = np.empty(links.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    # A UAV without links keeps dist inf; the rounds write the others.
+    linked = slice(n) if starts.size == n else rows[starts]
 
+    # A round sets each dist[i] to the least dist[j] + w over i's links, from
+    # the last round's dist. That never rises (it starts at inf, and float
+    # addition is monotone), so it needs no minimum with the old value. No
+    # distance is -0.0 or nan, so equal bytes are equal values.
     dist = np.full(n + 1, np.inf)
-    key = dist.copy()  # tentative dist of unsettled nodes, inf once settled
-    key[n] = 0.0
-    uav_key = key[:n]
-    closed = np.zeros(n)  # inf on settled UAVs, so no relaxation reopens them
-    via = np.empty(n)
-    rank = np.empty(n + 1, dtype=np.intp)  # settle order
-    for step in range(n + 1):
-        u = int(key.argmin())
-        d = key[u]
-        if d == np.inf:
+    dist[n] = 0.0
+    while True:
+        via = dist[cols] + w
+        lowest = np.minimum.reduceat(via, starts)
+        if lowest.tobytes() == dist[linked].tobytes():
             break
-        rank[u] = step
-        dist[u] = d
-        key[u] = np.inf
-        if u < n:
-            closed[u] = np.inf
-        np.add(into[u], closed, out=via)
-        via += d
-        np.minimum(uav_key, via, out=uav_key)
+        dist[linked] = lowest
 
-    stranded = np.flatnonzero(dist[:n] == np.inf) + 1
-    if stranded.size:
+    top = dist.max()
+    if top == np.inf:
+        stranded = np.flatnonzero(dist[:n] == np.inf) + 1
         raise DisconnectedTopologyError(stranded.tolist())
 
-    # A parent must have settled before its child. Where weights do not
-    # vanish in dist + w this excludes no tight predecessor, which then lies
-    # strictly closer; where one does, it breaks the tie that would let two
-    # equally distant UAVs parent each other.
-    np.add(w, dist, out=w)
-    np.putmask(w, rank >= rank[:n, None], np.inf)
-    # argmin keeps the first minimum, so ties go to the lowest node id.
-    parent = np.argmin(w, axis=1) + 1
+    # The last round changed nothing, so via holds dist[j] + w on every link.
+    tight = via == dist[rows]
+    if not lightest > np.spacing(top):
+        settled = _settle_order(n, rows, cols, w)
+        tight &= settled[cols] < settled[rows]
+    # The lowest-id tight link of each run; every UAV has one.
+    parent = np.minimum.reduceat(np.where(tight, cols, n), starts) + 1
     ids = t.uav_ids
     return RoutingTree(
         parent=dict(zip(ids, parent.tolist())),
         path_cost=dict(zip(ids, dist[:n].tolist())),
         weight=weight,
     )
+
+
+def _settle_order(n: int, rows: np.ndarray, cols: np.ndarray, w) -> np.ndarray:
+    """The step at which an O(n^2) Dijkstra settles each node (index = id -
+    1) of a connected topology, from the ground station (index n).
+
+    Each step takes the unsettled node u of least tentative distance (argmin
+    over a key vector that holds inf for settled nodes), adds its distance
+    and a 0/inf penalty that keeps settled UAVs out to the weights of the
+    links into u (row u of a dense n+1 x n matrix), and lowers the keys to
+    that sum with one in-place minimum.
+    """
+    into = np.full((n + 1, n), np.inf)  # into[u, v]: weight of the link v -> u
+    into[cols, rows] = w
+    key = np.full(n + 1, np.inf)  # tentative dist of unsettled nodes, inf once settled
+    key[n] = 0.0
+    uav_key = key[:n]
+    closed = np.zeros(n)  # inf on settled UAVs, so no relaxation reopens them
+    via = np.empty(n)
+    rank = np.empty(n + 1, dtype=np.intp)
+    for step in range(n + 1):
+        u = int(key.argmin())
+        d = key[u]
+        rank[u] = step
+        key[u] = np.inf
+        if u < n:
+            closed[u] = np.inf
+        np.add(into[u], closed, out=via)
+        via += d
+        np.minimum(uav_key, via, out=uav_key)
+    return rank
 
 
 def parent_link_values(values: np.ndarray, parent: dict[int, int], uavs: list[int]) -> list[float]:

@@ -291,9 +291,12 @@ def test_exit_code_degenerate_channel(capsys):
     # holds the whole budget, and its rate rounds to zero.
     assert main(["run", *area, "--pathloss-beta", "85"]) == 0
     assert main(["run", *BASE, "--pathloss-beta", "85"]) == 0
+    # At a noise density of 100 dBm/Hz as well, some floors overflow to inf
+    # W; those links get 0.0 W rather than overflowing the water level.
+    assert main(["run", *area, "--pathloss-beta", "85", "--noise-dbm-hz", "100"]) == 0
     out = capsys.readouterr().out
-    assert out.count("throughput_p11_bps   0.000000e+00") == 2
-    assert out.count("throughput_p14_bps   0.000000e+00") == 2
+    assert out.count("throughput_p11_bps   0.000000e+00") == 3
+    assert out.count("throughput_p14_bps   0.000000e+00") == 3
     assert main(["sweep", *area, "--trials", "1", "--pathloss-beta", "100"]) == EXIT_DISCONNECTED
     # a huge threshold keeps every link whose gain is positive
     assert main(["run", *area, "--d-th", "1e300"]) == 0

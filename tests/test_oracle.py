@@ -490,6 +490,22 @@ def test_tree_enum_budget_at_float_max_gives_finite_powers():
         assert repr(res) == repr(loop_tree_enum_oracle(t, budget, ChannelParams()))
 
 
+def test_tree_enum_infinite_noise_floors_take_no_power():
+    # The 5e-324 links' noise floors overflow to inf. They used to warn
+    # ("overflow encountered in divide") and make the best value nan; now
+    # such a link takes no power, and a tree of only such links scores 0.0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = tree_enum_oracle(synth_topology([{2: 5e-324, 3: 1e-7}, {1: 5e-324, 3: 1e-7}]),
+                               1.0, ChannelParams())
+        assert res.best_value == 405206819.1194628
+        assert res.best_configuration == {"parent": {1: 3, 2: 3}, "powers": {1: 0.5, 2: 0.5}}
+        assert res.evaluations == 3
+        res = tree_enum_oracle(synth_topology([{3: 5e-324}, {3: 5e-324}]), 1.0, ChannelParams())
+        assert res.best_value == 0.0
+        assert res.best_configuration["powers"] == {1: 0.0, 2: 0.0}
+
+
 def test_validate_instances_bit_identical():
     # validate's own draws: n = 2-3 grid checks and n = 5 scenarios
     rng = np.random.default_rng(41)

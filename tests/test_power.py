@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.model import ChannelParams, link_capacity
+from fanetsim.oracle import grid_power_oracle
 from fanetsim.power import (
     CLAMP_TOLERANCE,
     FLOOR_RATIO,
@@ -249,6 +250,25 @@ def test_budget_swamped_by_noise_floors():
     assert a.active_set == (best,)
     assert a.power[best] == 1.0
     assert math.fsum(a.power.values()) == 1.0
+
+
+def test_infinite_noise_floor_gets_no_power():
+    # UAV 1's gain of 5e-324 makes its noise floor overflow to inf; it used
+    # to enter the first pass and overflow the water level. It now starts
+    # clamped at 0.0 W, and the split is the grid oracle's.
+    t = synth_topology([{3: 5e-324}, {3: 1e-7}])
+    p = ChannelParams()
+    a = allocate_power(star_tree(2), t, 1.0, p)
+    assert a.power == {1: 0.0, 2: 1.0}
+    assert a.active_set == (2,)
+    assert a.throughput_R == 212603403.8162624
+    assert a.throughput_R == grid_power_oracle(star_tree(2), t, 1.0, p).best_value
+
+
+def test_all_infinite_noise_floors_still_raise():
+    t = synth_topology([{3: 5e-324}, {3: 5e-324}])
+    with pytest.raises(AllocationError, match="lowest noise floor of inf W"):
+        allocate_power(star_tree(2), t, 1.0, ChannelParams())
 
 
 @st.composite

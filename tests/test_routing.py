@@ -11,6 +11,7 @@ from fanetsim.harness import ScenarioConfig, generate_scenario
 from fanetsim.model import GROUND_STATION, UAV, ChannelParams, Node, build_topology
 from fanetsim.routing import DisconnectedTopologyError, build_spt, validate_tree
 from fanetsim.routing import RoutingTree, TreeValidationReport, _is_tree
+from fanetsim import routing
 
 from conftest import chain_gains, random_cluster_topology, synth_topology
 
@@ -418,10 +419,26 @@ def spt_layouts(draw):
     return nodes, mode, draw(st.floats(1500.0, 40000.0))
 
 
+# 40 UAVs 1 km apart on a line from the ground station, with a 1.5 km
+# threshold: UAV i is i links out, so the rounds run 41 times.
+COLLINEAR_CHAIN = ([Node(i, 1000.0 * i, 0.0, 150.0, UAV) for i in range(1, 41)]
+                   + [Node(41, 0.0, 0.0, 0.0, GROUND_STATION)], "planar", 1500.0)
+# UAVs 1 and 2 lie 1e-12 m apart, both 100 m from the ground station, and a
+# chain runs on to 9,900 m. The lightest link (1e-12 m) is below the spacing
+# of the largest path cost (1.8e-12 at 9,900 m) but does not vanish at 100 m,
+# so it is tight nowhere, yet the parents come from the settle order.
+LIGHT_UNTIGHT_LINK = ([Node(1, 100.0, 0.0, 150.0, UAV), Node(2, 100.0, 1e-12, 150.0, UAV)]
+                      + [Node(2 + k, 100.0 + 1400.0 * k, 0.0, 150.0, UAV) for k in range(1, 8)]
+                      + [Node(10, 0.0, 0.0, 0.0, GROUND_STATION)], "planar", 1500.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(spt_layouts(), st.sampled_from(["distance", "hops"]))
 @example(([Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 0.0, 3.27e-24, 150.0, UAV),
            Node(3, 0.0, 0.0, 0.0, GROUND_STATION)], "3d", 1500.0), "distance")
+@example(COLLINEAR_CHAIN, "distance")
+@example(COLLINEAR_CHAIN, "hops")
+@example(LIGHT_UNTIGHT_LINK, "distance")
 def test_build_spt_matches_the_column_scan(layout, weight):
     nodes, mode, d_th = layout
     try:
@@ -431,8 +448,35 @@ def test_build_spt_matches_the_column_scan(layout, weight):
     assert_same_spt(t, weight)
 
 
+def counted_settle_order(monkeypatch):
+    calls = []
+    settle_order = routing._settle_order
+
+    def counted(*args):
+        calls.append(args)
+        return settle_order(*args)
+
+    monkeypatch.setattr(routing, "_settle_order", counted)
+    return calls
+
+
+@pytest.mark.parametrize("layout, settles", [(COLLINEAR_CHAIN, 0), (LIGHT_UNTIGHT_LINK, 1)],
+                         ids=["collinear_chain", "light_untight_link"])
+def test_settle_order_runs_only_where_a_weight_may_vanish(layout, settles, monkeypatch):
+    nodes, mode, d_th = layout
+    t = build_topology(nodes, ChannelParams(link_threshold_dth=d_th), mode=mode)
+    calls = counted_settle_order(monkeypatch)
+    build_spt(t)
+    assert len(calls) == settles
+    build_spt(t, weight="hops")  # a hop never vanishes in a sum
+    assert len(calls) == settles
+
+
 @pytest.mark.parametrize("weight", ["distance", "hops"])
-def test_build_spt_matches_the_column_scan_at_n1000(weight):
-    t = generate_scenario(ScenarioConfig(n_uavs=1000, area_side=90000.0,
+@pytest.mark.parametrize("n, area_side", [(200, 40000.0), (1000, 90000.0)])
+def test_build_spt_matches_the_column_scan_at_scale(n, area_side, weight, monkeypatch):
+    t = generate_scenario(ScenarioConfig(n_uavs=n, area_side=area_side,
                                          min_separation=300.0, seed=0))
+    calls = counted_settle_order(monkeypatch)
     assert_same_spt(t, weight)
+    assert not calls
