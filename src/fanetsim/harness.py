@@ -47,7 +47,8 @@ AGGREGATE_CSV_HEADER = ",".join(_AGGREGATE_COLUMNS)
 
 # Distinct draws of a single coordinate before a layout attempt is abandoned.
 _POINT_TRIES = 200
-# Placement draws per batch; draws a batch does not use are rewound.
+# Placement draws per batch beyond the UAVs still to place; draws a batch
+# does not use are rewound.
 _BATCH = 32
 # Squared separations within this relative distance of the threshold are
 # decided again with libm pow (see _far_enough).
@@ -215,68 +216,101 @@ def _far_enough(dx: np.ndarray, dy: np.ndarray, min_sep_sq: float) -> np.ndarray
     return far
 
 
+def _close_pairs(x: np.ndarray, y: np.ndarray, min_separation: float, min_sep_sq: float,
+                 first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j and j >= first, of points that _far_enough
+    calls too close at min_sep_sq (min_separation**2), ordered by j.
+
+    Only pairs within a reach of min_separation in x, widened by _SEP_BAND,
+    are tested: a stable sort by x and one searchsorted list them (sweep and
+    prune). The window misses no clash. A float above fl(x + reach) is above
+    x + reach, so a pair left out lies at least min_separation apart in x,
+    its rounded difference too; libm pow is monotone, so its square alone
+    reaches min_sep_sq and _far_enough calls the pair far. With min_sep_sq
+    of 0.0 every pair is far.
+    """
+    if min_sep_sq == 0.0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    with np.errstate(over="ignore"):  # an end past the float range is inf: no bound
+        ends = np.searchsorted(sx, sx + min_separation * (1.0 + _SEP_BAND), side="right")
+    # Sorted position p pairs with positions p + 1 .. ends[p] - 1.
+    counts = ends - np.arange(1, x.size + 1)
+    last = np.cumsum(counts)
+    a = np.repeat(order, counts)
+    b = order[np.arange(last[-1]) + np.repeat(ends - last, counts)]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    keep = j >= first
+    i, j = i[keep], j[keep]
+    near = ~_far_enough(x[j] - x[i], y[j] - y[i], min_sep_sq)
+    i, j = i[near], j[near]
+    by_j = np.argsort(j, kind="stable")
+    return i[by_j], j[by_j]
+
+
 def _sample_connected(cfg: ScenarioConfig) -> tuple[Topology, int]:
     """Draw layouts until one is separated and GS-connected; returns attempts used.
 
     UAV k takes the first uniform draw at least min_separation from UAVs
-    1..k-1, with at most _POINT_TRIES draws per UAV. Draws are made _BATCH
-    points at a time: the leading draws too close to a placed UAV are
-    rejected tries, the next draw is placed, and so are the draws after it
-    up to the first one too close to a placed UAV or to an earlier placed
-    draw of the batch, which is rejected. The stream is then rewound to just
-    after the last draw used, so every layout is the one that drawing one
-    point at a time gives.
+    1..k-1, with at most _POINT_TRIES draws per UAV. Draws are made in
+    batches of the UAVs still to place plus _BATCH more. Each batch is
+    checked against the placed UAVs and itself on the pairs that
+    _close_pairs finds within min_separation in x, a window that misses no
+    pair _far_enough calls too close. Its clashes are settled greedily in
+    draw order: a draw is rejected when it is too close to a placed UAV or
+    to an earlier accepted draw of the batch. The runs of rejected draws
+    between accepted ones are the tries, and the first run that reaches
+    _POINT_TRIES ends the attempt. The stream is then rewound to just after
+    the last draw used, so every layout is the one that drawing one point
+    at a time gives.
     """
     n = cfg.scalar_n()
     rng = np.random.default_rng(cfg.seed)
     bitgen = rng.bit_generator
     gs_x, gs_y = _gs_position(cfg)
     min_sep_sq = cfg.min_separation**2
-    xs = np.empty(n)
-    ys = np.empty(n)
+    # The placed UAVs, then the batch: together always n + _BATCH points.
+    xs = np.empty(n + _BATCH)
+    ys = np.empty(n + _BATCH)
 
     for attempt in range(1, cfg.placement_retry_budget + 1):
         k = 0  # UAVs placed
         tries = 0  # rejected draws for UAV k
         while k < n and tries < _POINT_TRIES:
             state = bitgen.state
-            bx, by = rng.uniform(0.0, cfg.area_side, size=2 * _BATCH).reshape(_BATCH, 2).T
-            clear = _far_enough(bx[:, None] - xs[:k], by[:, None] - ys[:k], min_sep_sq).all(axis=1)
-            first = int(np.argmax(clear)) if clear.any() else _BATCH
-            if tries + first >= _POINT_TRIES:
-                used = _POINT_TRIES - tries
+            size = n - k + _BATCH
+            draws = rng.uniform(0.0, cfg.area_side, size=2 * size)
+            xs[k:] = draws[0::2]
+            ys[k:] = draws[1::2]
+            earlier, later = _close_pairs(xs, ys, cfg.min_separation, min_sep_sq, k)
+            rejected = bytearray(size)
+            for i, j in zip(earlier.tolist(), later.tolist()):
+                if i < k or not rejected[i - k]:
+                    rejected[j - k] = True
+            # Stops: the draw before the batch that UAV k's tries go back to,
+            # the accepted draws, and the batch's end while UAVs are left to
+            # place. The rejected draws between two stops are one run of tries.
+            accepted = np.flatnonzero(~np.frombuffer(rejected, dtype=bool))[:n - k]
+            stops = np.concatenate(([-1 - tries], accepted, [size][:n - k - accepted.size]))
+            runs = stops[1:] - stops[:-1] - 1
+            over = np.flatnonzero(runs >= _POINT_TRIES)
+            if over.size:
+                used = int(stops[over[0]]) + 1 + _POINT_TRIES
                 tries = _POINT_TRIES
-            elif first == _BATCH:
-                used = _BATCH
-                tries += _BATCH
             else:
-                # Draws first.. are placed while each clears the placed UAVs
-                # and the batch's earlier placed draws.
-                bx, by = bx[first:], by[first:]
-                clash = ~_far_enough(bx[:, None] - bx, by[:, None] - by, min_sep_sq)
-                ok = clear[first:] & ~np.tril(clash, -1).any(axis=1)
-                placed = int(np.argmin(ok)) if not ok.all() else ok.size
-                if placed >= n - k:
-                    placed = n - k
-                    used = first + placed
-                elif placed < ok.size:
-                    used = first + placed + 1
-                    tries = 1
-                else:
-                    used = _BATCH
-                    tries = 0
-                xs[k:k + placed] = bx[:placed]
-                ys[k:k + placed] = by[:placed]
-                k += placed
-            if used < _BATCH:
+                xs[k:k + accepted.size] = xs[k + accepted]
+                ys[k:k + accepted.size] = ys[k + accepted]
+                k += accepted.size
+                used = int(stops[-1]) + 1 if k == n else size
+                tries = int(runs[-1])
+            if used < size:
                 bitgen.state = state
                 bitgen.advance(2 * used)
         if k < n:
             continue
-        nodes = [
-            Node(id=i + 1, x=xs[i], y=ys[i], z=cfg.altitude_H, role=UAV)
-            for i in range(n)
-        ]
+        nodes = [Node(i, x, y, cfg.altitude_H, UAV)
+                 for i, (x, y) in enumerate(zip(xs[:n], ys[:n]), 1)]
         nodes.append(Node(id=n + 1, x=gs_x, y=gs_y, z=0.0, role=GROUND_STATION))
         try:
             topo = build_topology(nodes, cfg.channel)

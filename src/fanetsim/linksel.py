@@ -292,8 +292,10 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
         )
     # k is a candidate of i when the link is admissible, k is not i's parent,
     # and k lies outside i's subtree: not tin[i] <= tin[k] < tout[i]. The
-    # nonzero entries come row by row, columns ascending.
-    row_of, cols = np.nonzero(t.incidence[rows])
+    # nonzero entries come row by row, columns ascending. numpy finds the
+    # nonzeros of a bool array several times faster than of an int8 one.
+    row_of, cols = np.divmod(
+        t.incidence[rows].astype(bool, copy=False).ravel().nonzero()[0], t.n_uavs + 1)
     at = rows[row_of]
     parent_col = np.array([tree.parent[i] for i in powered])[row_of] - 1
     keep = ((tin[cols] < tin[at]) | (tin[cols] >= tout[at])) & (cols != parent_col)

@@ -17,6 +17,7 @@ from fanetsim.harness import (
     _POINT_TRIES,
     PlacementError,
     ScenarioConfig,
+    _close_pairs,
     _connected_to_gs,
     _far_enough,
     _gs_position,
@@ -123,7 +124,8 @@ def _run(sampler, cfg):
 # n=30 on 3 km at 500 m and n=60 on 6 km at 700 m pack the square so tightly
 # that UAVs exhaust their tries; 6 UAVs on 15 km often need several attempts
 # to reach the ground station, and 26 on 3 km succeed after exhausted
-# attempts; min_separation=0 accepts every draw.
+# attempts; min_separation=0 accepts every draw; n=1000 on 90 km places
+# most of its UAVs in one batch.
 PLACEMENTS = [
     dict(n_uavs=30, area_side=3000.0, min_separation=500.0, placement_retry_budget=2),
     dict(n_uavs=60, area_side=6000.0, min_separation=700.0, placement_retry_budget=2),
@@ -132,6 +134,7 @@ PLACEMENTS = [
     dict(n_uavs=25, area_side=20000.0, min_separation=500.0),
     dict(n_uavs=200, area_side=40000.0, min_separation=300.0),
     dict(n_uavs=40, area_side=30000.0, min_separation=0.0, placement_retry_budget=3),
+    dict(n_uavs=1000, area_side=90000.0, min_separation=300.0),
 ]
 
 
@@ -154,6 +157,77 @@ def test_placement_cases_cover_retries_and_exhaustion():
     assert sum(isinstance(got, PlacementError) for got in exhausted) >= 3
     for fields in PLACEMENTS[2:4]:
         assert max(got[1] for got in outcomes(fields) if not isinstance(got, Exception)) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), area_side=st.floats(500.0, 30000.0),
+       spacing=st.floats(0.0, 0.6), budget=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_batched_placement_equals_sequential_draws_on_free_draws(n, area_side, spacing,
+                                                                  budget, seed):
+    # Separations up to 0.6 of the side exhaust the tries of a UAV within
+    # one batch or across several; sides beyond the link threshold leave
+    # layouts unconnected until the retry budget runs out.
+    cfg = ScenarioConfig(n_uavs=n, area_side=area_side, min_separation=spacing * area_side,
+                         placement_retry_budget=budget, seed=seed, trials=1)
+    want = _run(reference_sample_connected, cfg)
+    assert _layout(_run(_sample_connected, cfg)) == _layout(want)
+
+
+def _ulps(values, steps):
+    """Each value moved by its own number of ulps (negative: downward)."""
+    out = np.array(values, dtype=float)
+    for step in range(1, int(np.abs(steps).max(initial=0)) + 1):
+        out = np.where(steps >= step, np.nextafter(out, math.inf), out)
+        out = np.where(steps <= -step, np.nextafter(out, -math.inf), out)
+    return out
+
+
+@st.composite
+def window_edges(draw):
+    """Points whose partners sit within a few ulps of min_separation in x."""
+    area_side = draw(st.sampled_from([1e4, 3000.0, 9000.0]))
+    min_sep = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-162),  # squares that underflow to 0.0, subnormals too
+        st.floats(1e-170, 1e-150),  # squares that are subnormal, not 0.0
+        st.just(1e-10),
+        st.floats(0.0, area_side, exclude_max=True),
+        st.just(float(np.nextafter(area_side, 0.0))),
+        st.floats(0.9 * area_side, area_side, exclude_max=True),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 40))
+    # Anchors anywhere, or just below 4096 and 8192 so that a partner's x
+    # lies in the next binade.
+    x = rng.uniform(0.0, area_side, m)
+    straddle = rng.random(m) < 0.3
+    x[straddle] = rng.choice([4096.0, 8192.0], straddle.sum()) - rng.random(straddle.sum()) * min_sep
+    y = rng.uniform(0.0, area_side, m)
+    # Partners at x +- min_separation moved by -4..+4 ulps, at the same y,
+    # a few ulps off it, or anywhere within the separation; or at the same x.
+    sign = rng.choice([-1.0, 1.0], m)
+    px = _ulps(x + sign * min_sep, rng.integers(-4, 5, m))
+    same_x = rng.random(m) < 0.2
+    px[same_x] = x[same_x]
+    kind = rng.integers(0, 3, m)
+    py = np.where(kind == 0, y, _ulps(y, rng.integers(-4, 5, m)))
+    py = np.where(kind == 2, y + rng.uniform(-1.5, 1.5, m) * min_sep, py)
+    order = rng.permutation(2 * m)
+    xs, ys = np.concatenate((x, px))[order], np.concatenate((y, py))[order]
+    return xs, ys, min_sep, draw(st.integers(0, 2 * m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_edges())
+def test_close_pairs_equal_the_dense_separation_test(case):
+    x, y, min_sep, first = case
+    min_sep_sq = min_sep**2
+    clash = ~_far_enough(x[:, None] - x, y[:, None] - y, min_sep_sq)
+    later, earlier = np.nonzero(np.tril(clash, -1))
+    want = sorted((i, j) for i, j in zip(earlier.tolist(), later.tolist()) if j >= first)
+    i, j = _close_pairs(x, y, min_sep, min_sep_sq, first)
+    assert sorted(zip(i.tolist(), j.tolist())) == want
+    assert np.all(np.diff(j) >= 0)
 
 
 @st.composite
