@@ -122,6 +122,12 @@ class ScenarioConfig:
             raise ConfigError("n_uavs must be at least 1")
         if not 0.0 <= self.min_separation < self.area_side:
             raise ConfigError("min_separation must lie in [0, area_side)")
+        try:
+            float(self.min_separation**2)  # placement compares squared separations
+        except OverflowError:
+            raise ConfigError(
+                f"min_separation {self.min_separation!r} squared is beyond the float range"
+            ) from None
         if not 0.0 < self.altitude_H < math.inf:
             raise ConfigError("altitude_H must be positive and finite")
         if not self.pb_values():

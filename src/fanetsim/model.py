@@ -22,6 +22,9 @@ SPEED_OF_LIGHT_M_S = 3.0e8
 
 _DISTANCE_MODES = ("planar", "3d")
 _BOOL_TYPES = frozenset((bool, np.bool_))
+# UAV rows of the distance matrix that build_topology sums at a time; the
+# block buffer holds this many rows of squared offsets.
+_ROW_BLOCK = 64
 
 
 def is_integer(value) -> bool:
@@ -174,24 +177,28 @@ def link_capacity(transmit_power_w: float, gain: float, p: ChannelParams) -> flo
 
 def link_capacities(transmit_powers_w: np.ndarray, gains: np.ndarray,
                     p: ChannelParams) -> np.ndarray:
-    """``link_capacity`` on each (power, gain) pair of two arrays, bit for bit:
-    the one array code that prices links.
+    """``link_capacity`` on each (power, gain) pair of two 1-D arrays, bit for
+    bit: the one array code that prices links.
 
     The first pair in array order that link_capacity rejects, nan included,
     raises link_capacity's own error, so an array fails as pricing it pair
     by pair does. The products, the quotient and the sum are numpy's
     correctly rounded float64 operations in link_capacity's order; the
     logarithm is math.log2 per element, since np.log2 differs from it in the
-    last bit.
+    last bit. A pair whose SNR is zero, zero power included, prices to
+    B * log2(1.0), exactly 0.0, and takes no logarithm.
     """
     ok = (transmit_powers_w >= 0.0) & (gains > 0.0) & (gains < math.inf)
     if not ok.all():
         k = int(ok.argmin())
         link_capacity(transmit_powers_w.item(k), gains.item(k), p)
-    with np.errstate(over="ignore", invalid="ignore"):
+    rates = np.zeros(transmit_powers_w.shape)
+    with np.errstate(over="ignore"):
         snr = transmit_powers_w * gains / p.noise_power
-        logs = np.fromiter(map(math.log2, (1.0 + snr).tolist()), dtype=float, count=snr.size)
-        return p.bandwidth_B * logs
+        on = snr.nonzero()[0]
+        logs = np.fromiter(map(math.log2, (1.0 + snr[on]).tolist()), dtype=float, count=on.size)
+        rates[on] = p.bandwidth_B * logs
+    return rates
 
 
 @dataclass(frozen=True)
@@ -270,6 +277,11 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     ground station off the ground. A link is admissible when it lies within
     the threshold and its gain is positive: where d**beta overflows the gain
     is 0.0 and no power can use the link.
+
+    The distance matrix is summed _ROW_BLOCK UAV rows at a time, each axis's
+    squared offsets going through one block-sized buffer, so no temporary
+    as large as the matrix is made. Every coincident pair is reported before
+    any pair too close for a finite gain.
     """
     if not nodes:
         raise ValueError("node list is empty")
@@ -303,21 +315,22 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     if mode not in _DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {mode!r}; use one of {_DISTANCE_MODES}")
     # Pairwise distances UAV row i to node column j, dx*dx + dy*dy (+ dz*dz)
-    # summed in the order distance() uses. A length beyond the float range
-    # is inf, as in distance(), and so out of range.
-    axes = ("x", "y") if mode == "planar" else ("x", "y", "z")
-    x = coords["x"]
+    # summed in the order distance() uses, one row block at a time. A length
+    # beyond the float range is inf, as in distance(), and so out of range.
+    axes = [coords[axis] for axis in (("x", "y") if mode == "planar" else ("x", "y", "z"))]
     d = np.empty((n, n + 1))
-    delta = np.empty((n, n + 1))
+    delta = np.empty((min(n, _ROW_BLOCK), n + 1))
     with np.errstate(over="ignore"):
-        np.subtract(x[:n, None], x, out=d)
-        np.multiply(d, d, out=d)
-        for axis in axes[1:]:
-            coord = coords[axis]
-            np.subtract(coord[:n, None], coord, out=delta)
-            np.multiply(delta, delta, out=delta)
-            np.add(d, delta, out=d)
-    np.sqrt(d, out=d)
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n)
+            rows, part = d[lo:hi], delta[:hi - lo]
+            np.subtract(axes[0][lo:hi, None], axes[0], out=rows)
+            np.multiply(rows, rows, out=rows)
+            for coord in axes[1:]:
+                np.subtract(coord[lo:hi, None], coord, out=part)
+                np.multiply(part, part, out=part)
+                np.add(rows, part, out=rows)
+            np.sqrt(rows, out=rows)
     # A UAV's distance to itself becomes inf: no gain, never admissible.
     np.fill_diagonal(d, np.inf)
     coincident = np.flatnonzero(d == 0.0)

@@ -11,13 +11,17 @@ Where the floors dwarf the budget, B/lambda - f_i would cancel the budget
 against them, so there the floors are measured from the lowest one, f_1:
 P_i = (P_b + sum_j (f_j - f_1)) / m - (f_i - f_1), the same quantity.
 A link so weak that its floor overflows to inf gets 0.0 W.
+
+The links are held as arrays in one stable argsort by (floor, id); a pass's
+shares are one numpy expression, elementwise the same float operations as
+the formulas above, and the links it keeps are counted, not listed. The
+rounding correction goes to the largest share, the lowest id among equals.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +69,8 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     sum to the budget exactly up to one rounding correction, clamped links
     carry exactly 0.0, and the water-level identity above holds on the active
     set, which always holds the lowest-floor link, to floating-point precision.
+    The throughput prices the parent links in one link_capacities call, as
+    network_throughput does.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
@@ -79,22 +85,25 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
             f"a budget of {total_budget_w!r} W overflows the SNR of the strongest link"
         )
     uavs = sorted(tree.parent)
-    gain = dict(zip(uavs, parent_link_values(t.gains, tree.parent, uavs)))
-    for i in uavs:
-        if not gain[i] > 0.0:
-            raise ValueError(f"parent link of UAV {i} has nonpositive gain")
-    floor = {i: p.noise_power / gain[i] for i in uavs}
-    # Links by (floor, id), as sorted is stable. Float subtraction is monotone,
-    # so at any water level the links that keep power are a prefix of it.
-    order = sorted(uavs, key=floor.__getitem__)
-    floors = [floor[i] for i in order]
-    level_terms = [p.noise_density_sigma2 / gain[i] for i in order]
+    gains = np.array(parent_link_values(t.gains, tree.parent, uavs))
+    bad = ~(gains > 0.0)
+    if bad.any():
+        raise ValueError(f"parent link of UAV {uavs[int(bad.argmax())]} has nonpositive gain")
+    with np.errstate(over="ignore"):
+        floors = p.noise_power / gains
+        level_terms = p.noise_density_sigma2 / gains
+    # Links by (floor, id): a stable sort of the floors in id order. Float
+    # subtraction is monotone, so at any water level the links that keep
+    # power are a prefix of it.
+    order = np.argsort(floors, kind="stable")
+    floors = floors[order]
+    level_terms = level_terms[order].tolist()
     # Floors that overflow to inf sort last; no finite water level reaches
     # them, so their links start clamped.
-    m = bisect_left(floors, math.inf)
+    m = int(np.searchsorted(floors, math.inf))
     if not (total_budget_w >= sys.float_info.min and m):
         raise AllocationError(f"a budget of {total_budget_w!r} W against a lowest noise "
-                              f"floor of {floors[0]!r} W leaves the normal float range")
+                              f"floor of {float(floors[0])!r} W leaves the normal float range")
 
     while True:
         denominator = total_budget_w / p.bandwidth_B + _fsum(level_terms[:m])
@@ -105,25 +114,27 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
                 "overflows the water level"
             )
         active = floors[:m]
-        if m * m * active[-1] <= FLOOR_RATIO * total_budget_w:
-            shares = [p.bandwidth_B / water_level - f for f in active]
+        if m * m * float(active[-1]) <= FLOOR_RATIO * total_budget_w:
+            shares = p.bandwidth_B / water_level - active
         else:
-            level = _fsum([total_budget_w / m, *((f - active[0]) / m for f in active)])
-            shares = [level - (f - active[0]) for f in active]
-        kept = sum(share > CLAMP_TOLERANCE * total_budget_w for share in shares)
+            gaps = active - active[0]
+            level = _fsum([total_budget_w / m, *(gaps / m).tolist()])
+            shares = level - gaps
+        kept = int(np.count_nonzero(shares > CLAMP_TOLERANCE * total_budget_w))
         if kept == m:
             break
         m = kept
 
-    allocation = dict.fromkeys(uavs, 0.0)
-    allocation.update(zip(order, shares))
-    # One rounding correction on the largest share keeps the budget exact.
-    top = max(order[:m], key=lambda i: (allocation[i], -i))
-    allocation[top] += total_budget_w - _fsum(shares)
-
-    alloc = PowerAllocation(power=allocation, water_level_lambda=water_level,
-                            active_set=tuple(sorted(order[:m])), throughput_R=math.nan)
-    alloc.throughput_R = network_throughput(alloc, tree, t, p)
+    on = order[:m]  # the active links' positions in uavs
+    powers = np.zeros(len(uavs))
+    powers[on] = shares
+    # One rounding correction on the largest share keeps the budget exact;
+    # among equal shares the lowest id takes it.
+    powers[on[shares == shares.max()].min()] += total_budget_w - _fsum(shares.tolist())
+    alloc = PowerAllocation(power=dict(zip(uavs, powers.tolist())), water_level_lambda=water_level,
+                            active_set=tuple(uavs[k] for k in np.sort(on).tolist()),
+                            throughput_R=math.nan)
+    alloc.throughput_R = _fsum(link_capacities(powers, gains, p).tolist())
     return alloc
 
 

@@ -542,6 +542,9 @@ def test_usage_error_without_subcommand():
     (["sweep", "--n-uavs", "4", "--area-side", "1e-12", "--gs-y", "1e-12",
       "--min-separation", "0", "--pathloss-beta", "4e4"], EXIT_DISCONNECTED,
      "connectivity error: no connected layout with 4 UAVs at separation 0.0 m"),
+    # the squared separation that placement compares against overflows
+    (["run", "--n-uavs", "3", "--area-side", "1e300", "--min-separation", "1e200"], EXIT_CONFIG,
+     "configuration error: min_separation 1e+200 squared is beyond the float range\n"),
     # squared offsets to a far ground station overflow: out of range, not an error
     (["run", "--n-uavs", "2", "--gs-x", "1e300"], EXIT_DISCONNECTED,
      "connectivity error: no connected layout with 2 UAVs"),

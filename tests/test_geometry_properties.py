@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fanetsim.harness import PlacementError, ScenarioConfig, _connected_to_gs, generate_scenario, select_links
 from fanetsim.model import (
+    _ROW_BLOCK,
     GROUND_STATION,
     UAV,
     ChannelParams,
@@ -161,8 +162,40 @@ def topology_cases(draw):
     return nodes, mode, beta, d_th
 
 
+def fleet_case(n, mode, seed=0):
+    """n UAVs and a ground station at uniform real coordinates on 40 km."""
+    xy = np.random.default_rng(seed).uniform(-20000.0, 20000.0, size=(n + 1, 2)).tolist()
+    nodes = [Node(i + 1, x, y, 150.0, UAV) for i, (x, y) in enumerate(xy[:n])]
+    nodes.append(Node(n + 1, *xy[n], 0.0, GROUND_STATION))
+    return nodes, mode, 2.5, 6000.0
+
+
+def row_block_examples(test):
+    """Fleets that end just before, at and just after a row block of
+    build_topology, and one that starts a third block, in both modes."""
+    for n in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1):
+        for mode in ("planar", "3d"):
+            test = example(fleet_case(n, mode))(test)
+    return test
+
+
+def late_coincident_case():
+    """UAVs 1 and 2 are 1e-160 m apart, an infinite gain in the first row
+    block; UAV n coincides with the ground station in the last one."""
+    nodes, mode, beta, d_th = fleet_case(2 * _ROW_BLOCK + 1, "planar", seed=1)
+    n = len(nodes) - 1
+    nodes[0] = Node(1, 0.0, 0.0, 150.0, UAV)
+    nodes[1] = Node(2, 0.0, 1e-160, 150.0, UAV)
+    nodes[n - 1] = Node(n, nodes[n].x, nodes[n].y, 150.0, UAV)
+    return nodes, mode, beta, d_th
+
+
 @PROPERTY
 @given(topology_cases())
+@row_block_examples
+# Every coincident pair is reported before any infinite gain, in whichever
+# row block each lies.
+@example(late_coincident_case())
 # UAV 1 sits above the ground station, and UAV 2 is so close to it that
 # d**2.5 underflows: the coincident pair (1, 3) is reported, not the
 # infinite gain of the pair (1, 2) that comes first in row-major order.

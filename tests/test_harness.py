@@ -39,6 +39,12 @@ def test_config_validation():
         ScenarioConfig(area_side=-1.0)
     with pytest.raises(ConfigError):
         ScenarioConfig(min_separation=20000.0)  # >= area_side
+    # placement squares the separation: a float square that overflows, or an
+    # int square beyond the float range, is refused up front
+    for bad in (1.35e154, 10**160):
+        with pytest.raises(ConfigError, match="squared is beyond the float range"):
+            ScenarioConfig(area_side=1e300, min_separation=bad)
+    assert ScenarioConfig(area_side=1e300, min_separation=1.3e154).min_separation == 1.3e154
     with pytest.raises(ConfigError):
         ScenarioConfig(power_budget_Pb=0.0)
     with pytest.raises(ConfigError):

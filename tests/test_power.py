@@ -1,6 +1,8 @@
 """Water-filling allocation over a fixed relay tree."""
 
+import bisect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -431,3 +433,129 @@ def test_prefix_cut_matches_clamp_loop(instance):
         if i not in a.active_set:
             share = math.fsum([budget, *(floors[j] - floors[i] for j in a.active_set)])
             assert share / len(a.active_set) <= slack
+
+
+def dict_allocation(tree, t, total_budget_w, p):
+    """The per-UAV water-filling over Python lists and dicts that the array
+    code replaced, kept as its bit-for-bit reference."""
+    if not 0.0 < total_budget_w < math.inf:
+        raise ValueError("total power budget must be positive and finite")
+    report = validate_tree(tree, t)
+    if not report.ok:
+        raise ValueError(f"routing tree is invalid: {report}")
+    if total_budget_w * float(t.gains.max(initial=0.0)) / p.noise_power == math.inf:
+        raise AllocationError(
+            f"a budget of {total_budget_w!r} W overflows the SNR of the strongest link"
+        )
+    uavs = sorted(tree.parent)
+    gain = {i: t.gain(i, tree.parent[i]) for i in uavs}
+    for i in uavs:
+        if not gain[i] > 0.0:
+            raise ValueError(f"parent link of UAV {i} has nonpositive gain")
+    floor = {i: p.noise_power / gain[i] for i in uavs}
+    order = sorted(uavs, key=floor.__getitem__)
+    floors = [floor[i] for i in order]
+    level_terms = [p.noise_density_sigma2 / gain[i] for i in order]
+    m = bisect.bisect_left(floors, math.inf)
+    if not (total_budget_w >= sys.float_info.min and m):
+        raise AllocationError(f"a budget of {total_budget_w!r} W against a lowest noise "
+                              f"floor of {floors[0]!r} W leaves the normal float range")
+    while True:
+        denominator = total_budget_w / p.bandwidth_B + _fsum(level_terms[:m])
+        water_level = m / denominator if denominator > 0.0 else math.inf
+        if not 0.0 < water_level < math.inf or p.bandwidth_B / water_level == math.inf:
+            raise AllocationError(
+                f"a budget of {total_budget_w!r} W over a bandwidth of {p.bandwidth_B!r} Hz "
+                "overflows the water level"
+            )
+        active = floors[:m]
+        if m * m * active[-1] <= FLOOR_RATIO * total_budget_w:
+            shares = [p.bandwidth_B / water_level - f for f in active]
+        else:
+            level = _fsum([total_budget_w / m, *((f - active[0]) / m for f in active)])
+            shares = [level - (f - active[0]) for f in active]
+        kept = sum(share > CLAMP_TOLERANCE * total_budget_w for share in shares)
+        if kept == m:
+            break
+        m = kept
+    allocation = dict.fromkeys(uavs, 0.0)
+    allocation.update(zip(order, shares))
+    top = max(order[:m], key=lambda i: (allocation[i], -i))
+    allocation[top] += total_budget_w - _fsum(shares)
+    alloc = PowerAllocation(power=allocation, water_level_lambda=water_level,
+                            active_set=tuple(sorted(order[:m])), throughput_R=math.nan)
+    alloc.throughput_R = math.fsum(reference_link_rates(alloc, tree, t, p))
+    return alloc
+
+
+def allocation_outcome(fn, instance):
+    """The repr of ``fn``'s allocation, or its exception's type and text."""
+    try:
+        return repr(fn(*instance))
+    except (AllocationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SUBNORMAL_BUDGETS = [5e-324, 1e-320, sys.float_info.min * 0.5]
+
+
+@st.composite
+def water_fill_instances(draw):
+    """Relay trees whose noise floors are drawn relative to the budget: tied
+    floors, floors far above the budget (the FLOOR_RATIO branch), one link
+    far below the rest, gains so small that their floors overflow to inf, and
+    subnormal budgets."""
+    p = ChannelParams(
+        bandwidth_B=10.0 ** draw(st.floats(0.0, 8.0)),
+        noise_density_sigma2=10.0 ** draw(st.floats(-24.0, -8.0)),
+    )
+    if draw(st.integers(0, 7)):
+        budget = 10.0 ** draw(st.floats(-15.0, 6.0))
+    else:
+        budget = draw(st.sampled_from(SUBNORMAL_BUDGETS + [sys.float_info.min]))
+    n = draw(st.integers(1, 10))
+    strong = draw(st.integers(1, n))
+    # log10 of floor / budget: a typical value and a spread around it
+    center = draw(st.floats(-4.0, 18.0))
+    spread = draw(st.floats(0.0, 8.0))
+    ratio = st.floats(center - spread, center + spread).map(lambda e: 10.0 ** e)
+    shared = draw(st.lists(ratio, min_size=1, max_size=3))
+    parent, rows = {}, []
+    for i in range(1, n + 1):
+        parent[i] = draw(st.sampled_from([n + 1, *range(1, i)]))
+        if i == strong and draw(st.booleans()):
+            r = 10.0 ** (center - spread - 6.0)
+        else:
+            r = draw(st.sampled_from(shared) | ratio)
+        floor = budget * r
+        gain = p.noise_power / floor if floor > 0.0 else math.inf
+        if not 0.0 < gain < math.inf or draw(st.integers(0, 9)) == 0:
+            gain = draw(st.sampled_from([5e-324, 1e-323, 1e-300]))
+        rows.append({parent[i]: gain})
+    tree = RoutingTree(parent=parent, path_cost={i: 1.0 for i in parent})
+    return tree, synth_topology(rows, p), budget, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(water_fill_instances())
+# Equal floors on UAVs 1 and 3: the same share, and the budget correction
+# goes to the lower id.
+@example((star_tree(3), synth_topology([{4: 0.5}, {4: 2.0}, {4: 0.5}]), 3.0, toy_params()))
+# UAV 2's floor overflows to inf and UAV 1 keeps the whole budget.
+@example((star_tree(2), synth_topology([{3: 1e-7}, {3: 5e-324}]), 1.0, ChannelParams()))
+# Floors of 1e3 and 1e5 W against a 1e-9 W budget: the FLOOR_RATIO branch.
+@example((star_tree(2), synth_topology([{3: 1e-3}, {3: 1e-5}]), 1e-9, toy_params()))
+# Five floors near 8.1e13 W, less than 0.2 W apart, share a 1 W budget: the
+# FLOOR_RATIO branch, where the floor differences over five sum to a level
+# that a left-to-right sum rounds differently.
+@example((star_tree(5), synth_topology([{6: g} for g in (
+    1.232591057605532e-14, 1.232591057605531e-14, 1.2325910576055306e-14,
+    1.2325910576055302e-14, 1.232591057605529e-14)]), 1.0, toy_params()))
+# Every link but UAV 3's is clamped.
+@example((star_tree(4), synth_topology([{5: 1.0}, {5: 2.0}, {5: 1e6}, {5: 0.5}]), 1e-3,
+          toy_params()))
+# A subnormal budget.
+@example((star_tree(2), synth_topology([{3: 1.0}, {3: 2.0}]), 1e-320, toy_params()))
+def test_array_water_filling_matches_dict_reference(instance):
+    assert allocation_outcome(allocate_power, instance) == allocation_outcome(dict_allocation,
+                                                                              instance)
