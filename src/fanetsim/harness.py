@@ -36,7 +36,7 @@ from .model import (
     is_real,
 )
 from .power import PowerAllocation, allocate_power
-from .routing import _WEIGHT_MODES, RoutingTree, build_spt
+from .routing import _WEIGHT_MODES, RoutingTree, build_spt, connected_to_gs
 
 # The measured columns, shared by the per-seed and the aggregate sweep CSV.
 _MEASURED = ("throughput_p11_bps", "throughput_p14_bps", "newton_iters", "wall_ms")
@@ -190,20 +190,6 @@ def _gs_position(cfg: ScenarioConfig) -> tuple[float, float]:
     return x, cfg.gs_y
 
 
-def _connected_to_gs(t: Topology) -> bool:
-    """Breadth-first search outward from the ground station, one hop level
-    per step: a UAV joins when it has a link to any node of the frontier."""
-    reached = np.zeros(t.n_uavs, dtype=bool)
-    frontier = np.zeros(t.n_uavs + 1, dtype=bool)
-    frontier[-1] = True
-    while frontier.any():
-        new = t.incidence[:, frontier].any(axis=1) & ~reached
-        reached |= new
-        frontier[:-1] = new
-        frontier[-1] = False
-    return bool(reached.all())
-
-
 def _far_enough(dx: np.ndarray, dy: np.ndarray, min_sep_sq: float) -> np.ndarray:
     """Elementwise ``dx**2 + dy**2 >= min_sep_sq``, decided as libm pow decides it.
 
@@ -322,7 +308,7 @@ def _sample_connected(cfg: ScenarioConfig) -> tuple[Topology, int]:
             topo = build_topology(nodes, cfg.channel)
         except CoincidentNodesError:
             continue  # no finite gain between two nodes: not a usable layout
-        if _connected_to_gs(topo):
+        if connected_to_gs(topo):
             return topo, attempt
     raise PlacementError(
         f"no connected layout with {n} UAVs at separation {cfg.min_separation} m "

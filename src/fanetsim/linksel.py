@@ -3,7 +3,7 @@
 Each UAV i that holds power P_i > 0 gets a candidate list of alternative
 parents (in-range nodes whose adoption keeps the relay structure a tree,
 excluding the current parent), read for all such UAVs at once from one mask
-over the incidence matrix and the tree's preorder intervals from ``routing``.
+over ``Topology.links`` and the tree's preorder intervals from ``routing``.
 The lists form one table in compressed sparse rows, a ``CandidateSet``:
 per-UAV rows of neighbor ids and rates in flat arrays, every rate priced in
 one array pass. Every rate is read from those arrays: Newton gathers its
@@ -292,11 +292,11 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
         )
     # k is a candidate of i when the link is admissible, k is not i's parent,
     # and k lies outside i's subtree: not tin[i] <= tin[k] < tout[i]. The
-    # nonzero entries come row by row, columns ascending. numpy finds the
-    # nonzeros of a bool array several times faster than of an int8 one.
-    row_of, cols = np.divmod(
-        t.incidence[rows].astype(bool, copy=False).ravel().nonzero()[0], t.n_uavs + 1)
-    at = rows[row_of]
+    # powered rows' links come row by row, columns ascending.
+    _, at, cols, _ = t.links
+    held = np.bincount(rows, minlength=t.n_uavs)[at] > 0
+    at, cols = at[held], cols[held]
+    row_of = np.searchsorted(rows, at)
     parent_col = np.array([tree.parent[i] for i in powered])[row_of] - 1
     keep = ((tin[cols] < tin[at]) | (tin[cols] >= tout[at])) & (cols != parent_col)
     row_of, cols = row_of[keep], cols[keep]

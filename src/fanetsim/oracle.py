@@ -74,8 +74,9 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
     rate table is one ``link_capacities`` call over every (level, link)
     pair, ``link_capacity``'s bits element by element, so the result is
     bit-identical to it. A parent link whose gain is not positive and
-    finite, nan included, raises ``link_capacity``'s error. ``evaluations``
-    counts the simplex grid points covered.
+    finite, nan included, raises ``link_capacity``'s error, and an empty
+    fleet raises ValueError. ``evaluations`` counts the simplex grid points
+    covered.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
@@ -83,6 +84,8 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
         raise ValueError("resolution must be a step fraction in (0, 1]")
     uavs = sorted(tree.parent)
     n = len(uavs)
+    if not n:
+        raise ValueError("the fleet is empty: there are no UAV links to split the budget across")
     steps = round(1.0 / resolution)
     if n * (steps + 1) ** 2 > _GRID_BUDGET:
         raise ValueError(
@@ -208,29 +211,28 @@ def tree_enum_oracle(t: Topology, total_budget_w: float, p: ChannelParams) -> Or
     A budget near the float range makes the rates overflow to inf,
     silently, as Python floats do: ``best_value`` is then inf. An admissible
     link whose gain is not positive and finite, nan included, raises
-    ``link_capacity``'s error.
+    ``link_capacity``'s error; an empty fleet raises ValueError.
     Returns the best tree with its powers; ``evaluations`` counts the valid
     trees.
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
-    # Pricing the admissible gains raises for the first one it rejects.
-    gains = t.gains[t.incidence != 0]
-    link_capacities(np.zeros(gains.size), gains, p)
     n = t.n_uavs
-    gs_id = t.gs.id
-    neighbor_lists = []
-    for i in t.uav_ids:
-        adm = t.admissible_neighbors(i)
-        if not adm:
-            raise DisconnectedTopologyError([i])
-        neighbor_lists.append(np.array(adm, dtype=np.int64))
+    if not n:
+        raise ValueError("the fleet is empty: there are no UAVs to build a tree from")
+    links, rows, cols, starts = t.links
+    # Pricing the admissible gains raises for the first one it rejects.
+    gains = t.gains.take(links)
+    link_capacities(np.zeros(gains.size), gains, p)
+    if starts.size < n:  # name the first UAV without links
+        raise DisconnectedTopologyError([int(np.argmin(np.bincount(rows, minlength=n))) + 1])
+    neighbor_lists = np.split(cols + 1, starts[1:])
 
     # Every combination of choices, in itertools.product's order: the last
     # UAV's choice varies fastest.
     grids = np.meshgrid(*neighbor_lists, indexing="ij")
     parents = np.stack(grids, axis=-1).reshape(-1, n)
-    mask = _valid_assignment_mask(parents, gs_id)
+    mask = _valid_assignment_mask(parents, t.gs.id)
     if not np.any(mask):
         raise DisconnectedTopologyError(list(t.uav_ids))
     trees = parents[mask]

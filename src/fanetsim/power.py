@@ -65,7 +65,8 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
                    p: ChannelParams) -> PowerAllocation:
     """Split ``total_budget_w`` across the tree's links to maximize summed rate.
 
-    Requires a valid tree and a positive, finite budget. The returned powers
+    Requires a valid tree of at least one UAV (an empty fleet raises
+    ValueError) and a positive, finite budget. The returned powers
     sum to the budget exactly up to one rounding correction, clamped links
     carry exactly 0.0, and the water-level identity above holds on the active
     set, which always holds the lowest-floor link, to floating-point precision.
@@ -74,6 +75,8 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     """
     if not 0.0 < total_budget_w < math.inf:
         raise ValueError("total power budget must be positive and finite")
+    if not t.n_uavs:
+        raise ValueError("the fleet is empty: there are no UAV links to split the budget across")
     report = validate_tree(tree, t)
     if not report.ok:
         raise ValueError(f"routing tree is invalid: {report}")

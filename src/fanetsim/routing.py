@@ -1,8 +1,8 @@
 """Shortest-path relay tree rooted at the ground station.
 
 The paper builds this tree with Bellman-Ford, and so does build_spt, in
-synchronous rounds over the admissible links. The links are the incidence
-matrix's nonzeros in row-major order, so each UAV's links form one run in
+synchronous rounds over the admissible links, listed row-major in
+``Topology.links``, so each UAV's links form one run in
 ascending node id. A round gathers dist[j] at the far end of every link,
 adds the link's weight (its length, or 1.0 for hops) and lowers each UAV to
 the least sum of its run with one np.minimum.reduceat. Rounds stop at the
@@ -96,21 +96,12 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     if weight not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
     n = t.n_uavs
-    # The admissible links UAV rows[k] -> node cols[k] (index = id - 1, the
-    # ground station is n), row-major: each UAV's links are one run, in
-    # ascending node id, from one of ``starts`` to the next. numpy finds the
-    # nonzeros of a bool array several times faster than of an int8 one.
-    links = t.incidence.astype(bool, copy=False).ravel().nonzero()[0]
-    rows, cols = np.divmod(links, n + 1)
+    links, rows, cols, starts = t.links
     if weight == "hops":
         w = lightest = 1.0
     else:
         w = t.distances.take(links)
         lightest = w.min(initial=np.inf)
-    first = np.empty(links.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    starts = first.nonzero()[0]
     # A UAV without links keeps dist inf; the rounds write the others.
     linked = slice(n) if starts.size == n else rows[starts]
 
@@ -145,6 +136,19 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
         path_cost=dict(zip(ids, dist[:n].tolist())),
         weight=weight,
     )
+
+
+def connected_to_gs(t: Topology) -> bool:
+    """Whether every UAV reaches the ground station: in hop rounds over the link
+    runs a UAV is reached once any of its links' far ends is, until none is added."""
+    n = t.n_uavs
+    _, _, cols, starts = t.links
+    reached = np.append(np.zeros(n, dtype=bool), True)
+    count, before = 1, 0
+    while starts.size == n and before < count <= n:  # an unlinked UAV is never reached
+        np.logical_or.reduceat(reached[cols], starts, out=reached[:n])
+        before, count = count, np.count_nonzero(reached)
+    return count > n
 
 
 def _settle_order(n: int, rows: np.ndarray, cols: np.ndarray, w) -> np.ndarray:

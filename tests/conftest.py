@@ -51,6 +51,12 @@ def synth_topology(gain_rows, params=None):
     return Topology(nodes=nodes, incidence=incidence, gains=gains, distances=distances)
 
 
+def admissible_neighbors(t, uav_id):
+    """Node ids admissible from UAV ``uav_id``, ascending, read from the
+    incidence matrix itself rather than from ``Topology.links``."""
+    return tuple(int(j) + 1 for j in np.flatnonzero(t.incidence[uav_id - 1]))
+
+
 def chain_gains(gain_list):
     """Gain rows for a chain gs <- uav1 <- uav2 <- ... (uav i talks to i-1
     and i+1 only; uav1 talks to the ground station)."""

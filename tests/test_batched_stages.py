@@ -18,7 +18,6 @@ from fanetsim.harness import (
     PlacementError,
     ScenarioConfig,
     _close_pairs,
-    _connected_to_gs,
     _far_enough,
     _gs_position,
     _sample_connected,
@@ -26,9 +25,9 @@ from fanetsim.harness import (
 from fanetsim.linksel import Candidate, CandidateSet, build_candidates
 from fanetsim.model import GROUND_STATION, UAV, Node, build_topology, link_capacity
 from fanetsim.power import PowerAllocation
-from fanetsim.routing import RoutingTree
+from fanetsim.routing import RoutingTree, connected_to_gs
 
-from conftest import synth_topology, toy_params
+from conftest import admissible_neighbors, synth_topology, toy_params
 
 
 def reference_sample_connected(cfg):
@@ -63,7 +62,7 @@ def reference_sample_connected(cfg):
         ]
         nodes.append(Node(id=n + 1, x=gs_x, y=gs_y, z=0.0, role=GROUND_STATION))
         topo = build_topology(nodes, cfg.channel)
-        if _connected_to_gs(topo):
+        if connected_to_gs(topo):
             return topo, attempt
     raise PlacementError(
         f"no connected layout with {n} UAVs at separation {cfg.min_separation} m "
@@ -95,7 +94,7 @@ def reference_build_candidates(tree, t, alloc, p):
         blocked = _reference_subtree_ids(children, i)
         power = alloc.power[i]
         cands = []
-        for k in t.admissible_neighbors(i):
+        for k in admissible_neighbors(t, i):
             if k == tree.parent[i] or k in blocked:
                 continue
             cands.append(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fanetsim.harness import PlacementError, ScenarioConfig, _connected_to_gs, generate_scenario, select_links
+from fanetsim.harness import PlacementError, ScenarioConfig, generate_scenario, select_links
 from fanetsim.model import (
     _ROW_BLOCK,
     GROUND_STATION,
@@ -30,10 +30,13 @@ from fanetsim.routing import (
     _WEIGHT_MODES,
     DisconnectedTopologyError,
     build_spt,
+    connected_to_gs,
     parent_link_values,
     path_costs,
     validate_tree,
 )
+
+from conftest import admissible_neighbors, synth_topology
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -81,7 +84,7 @@ def bellman_ford_reference(t, weight):
     dist = {i: math.inf for i in t.uav_ids}
     dist[gs_id] = 0.0
     edges = sorted(
-        (j, i, w(i, j)) for i in t.uav_ids for j in t.admissible_neighbors(i)
+        (j, i, w(i, j)) for i in t.uav_ids for j in admissible_neighbors(t, i)
     )
     for _ in range(t.n_uavs):
         changed = False
@@ -97,7 +100,7 @@ def bellman_ford_reference(t, weight):
     parent = {}
     for i in t.uav_ids:
         best_id, best_cost = None, math.inf
-        for j in t.admissible_neighbors(i):
+        for j in admissible_neighbors(t, i):
             if dist[j] + w(i, j) < best_cost:
                 best_id, best_cost = j, dist[j] + w(i, j)
         parent[i] = best_id
@@ -109,7 +112,7 @@ def has_vanishing_tie(t, weight, cost):
     weight vanishes in cost[j] + w: j and i are then tight for each other,
     and Bellman-Ford's lowest-id parent is not build_spt's."""
     for i in t.uav_ids:
-        for j in t.admissible_neighbors(i):
+        for j in admissible_neighbors(t, i):
             w = 1.0 if weight == "hops" else t.distance(i, j)
             if cost[j] == cost[i] and cost[j] + w == cost[i]:
                 return True
@@ -262,8 +265,8 @@ def test_zero_gain_link_is_inadmissible():
     assert t.distance(2, 3) == 5000.0
     assert not t.is_admissible(2, 3)
     assert t.gain(2, 1) > 0.0
-    assert t.admissible_neighbors(1) == (2, 3)
-    assert t.admissible_neighbors(2) == (1,)
+    assert admissible_neighbors(t, 1) == (2, 3)
+    assert admissible_neighbors(t, 2) == (1,)
 
 
 def test_build_topology_unknown_mode_rejected():
@@ -429,7 +432,7 @@ def incidence_topologies(draw):
 @given(incidence_topologies())
 def test_connected_to_gs_agrees_with_reference_search(t):
     reached = reference_reached(t)
-    assert _connected_to_gs(t) == (len(reached) == t.n_uavs + 1)
+    assert connected_to_gs(t) == (len(reached) == t.n_uavs + 1)
     stranded = sorted(set(t.uav_ids) - reached)
     if stranded:
         with pytest.raises(DisconnectedTopologyError) as got:
@@ -437,3 +440,47 @@ def test_connected_to_gs_agrees_with_reference_search(t):
         assert got.value.stranded_ids == stranded
     else:
         assert build_spt(t, weight="hops").parent == bellman_ford_reference(t, "hops")[0]
+
+
+@st.composite
+def link_table_topologies(draw):
+    """Topologies of 1-8 UAVs, some with UAVs that have no links: int8
+    incidence from build_topology on a coarse grid wider than the link
+    threshold, or bool incidence from conftest's synth_topology with
+    arbitrary one-way links."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                              min_size=n + 1, max_size=n + 1, unique=True))
+        nodes = [Node(i + 1, 500.0 * x, 500.0 * y, 150.0, UAV) for i, (x, y) in enumerate(cells[:n])]
+        nodes.append(Node(n + 1, 500.0 * cells[n][0], 500.0 * cells[n][1], 0.0, GROUND_STATION))
+        return build_topology(nodes, ChannelParams())
+    rows = [draw(st.sets(st.integers(1, n + 1))) - {i} for i in range(1, n + 1)]
+    return synth_topology([dict.fromkeys(row, 1.0) for row in rows])
+
+
+def reference_link_table(t):
+    """The nonzeros of ``incidence`` in a row-major double loop: flat indices,
+    rows, columns and the position where each linked UAV's run starts."""
+    n = t.n_uavs
+    index, rows, cols, starts = [], [], [], []
+    for i in range(n):
+        for j in range(n + 1):
+            if t.incidence[i, j]:
+                if not rows or rows[-1] != i:
+                    starts.append(len(rows))
+                index.append(i * (n + 1) + j)
+                rows.append(i)
+                cols.append(j)
+    return index, rows, cols, starts
+
+
+@PROPERTY
+@given(st.one_of(link_table_topologies(), incidence_topologies()))
+@example(synth_topology([{}]))
+@example(synth_topology([{2: 1.0}, {}, {1: 1.0}]))
+def test_link_table_is_the_row_major_incidence_nonzeros(t):
+    table = t.links
+    assert t.links is table
+    assert not any(arr.flags.writeable for arr in table)
+    assert [arr.tolist() for arr in table] == list(reference_link_table(t))

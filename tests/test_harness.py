@@ -24,6 +24,8 @@ from fanetsim.linksel import ConvergenceError
 from fanetsim.model import ChannelParams
 from fanetsim.routing import build_spt
 
+from conftest import admissible_neighbors
+
 
 def small_cfg(**kw):
     base = dict(n_uavs=6, area_side=8000.0, min_separation=300.0, seed=5,
@@ -306,7 +308,7 @@ def test_channel_override_flows_through():
     cfg = small_cfg(channel=ChannelParams(link_threshold_dth=3000.0))
     t = generate_scenario(cfg)
     for i in t.uav_ids:
-        for j in t.admissible_neighbors(i):
+        for j in admissible_neighbors(t, i):
             a, b = t.node(i), t.node(j)
             assert math.hypot(a.x - b.x, a.y - b.y) <= 3000.0
 

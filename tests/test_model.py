@@ -420,8 +420,9 @@ def test_threshold_prunes_long_links():
 
 def test_admissible_neighbors_sorted():
     t = synth_topology([{2: 0.5, 4: 1.0}, {1: 0.5, 3: 0.25}, {2: 0.25, 4: 0.125}])
-    assert t.admissible_neighbors(2) == (1, 3)
-    assert t.admissible_neighbors(1) == (2, 4)
+    _, _, cols, starts = t.links
+    runs = np.split(cols + 1, starts[1:])
+    assert [run.tolist() for run in runs] == [[2, 4], [1, 3], [2, 4]]
 
 
 def test_build_topology_requires_single_gs():

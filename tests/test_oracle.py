@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.harness import ScenarioConfig, generate_scenario
-from fanetsim.model import ChannelParams, link_capacity
+from fanetsim.model import GROUND_STATION, ChannelParams, Node, build_topology, link_capacity
 from fanetsim.oracle import (
     OracleResult,
     _valid_assignment_mask,
@@ -27,7 +27,7 @@ from fanetsim.routing import (
     validate_tree,
 )
 
-from conftest import chain_gains, random_cluster_topology, star_tree, synth_topology, toy_params
+from conftest import admissible_neighbors, chain_gains, random_cluster_topology, star_tree, synth_topology, toy_params
 
 
 def literal_grid_best(tree, t, budget, p, steps):
@@ -163,7 +163,7 @@ def test_tree_enum_unique_topology_matches_allocator():
 def literal_tree_best(t, budget, p):
     """Re-enumerate trees with the project's own validator + allocator."""
     best_val, best_parent, count = -1.0, None, 0
-    lists = [t.admissible_neighbors(i) for i in t.uav_ids]
+    lists = [admissible_neighbors(t, i) for i in t.uav_ids]
     for combo in itertools.product(*lists):
         parent = {i: combo[i - 1] for i in t.uav_ids}
         tree = RoutingTree(parent=parent, path_cost={i: 0.0 for i in t.uav_ids})
@@ -266,6 +266,30 @@ def test_tree_enum_raises_when_disconnected():
         tree_enum_oracle(t, 1.0, toy_params())
 
 
+def test_tree_enum_names_the_first_uav_without_links():
+    t = synth_topology([{}, {4: 1.0}, {}])
+    with pytest.raises(DisconnectedTopologyError) as got:
+        tree_enum_oracle(t, 1.0, toy_params())
+    assert got.value.stranded_ids == [1]
+
+
+def ground_station_alone():
+    p = ChannelParams()
+    return build_topology([Node(1, 0.0, 0.0, 0.0, GROUND_STATION)], p), p
+
+
+def test_grid_oracle_rejects_an_empty_fleet():
+    t, p = ground_station_alone()
+    with pytest.raises(ValueError, match="fleet is empty"):
+        grid_power_oracle(build_spt(t), t, 1.0, p)
+
+
+def test_tree_enum_rejects_an_empty_fleet():
+    t, p = ground_station_alone()
+    with pytest.raises(ValueError, match="fleet is empty"):
+        tree_enum_oracle(t, 1.0, p)
+
+
 def test_oracle_result_shape():
     t = synth_topology([{2: 1.0}])
     res = tree_enum_oracle(t, 1.0, toy_params())
@@ -345,7 +369,7 @@ def tree_floors(t, p):
     n = t.n_uavs
     neighbor_lists = []
     for i in t.uav_ids:
-        adm = t.admissible_neighbors(i)
+        adm = admissible_neighbors(t, i)
         if not adm:
             raise DisconnectedTopologyError([i])
         neighbor_lists.append(adm)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanetsim.model import ChannelParams, link_capacity
+from fanetsim.model import GROUND_STATION, ChannelParams, Node, build_topology, link_capacity
 from fanetsim.oracle import grid_power_oracle
 from fanetsim.power import (
     CLAMP_TOLERANCE,
@@ -228,6 +228,14 @@ def test_rejects_nan_parent_link_gain():
     t = synth_topology([{3: 2.0, 2: 1.0}, {3: math.nan, 1: 1.0}])
     with pytest.raises(ValueError, match="parent link of UAV 2 has nonpositive gain"):
         allocate_power(star_tree(2), t, 1.0, toy_params())
+
+
+def test_rejects_an_empty_fleet():
+    # A ground station alone: the tree has no links to split the budget across.
+    p = ChannelParams()
+    t = build_topology([Node(1, 0.0, 0.0, 0.0, GROUND_STATION)], p)
+    with pytest.raises(ValueError, match="fleet is empty"):
+        allocate_power(build_spt(t), t, 1.0, p)
 
 
 def test_rejects_invalid_tree():
