@@ -42,7 +42,7 @@ from .model import (
     reference_gain_from_frequency,
 )
 from .power import AllocationError, allocate_power, link_rates
-from .routing import _WEIGHT_MODES, DisconnectedTopologyError, build_spt, parent_link_values
+from .routing import _WEIGHT_MODES, DisconnectedTopologyError, build_spt
 
 TREE_DUMP_HEADER = "uav_id,parent_id,distance_m,gain,power_w,rate_bps"
 TRACE_HEADER = "uav_id,gamma,iteration,phi,decrement,step_size,constraint_residual"
@@ -202,13 +202,12 @@ def _cmd_run(args, out: dict) -> int:
     if "tree_dump" in out:
         fh = out["tree_dump"]
         fh.write(TREE_DUMP_HEADER + "\n")
-        parent = row.refined_tree.parent
-        uavs = sorted(parent)
-        for i, d, h, rate in zip(uavs, parent_link_values(topo.distances, parent, uavs),
-                                 parent_link_values(topo.gains, parent, uavs),
-                                 link_rates(row.allocation, row.refined_tree, topo, cfg.channel)):
+        tree = row.refined_tree
+        for i, d, h, rate in zip(topo.uav_ids, topo.distances[tree.parent_links].tolist(),
+                                 topo.gains[tree.parent_links].tolist(),
+                                 link_rates(row.allocation, tree, topo, cfg.channel)):
             watts = row.allocation.power[i]
-            fh.write(f"{i},{parent[i]},{d!r},{h!r},{watts!r},{rate!r}\n")
+            fh.write(f"{i},{tree.parent[i]},{d!r},{h!r},{watts!r},{rate!r}\n")
     return EXIT_OK
 
 
@@ -248,7 +247,7 @@ def _validate_power_against_grid(rng) -> str:
         nodes.append(Node(id=n + 1, x=2000.0, y=-500.0, z=0.0, role=GROUND_STATION))
         topo = build_topology(nodes, p)
         tree = build_spt(topo)  # every UAV is within 4,924 m of the station, inside d_th
-        gains = parent_link_values(topo.gains, tree.parent, sorted(tree.parent))
+        gains = topo.gains[tree.parent_links].tolist()
         pb = float(rng.uniform(100, 1000)) * n * max(p.noise_power / h for h in gains)
         alloc = allocate_power(tree, topo, pb, p)
         ref = oracle.grid_power_oracle(tree, topo, pb, p)

@@ -31,12 +31,13 @@ from .model import (
     Topology,
     GROUND_STATION,
     UAV,
-    build_topology,
+    _link_arrays,
+    _topology,
     is_integer,
     is_real,
 )
 from .power import PowerAllocation, allocate_power
-from .routing import _WEIGHT_MODES, RoutingTree, build_spt, connected_to_gs
+from .routing import _WEIGHT_MODES, RoutingTree, _reaches_gs, build_spt
 
 # The measured columns, shared by the per-seed and the aggregate sweep CSV.
 _MEASURED = ("throughput_p11_bps", "throughput_p14_bps", "newton_iters", "wall_ms")
@@ -256,6 +257,13 @@ def _sample_connected(cfg: ScenarioConfig) -> tuple[Topology, int]:
     _POINT_TRIES ends the attempt. The stream is then rewound to just after
     the last draw used, so every layout is the one that drawing one point
     at a time gives.
+
+    A placed layout's matrices and link table are built straight from the
+    coordinate arrays, with the ground station after the UAVs, by the
+    builder behind build_topology: the config has already checked what
+    build_topology checks of the nodes (finite coordinates, one positive
+    altitude). Connectivity is decided on that link table, and the Node
+    tuple is made for the accepted layout only.
     """
     n = cfg.scalar_n()
     rng = np.random.default_rng(cfg.seed)
@@ -301,15 +309,16 @@ def _sample_connected(cfg: ScenarioConfig) -> tuple[Topology, int]:
                 bitgen.advance(2 * used)
         if k < n:
             continue
-        nodes = [Node(i, x, y, cfg.altitude_H, UAV)
-                 for i, (x, y) in enumerate(zip(xs[:n], ys[:n]), 1)]
-        nodes.append(Node(id=n + 1, x=gs_x, y=gs_y, z=0.0, role=GROUND_STATION))
+        xs[n], ys[n] = gs_x, gs_y
         try:
-            topo = build_topology(nodes, cfg.channel)
+            arrays = _link_arrays([xs[:n + 1], ys[:n + 1]], cfg.channel)
         except CoincidentNodesError:
             continue  # no finite gain between two nodes: not a usable layout
-        if connected_to_gs(topo):
-            return topo, attempt
+        if _reaches_gs(n, arrays[-1]):
+            nodes = [Node(i, x, y, cfg.altitude_H, UAV)
+                     for i, (x, y) in enumerate(zip(xs[:n], ys[:n]), 1)]
+            nodes.append(Node(id=n + 1, x=gs_x, y=gs_y, z=0.0, role=GROUND_STATION))
+            return _topology(tuple(nodes), arrays), attempt
     raise PlacementError(
         f"no connected layout with {n} UAVs at separation {cfg.min_separation} m "
         f"within {cfg.placement_retry_budget} attempts; lower n_uavs, min_separation, "

@@ -82,7 +82,7 @@ import numpy as np
 
 from .model import ChannelParams, Topology, is_integer, is_real, link_capacities, link_capacity
 from .power import AllocationError, PowerAllocation, _fsum, link_rates
-from .routing import RoutingTree, _euler_intervals, path_costs, validate_tree
+from .routing import RoutingTree, _require_valid, _rerouted
 
 # Barrier weight schedule: gamma_init, then gamma_growth-fold per round.
 BARRIER_ROUNDS = 3
@@ -282,7 +282,7 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
     powered = [i for i in sorted(tree.parent) if alloc.power[i] > 0.0]
     if not powered:
         return CandidateSet([], [0], [], [])
-    tin, tout = _euler_intervals(tree.parent, t.n_uavs + 1)
+    tin, tout = tree.euler
     rows = np.array(powered) - 1
     unreached = rows[tin[rows] < 0]
     if unreached.size:
@@ -297,8 +297,7 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
     held = np.bincount(rows, minlength=t.n_uavs)[at] > 0
     at, cols = at[held], cols[held]
     row_of = np.searchsorted(rows, at)
-    parent_col = np.array([tree.parent[i] for i in powered])[row_of] - 1
-    keep = ((tin[cols] < tin[at]) | (tin[cols] >= tout[at])) & (cols != parent_col)
+    keep = ((tin[cols] < tin[at]) | (tin[cols] >= tout[at])) & (cols != tree.parent_index[at])
     row_of, cols = row_of[keep], cols[keep]
     powers = np.array([alloc.power[i] for i in powered])
     rate = link_capacities(powers[row_of], t.gains[at[keep], cols], p)
@@ -810,13 +809,13 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
     the swapped tree is still a valid tree, so total throughput never
     decreases. Each accepted link is priced from the topology, and one that
     prices below the UAV's current link raises ValueError, as does an invalid
-    input tree. Returns the updated tree, with path costs in the input tree's
-    weight, and its throughput, the fsum of its link rates.
+    input tree (one not yet known to be valid for ``t`` is checked once with
+    validate_tree). Returns the updated tree, valid for ``t`` by
+    construction, with path costs in the input tree's weight, and its
+    throughput, the fsum of its link rates.
     """
-    report = validate_tree(tree, t)
-    if not report.ok:
-        raise ValueError(f"routing tree is invalid: {report}")
-    parent = dict(tree.parent)
+    _require_valid(tree, t)
+    parent = tree.parent.copy()
     rate = dict(zip(sorted(parent), link_rates(alloc, tree, t, p)))
 
     # Each row's highest rate, and the first (lowest-id) neighbor that has it.
@@ -832,6 +831,7 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
     # ``parent`` stays a valid tree, so re-parenting i onto an admissible k
     # keeps it one exactly when k's path to the ground station avoids i.
     gs = t.gs.id
+    moved = []
     for gain, i, k in proposals:
         if gain <= 0.0 or not t.is_admissible(i, k):
             continue
@@ -847,6 +847,6 @@ def round_and_update(c: CandidateSet, tree: RoutingTree, alloc: PowerAllocation,
                 )
             parent[i] = k
             rate[i] = new_rate
+            moved.append(i)
 
-    refined = RoutingTree(parent, path_costs(parent, t, tree.weight), tree.weight)
-    return refined, _fsum(rate.values())
+    return _rerouted(tree, parent, moved, t), _fsum(rate.values())

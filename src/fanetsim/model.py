@@ -238,17 +238,9 @@ class Topology:
         """The admissible links (index, rows, cols, starts), row-major: link k
         runs from UAV rows[k] to node cols[k] (index = id - 1) at flat index[k]
         of the n x (n+1) matrices, and each linked UAV's links are one run, in
-        ascending node id, from one starts[r] on. ``incidence`` is read as
-        bool, several times faster than as int8."""
-        index = self.incidence.astype(bool, copy=False).ravel().nonzero()[0]
-        rows, cols = np.divmod(index, self.n_uavs + 1)
-        first = np.empty(index.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        table = index, rows, cols, first.nonzero()[0]
-        for arr in table:
-            arr.flags.writeable = False
-        return table
+        ascending node id, from one starts[r] on. build_topology lists it
+        as it builds the matrices."""
+        return _link_table(self.incidence)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id - 1]
@@ -261,6 +253,20 @@ class Topology:
 
     def is_admissible(self, uav_id: int, other_id: int) -> bool:
         return bool(self.incidence[uav_id - 1, other_id - 1])
+
+
+def _link_table(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``Topology.links`` of an incidence matrix. It is read as bool, several
+    times faster than as int8."""
+    index = incidence.astype(bool, copy=False).ravel().nonzero()[0]
+    rows, cols = np.divmod(index, incidence.shape[1])
+    first = np.empty(index.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    table = index, rows, cols, first.nonzero()[0]
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def _real_coordinates(values: list, axis: str) -> np.ndarray:
@@ -291,10 +297,9 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     the threshold and its gain is positive: where d**beta overflows the gain
     is 0.0 and no power can use the link.
 
-    The distance matrix is summed _ROW_BLOCK UAV rows at a time, each axis's
-    squared offsets going through one block-sized buffer, so no temporary
-    as large as the matrix is made. Every coincident pair is reported before
-    any pair too close for a finite gain.
+    Once the nodes pass these checks, _link_arrays builds the matrices from
+    their coordinate arrays. Every coincident pair is reported before any
+    pair too close for a finite gain.
     """
     if not nodes:
         raise ValueError("node list is empty")
@@ -327,10 +332,26 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
 
     if mode not in _DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {mode!r}; use one of {_DISTANCE_MODES}")
+    axes = [coords[axis] for axis in (("x", "y") if mode == "planar" else ("x", "y", "z"))]
+    return _topology(tuple(ordered), _link_arrays(axes, p))
+
+
+def _link_arrays(axes: list[np.ndarray], p: ChannelParams) -> tuple[np.ndarray, ...]:
+    """``incidence``, ``gains``, ``distances`` and ``links`` of n UAVs and a
+    ground station, from one float array per axis (x, y and, in 3-D, z) of
+    the n + 1 nodes, the ground station last: build_topology's arrays, for
+    coordinates that it would accept. Raises CoincidentNodesError on the
+    first coincident pair, row-major, and then on the first pair too close
+    for a finite gain.
+
+    The distance matrix is summed _ROW_BLOCK UAV rows at a time, each axis's
+    squared offsets going through one block-sized buffer, so no temporary
+    as large as the matrix is made.
+    """
+    n = axes[0].size - 1
     # Pairwise distances UAV row i to node column j, dx*dx + dy*dy (+ dz*dz)
     # summed in the order distance() uses, one row block at a time. A length
     # beyond the float range is inf, as in distance(), and so out of range.
-    axes = [coords[axis] for axis in (("x", "y") if mode == "planar" else ("x", "y", "z"))]
     d = np.empty((n, n + 1))
     delta = np.empty((min(n, _ROW_BLOCK), n + 1))
     with np.errstate(over="ignore"):
@@ -372,4 +393,13 @@ def build_topology(nodes: list[Node], p: ChannelParams, mode: str = "planar") ->
     incidence = (gains > 0.0).view(np.int8)
     for arr in (incidence, gains, d):
         arr.flags.writeable = False
-    return Topology(nodes=tuple(ordered), incidence=incidence, gains=gains, distances=d)
+    return incidence, gains, d, _link_table(incidence)
+
+
+def _topology(nodes: tuple[Node, ...], arrays: tuple[np.ndarray, ...]) -> Topology:
+    """The Topology of ``nodes`` over ``_link_arrays``' result, its link table
+    already listed."""
+    incidence, gains, d, links = arrays
+    topo = Topology(nodes=nodes, incidence=incidence, gains=gains, distances=d)
+    topo.__dict__["links"] = links
+    return topo

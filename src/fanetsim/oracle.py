@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ChannelParams, Topology, link_capacities
-from .routing import DisconnectedTopologyError, RoutingTree, parent_link_values
+from .routing import DisconnectedTopologyError, RoutingTree
 
 # Refuse grids whose dynamic program would exceed this many cell updates.
 _GRID_BUDGET = 2 ** 28
@@ -96,7 +96,7 @@ def grid_power_oracle(tree: RoutingTree, t: Topology, total_budget_w: float,
 
     # Per-link rate at every grid level, row-major by link; a rate beyond
     # the float range is inf, as in link_capacity.
-    gains = np.array(parent_link_values(t.gains, tree.parent, uavs))
+    gains = t.gains[tree.parent_links]
     rate_table = link_capacities(np.tile(levels, n), gains.repeat(steps + 1),
                                  p).reshape(n, steps + 1)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelParams, Topology, link_capacities
-from .routing import RoutingTree, parent_link_values, validate_tree
+from .routing import RoutingTree, _require_valid
 
 # Anything at or below this fraction of the budget is treated as a clamped link.
 CLAMP_TOLERANCE = 1e-12
@@ -66,7 +66,8 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
     """Split ``total_budget_w`` across the tree's links to maximize summed rate.
 
     Requires a valid tree of at least one UAV (an empty fleet raises
-    ValueError) and a positive, finite budget. The returned powers
+    ValueError) and a positive, finite budget; a tree not yet known to be
+    valid for ``t`` is checked once with validate_tree. The returned powers
     sum to the budget exactly up to one rounding correction, clamped links
     carry exactly 0.0, and the water-level identity above holds on the active
     set, which always holds the lowest-floor link, to floating-point precision.
@@ -77,9 +78,7 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
         raise ValueError("total power budget must be positive and finite")
     if not t.n_uavs:
         raise ValueError("the fleet is empty: there are no UAV links to split the budget across")
-    report = validate_tree(tree, t)
-    if not report.ok:
-        raise ValueError(f"routing tree is invalid: {report}")
+    _require_valid(tree, t)
 
     # Every rate the pipeline evaluates is at a power within the budget on an
     # admissible link.
@@ -87,8 +86,8 @@ def allocate_power(tree: RoutingTree, t: Topology, total_budget_w: float,
         raise AllocationError(
             f"a budget of {total_budget_w!r} W overflows the SNR of the strongest link"
         )
-    uavs = sorted(tree.parent)
-    gains = np.array(parent_link_values(t.gains, tree.parent, uavs))
+    uavs = t.uav_ids
+    gains = t.gains[tree.parent_links]
     bad = ~(gains > 0.0)
     if bad.any():
         raise ValueError(f"parent link of UAV {uavs[int(bad.argmax())]} has nonpositive gain")
@@ -149,9 +148,8 @@ def link_rates(alloc: PowerAllocation, tree: RoutingTree, t: Topology,
     The first link in UAV id order that link_capacity rejects, nan included,
     raises its error.
     """
-    uavs = sorted(tree.parent)
-    powers = np.array([alloc.power[i] for i in uavs])
-    gains = np.array(parent_link_values(t.gains, tree.parent, uavs))
+    powers = np.array([alloc.power[i] for i in sorted(tree.parent)])
+    gains = t.gains[tree.parent_links]
     return link_capacities(powers, gains, p).tolist()
 
 

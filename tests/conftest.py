@@ -8,7 +8,7 @@ Topology directly from per-UAV gain dicts; node positions are dummies.
 import numpy as np
 import pytest
 
-from fanetsim.model import ChannelParams, Node, Topology, build_topology
+from fanetsim.model import GROUND_STATION, UAV, ChannelParams, Node, Topology, build_topology
 from fanetsim.routing import RoutingTree
 
 
@@ -49,6 +49,14 @@ def synth_topology(gain_rows, params=None):
     for arr in (incidence, gains, distances):
         arr.setflags(write=False)
     return Topology(nodes=nodes, incidence=incidence, gains=gains, distances=distances)
+
+
+def line_topology():
+    """Three UAVs 1 km apart on a line, the ground station between UAVs 1
+    and 2: every link is admissible."""
+    return build_topology([Node(1, 0.0, 0.0, 150.0, UAV), Node(2, 1000.0, 0.0, 150.0, UAV),
+                           Node(3, 2000.0, 0.0, 150.0, UAV),
+                           Node(4, 500.0, 0.0, 0.0, GROUND_STATION)], ChannelParams())
 
 
 def admissible_neighbors(t, uav_id):

@@ -20,8 +20,11 @@ from fanetsim.model import (
     GROUND_STATION,
     UAV,
     ChannelParams,
+    CoincidentNodesError,
     Node,
     Topology,
+    _link_arrays,
+    _topology,
     build_topology,
     channel_gain,
     distance,
@@ -484,3 +487,67 @@ def test_link_table_is_the_row_major_incidence_nonzeros(t):
     assert t.links is table
     assert not any(arr.flags.writeable for arr in table)
     assert [arr.tolist() for arr in table] == list(reference_link_table(t))
+
+
+@st.composite
+def placed_coordinates(draw):
+    """Coordinates of 1-10 UAVs and the ground station, last, as placement
+    holds them, with a channel: coincident pairs, pairs a few ulps apart,
+    coordinates near the float range (whose offsets overflow to inf), and
+    link thresholds below 1 m as well as far above it."""
+    n = draw(st.integers(1, 10))
+    coord = st.one_of(st.floats(-20000.0, 20000.0),
+                      st.sampled_from([0.0, 1e-300, 5e-324, 1.0, 1e307, -1e308, 1.7976931348623157e308]))
+    xs = [draw(coord) for _ in range(n + 1)]
+    ys = [draw(coord) for _ in range(n + 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        k, m = draw(st.integers(0, n)), draw(st.integers(0, n))
+        xs[m] = xs[k] if draw(st.booleans()) else math.nextafter(xs[k], 0.0)
+        ys[m] = ys[k]
+    d_th = draw(st.sampled_from([1e-3, 0.5, math.nextafter(1.0, 0.0), 1.0, 6000.0, 1e300])
+                | st.floats(1e-6, 1e5))
+    beta = draw(st.sampled_from([2.0, 2.5, 85.0]))
+    return xs, ys, ChannelParams(pathloss_beta=beta, link_threshold_dth=d_th)
+
+
+@PROPERTY
+@given(placed_coordinates())
+@example(([0.0, 0.0, 100.0], [0.0, 0.0, 0.0], ChannelParams(link_threshold_dth=0.5)))
+@example(([0.0, 1e-160, 100.0], [0.0, 0.0, 0.0], ChannelParams(link_threshold_dth=0.5)))
+@example(([0.0, 0.3, 100.0], [0.0, 0.0, 0.0], ChannelParams(link_threshold_dth=0.5)))
+@example(([-1e308, 1.7976931348623157e308, 0.0], [0.0, 0.0, 1e307],
+          ChannelParams(link_threshold_dth=1e300)))
+def test_placement_builder_equals_build_topology(case):
+    # Placement skips build_topology's node checks and builds from its own
+    # coordinate arrays; the matrices, the link table and every error must
+    # be build_topology's, bit for bit.
+    xs, ys, p = case
+    n = len(xs) - 1
+    nodes = [Node(i + 1, x, y, 150.0, UAV) for i, (x, y) in enumerate(zip(xs[:n], ys[:n]))]
+    nodes.append(Node(n + 1, xs[n], ys[n], 0.0, GROUND_STATION))
+    axes = [np.array(xs), np.array(ys)]
+    try:
+        want = build_topology(nodes, p)
+    except CoincidentNodesError as exc:
+        with pytest.raises(CoincidentNodesError) as got:
+            _link_arrays(axes, p)
+        assert str(got.value) == str(exc)
+        return
+    got = _topology(tuple(nodes), _link_arrays(axes, p))
+    assert got.nodes == want.nodes
+    for name in ("incidence", "gains", "distances"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+        assert not mine.flags.writeable
+    assert [a.tolist() for a in got.links] == list(reference_link_table(want))
+
+
+@pytest.mark.parametrize("n, area_side, seed", [(20, 20000.0, 3), (30, 20000.0, 11), (200, 40000.0, 0)])
+def test_placed_topology_equals_build_topology_of_its_nodes(n, area_side, seed):
+    cfg = ScenarioConfig(n_uavs=n, area_side=area_side, min_separation=300.0, seed=seed)
+    t = generate_scenario(cfg)
+    want = build_topology(list(t.nodes), cfg.channel)
+    assert t.nodes == want.nodes
+    for name in ("incidence", "gains", "distances"):
+        assert getattr(t, name).tobytes() == getattr(want, name).tobytes(), name
+    assert [a.tolist() for a in t.links] == [a.tolist() for a in want.links]

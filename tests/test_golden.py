@@ -33,6 +33,13 @@ CASES = {
          "--pb", "0.001", "--seed", "0", "--tree-dump", "{large_fleet_tree_dump.csv}"],
         ("large_fleet_tree_dump.csv",),
     ),
+    # at 1 W rounding accepts about 124 swaps, so this locks the refined
+    # tree's path through many re-parented subtrees
+    "run-large-fleet-1w": (
+        ["run", "--n-uavs", "200", "--area-side", "40000", "--min-separation", "300",
+         "--pb", "1", "--seed", "0", "--tree-dump", "{large_fleet_1w_tree_dump.csv}"],
+        ("large_fleet_1w_tree_dump.csv",),
+    ),
     # hop counts tie constantly, so this locks the lowest-id parent tie-break
     "run-large-fleet-hops": (
         ["run", "--n-uavs", "200", "--area-side", "40000", "--min-separation", "300",

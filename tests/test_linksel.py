@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanetsim.harness import ScenarioConfig, generate_scenario, select_links
 from fanetsim.linksel import (
     BARRIER_ROUNDS,
     Candidate,
@@ -22,7 +23,7 @@ from fanetsim.linksel import (
 )
 from fanetsim.model import link_capacity
 from fanetsim.power import AllocationError, PowerAllocation, allocate_power
-from fanetsim.routing import RoutingTree, build_spt, validate_tree
+from fanetsim.routing import RoutingTree, build_spt, path_costs, validate_tree
 
 from conftest import random_cluster_topology, star_tree, synth_topology, toy_params
 
@@ -606,6 +607,58 @@ def test_round_matches_revalidating_reference(instance):
     assert got_tree.parent == want_parent
     assert got_throughput == want_throughput
     assert validate_tree(got_tree, t).ok
+
+
+def nested_swaps(first_gain):
+    """A shortest-path tree 1 -> 7, 2 -> 7, 6 -> 7, 3 -> 1, 4 -> 2, 5 -> 4
+    (every link 1 m long, the ground station 7) and its candidates at 1 W.
+    Rounding moves UAV 2 under UAV 3, and UAV 6 under UAV 5, which then
+    lies in UAV 2's new subtree; UAV 6's gain of ``first_gain`` against
+    UAV 2's 2.0 decides which swap comes first (UAV 2 on a tie)."""
+    t = synth_topology([{7: 1.0}, {7: 1.0, 3: 2.0}, {1: 1.0}, {2: 1.0}, {4: 1.0},
+                        {7: 1.0, 5: first_gain}])
+    p = toy_params()
+    spt = build_spt(t)
+    alloc = uniform_alloc(t.uav_ids)
+    return t, p, spt, alloc, build_candidates(spt, t, alloc, p)
+
+
+def hexes(costs):
+    return [(i, c.hex()) for i, c in costs.items()]
+
+
+@pytest.mark.parametrize("first_gain", [2.0, 3.0], ids=["uav2_first", "uav6_first"])
+def test_round_recounts_a_swap_inside_another_swaps_subtree(first_gain):
+    t, p, spt, alloc, c = nested_swaps(first_gain)
+    assert spt.parent == {1: 7, 2: 7, 3: 1, 4: 2, 5: 4, 6: 7}
+    refined, _ = round_and_update(c, spt, alloc, t, p)
+    assert refined.parent == {1: 7, 2: 3, 3: 1, 4: 2, 5: 4, 6: 5}
+    assert refined.path_cost == {1: 1.0, 2: 3.0, 3: 2.0, 4: 4.0, 5: 5.0, 6: 6.0}
+    assert hexes(refined.path_cost) == hexes(path_costs(refined.parent, t, "distance"))
+
+
+def test_round_sums_every_cost_of_a_callers_tree():
+    # A caller's tree does not carry its own path costs, so none are reused.
+    t, p, spt, alloc, c = nested_swaps(2.0)
+    mine = RoutingTree(dict(spt.parent), {})
+    refined, _ = round_and_update(c, mine, alloc, t, p)
+    assert hexes(refined.path_cost) == hexes(path_costs(refined.parent, t, "distance"))
+    stale = RoutingTree(dict(spt.parent), {i: 9.0 for i in t.uav_ids})
+    assert round_and_update(c, stale, alloc, t, p)[0].path_cost == refined.path_cost
+
+
+@pytest.mark.parametrize("weight", ["distance", "hops"])
+@pytest.mark.parametrize("pb, min_swaps", [(1.0, 100), (1e-3, 1)], ids=["1w", "1mw"])
+def test_refined_path_costs_equal_a_full_recount(pb, min_swaps, weight):
+    # At 1 W rounding accepts about 124 swaps on these layouts, at 1 mW about 4.
+    for seed in (0, 1):
+        cfg = ScenarioConfig(n_uavs=200, area_side=40000.0, min_separation=300.0, seed=seed,
+                             power_budget_Pb=pb, spt_weight=weight, measure_wall_time=False)
+        t = generate_scenario(cfg)
+        spt = build_spt(t, weight)
+        refined = select_links(t, cfg).refined_tree
+        assert sum(refined.parent[i] != spt.parent[i] for i in t.uav_ids) >= min_swaps
+        assert hexes(refined.path_cost) == hexes(path_costs(refined.parent, t, weight))
 
 
 def test_round_rejects_cyclic_tree():

@@ -22,7 +22,8 @@ from fanetsim.power import (
 )
 from fanetsim.routing import RoutingTree, build_spt, validate_tree
 
-from conftest import chain_gains, random_cluster_topology, star_tree, synth_topology, toy_params
+from conftest import (chain_gains, line_topology, random_cluster_topology, star_tree,
+                      synth_topology, toy_params)
 
 
 def lowest_floor_uav(tree, t, p):
@@ -243,6 +244,20 @@ def test_rejects_invalid_tree():
     bad = RoutingTree(parent={1: 3}, path_cost={1: 1.0})  # uav2 missing
     with pytest.raises(ValueError):
         allocate_power(bad, t, 1.0, toy_params())
+
+
+def test_rejects_a_float_parent():
+    # The gain gather at 4.0 raised a numpy IndexError.
+    tree = RoutingTree({1: 4, 2: 4.0, 3: 4}, {})
+    with pytest.raises(ValueError, match=r"routing tree is invalid: .*UAV 2 names unknown parent 4\.0"):
+        allocate_power(tree, line_topology(), 1.0, ChannelParams())
+
+
+def test_rejects_a_bool_parent():
+    # True passed as the id 1, and UAV 2's link to UAV 1 was priced.
+    tree = RoutingTree({1: 4, 2: True, 3: 4}, {})
+    with pytest.raises(ValueError, match="routing tree is invalid: .*UAV 2 names unknown parent True"):
+        allocate_power(tree, line_topology(), 1.0, ChannelParams())
 
 
 def test_budget_swamped_by_noise_floors():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from fanetsim.harness import ScenarioConfig, generate_scenario
 from fanetsim.model import GROUND_STATION, UAV, ChannelParams, Node, build_topology
 from fanetsim.routing import DisconnectedTopologyError, build_spt, validate_tree
 from fanetsim.routing import RoutingTree, TreeValidationReport, _is_tree
+from fanetsim.routing import parent_link_values, path_costs
 from fanetsim import routing
 
-from conftest import chain_gains, random_cluster_topology, synth_topology
+from conftest import chain_gains, line_topology, random_cluster_topology, synth_topology
 
 
 def brute_force_paths(t, weight="distance"):
@@ -211,20 +213,167 @@ def test_self_parent_rejected():
     assert not rep.ok
 
 
+def test_float_parent_is_an_unknown_parent():
+    # 4.0 equals the ground station's id 4, and indexing the incidence
+    # matrix with it raised a numpy IndexError.
+    rep = validate_tree(RoutingTree({1: 4, 2: 4.0, 3: 4}, {}), line_topology())
+    assert rep.single_parent == ["UAV 2 names unknown parent 4.0"]
+    assert rep.gs_rooted == ["UAV 2 cannot reach the ground station"]
+    assert rep.loop_free == [] and rep.admissible == []
+
+
+def test_bool_parent_is_an_unknown_parent():
+    # True equals the id 1, and the map validated as a tree.
+    rep = validate_tree(RoutingTree({1: 4, 2: True, 3: 4}, {}), line_topology())
+    assert rep.single_parent == ["UAV 2 names unknown parent True"]
+    assert rep.gs_rooted == ["UAV 2 cannot reach the ground station"]
+
+
+def test_float_key_is_an_unknown_uav():
+    # 2.0 equals the id 2 as a dict key, so UAV 2 seemed to have an entry.
+    rep = validate_tree(RoutingTree({1: 4, 2.0: 4, 3: 4}, {}), line_topology())
+    assert rep.single_parent == ["UAV 2 has no parent entry", "parent entry for unknown UAV 2.0"]
+    assert rep.gs_rooted == ["UAV 2 cannot reach the ground station"]
+
+
+def test_numpy_integer_ids_are_ids():
+    t = line_topology()
+    tree = RoutingTree({np.int64(1): np.int32(4), 2: np.int64(1), np.int16(3): 4}, {})
+    assert validate_tree(tree, t).ok
+    assert tree.parent_index.tolist() == [3, 0, 3]
+    assert path_costs(tree.parent, t, "hops") == {1: 1.0, 2: 2.0, 3: 1.0}
+
+
+@pytest.mark.parametrize("parent", [{2: 1.5}, {2: "4"}, {1.5: 4}],
+                         ids=["float_parent", "str_parent", "float_key"])
+@pytest.mark.parametrize("weight", ["distance", "hops"])
+def test_path_costs_rejects_non_integer_ids(parent, weight):
+    # Gathering link lengths at a float id raised IndexError, at a string id
+    # numpy's UFuncTypeError; under "hops" the walk called the map a loop.
+    with pytest.raises(ValueError, match="which is not a (node|UAV) id"):
+        path_costs(parent, line_topology(), weight)
+
+
+@pytest.mark.parametrize("parent", [{2: 1.5}, {2: "4"}, {1.5: 4}],
+                         ids=["float_parent", "str_parent", "float_key"])
+def test_parent_link_values_rejects_non_integer_ids(parent):
+    t = line_topology()
+    with pytest.raises(ValueError, match="which is not a (node|UAV) id"):
+        parent_link_values(t.distances, parent, list(parent))
+
+
+def test_a_tree_is_immutable_and_compares_to_dicts():
+    parent = {1: 4, 2: 1, 3: 4}
+    tree = RoutingTree(parent, {1: 500.0, 2: 1500.0, 3: 1500.0})
+    parent[2] = 4  # the tree holds its own copy
+    assert tree.parent == {1: 4, 2: 1, 3: 4} and tree.path_cost == {1: 500.0, 2: 1500.0, 3: 1500.0}
+    assert tree == RoutingTree({1: 4, 2: 1, 3: 4}, {1: 500.0, 2: 1500.0, 3: 1500.0})
+    with pytest.raises(TypeError):
+        tree.parent[2] = 4
+    with pytest.raises(AttributeError):
+        tree.parent = {}
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    for array in (*tree.parent_links, *tree.euler):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_trees_made_here_are_not_checked_again(monkeypatch):
+    # build_spt's tree and a caller's tree that has passed once are marked
+    # valid for their topology; validate_tree itself always checks in full.
+    from fanetsim import linksel, power
+
+    t = line_topology()
+    p = ChannelParams()
+    calls = []
+    checked = routing.validate_tree
+    monkeypatch.setattr(routing, "validate_tree", lambda *a: calls.append(a) or checked(*a))
+    spt = build_spt(t)
+    alloc = power.allocate_power(spt, t, 1.0, p)
+    linksel.round_and_update(linksel.build_candidates(spt, t, alloc, p), spt, alloc, t, p)
+    assert calls == []
+    mine = RoutingTree(dict(spt.parent), {})
+    alloc = power.allocate_power(mine, t, 1.0, p)
+    linksel.round_and_update(linksel.build_candidates(mine, t, alloc, p), mine, alloc, t, p)
+    assert len(calls) == 1
+    # marked for this topology only
+    power.allocate_power(mine, line_topology(), 1.0, p)
+    assert len(calls) == 2
+    assert checked(mine, t).ok
+
+
+@st.composite
+def tree_maps(draw):
+    """A parent map over 1-40 UAVs in random entry order: a random tree, or
+    one with up to three entries pointed at random UAVs, which strands UAVs
+    and closes cycles."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(1, n + 1)))
+    parent = {i: draw(st.sampled_from([n + 1, *order[:k]])) for k, i in enumerate(order)}
+    for _ in range(draw(st.integers(0, 3))):
+        parent[draw(st.integers(1, n))] = draw(st.integers(1, n))
+    return dict(draw(st.permutations(list(parent.items()))))
+
+
+def reference_ancestors(parent, i):
+    """The nodes on UAV i's walk toward the ground station, i included, or
+    None when the walk loops."""
+    seen = [i]
+    while seen[-1] in parent:
+        if parent[seen[-1]] in seen:
+            return None
+        seen.append(parent[seen[-1]])
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_maps())
+def test_cached_arrays_equal_the_dict_walk(parent):
+    n = len(parent)
+    tree = RoutingTree(parent, {})
+    uavs = range(1, n + 1)
+    assert tree.parent_index.tolist() == [parent[i] - 1 for i in uavs]
+    rows, cols = tree.parent_links
+    assert rows.tolist() == list(range(n)) and cols is tree.parent_index
+    walks = {i: reference_ancestors(parent, i) for i in uavs}
+    reached = {i for i, walk in walks.items() if walk is not None}
+    order = tree.preorder
+    assert order[0] == n + 1 and sorted(order[1:]) == sorted(reached)
+    assert all(order.index(parent[i]) < order.index(i) for i in order[1:])
+    tin, tout = tree.euler
+    for i in uavs:
+        if i not in reached:
+            assert tin[i - 1] == tout[i - 1] == -1
+            continue
+        below = {k for k in reached if i in walks[k]}
+        assert {k for k in reached if tin[i - 1] <= tin[k - 1] < tout[i - 1]} == below
+    assert tin[n] == 0 and tout[n] == len(order)
+
+
+def is_int(node_id):
+    return isinstance(node_id, (int, np.integer)) and not isinstance(node_id, bool)
+
+
 def reference_validate_tree(tree, t):
     """validate_tree as it was before its walks shared their outcomes: every
-    UAV walks its own parent chain to the end, at most n hops."""
+    UAV walks its own parent chain to the end, at most n hops. An id that is
+    not an int or a numpy integer (a bool, a float, a string) is unknown, and
+    its entry is not walked."""
     report = TreeValidationReport()
     gs_id = t.gs.id
     uav_set = set(t.uav_ids)
     valid_ids = uav_set | {gs_id}
+    parent = {i: j for i, j in tree.parent.items() if is_int(i) and is_int(j)}
 
     for i in t.uav_ids:
-        if i not in tree.parent:
+        if not any(is_int(k) and k == i for k in tree.parent):
             report.single_parent.append(f"UAV {i} has no parent entry")
     for i, j in tree.parent.items():
-        if i not in uav_set:
+        if not is_int(i) or i not in uav_set:
             report.single_parent.append(f"parent entry for unknown UAV {i}")
+            continue
+        if not is_int(j):
+            report.single_parent.append(f"UAV {i} names unknown parent {j}")
             continue
         if j == i:
             report.single_parent.append(f"UAV {i} is its own parent")
@@ -235,8 +384,8 @@ def reference_validate_tree(tree, t):
         if not t.is_admissible(i, j):
             report.admissible.append(f"link {i} -> {j} is beyond the admissibility threshold")
 
-    for i, j in tree.parent.items():
-        if tree.parent.get(j) == i:
+    for i, j in parent.items():
+        if parent.get(j) == i:
             report.loop_free.append(f"UAVs {min(i, j)} and {max(i, j)} parent each other")
 
     seen_cycles = set()
@@ -250,7 +399,7 @@ def reference_validate_tree(tree, t):
             if node == gs_id:
                 reached_gs = True
                 break
-            nxt = tree.parent.get(node)
+            nxt = parent.get(node)
             if nxt is None or nxt not in valid_ids:
                 break
             chain.append(node)
