@@ -320,27 +320,36 @@ def _ids(values: list) -> np.ndarray | None:
         return None
 
 
-def _id_arrays(parent: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _id_arrays(parent: Mapping[int, int], n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The keys and the values of a parent map as intp arrays, in the map's
     order; raises ValueError naming the first entry with an id that is not
-    an integer."""
+    an integer or, given the fleet size ``n``, with a key outside the UAVs
+    1..n or a value outside the nodes 1..n + 1."""
     uavs, ups = _ids(list(parent)), _ids(list(parent.values()))
-    if uavs is None or ups is None:
-        i, j = next((i, j) for i, j in parent.items() if _ids([i]) is None or _ids([j]) is None)
-        if _ids([i]) is None:
-            raise ValueError(f"parent entry for {i!r}, which is not a UAV id")
-        raise ValueError(f"UAV {i} names parent {j!r}, which is not a node id")
-    return uavs, ups
+    if uavs is not None and ups is not None and (
+            n is None or not uavs.size
+            or (uavs.min() >= 1 and uavs.max() <= n and ups.min() >= 1 and ups.max() <= n + 1)):
+        return uavs, ups
+
+    def unknown(node, top):
+        return _ids([node]) is None or (top is not None and not 1 <= node <= top)
+
+    top = None if n is None else n + 1
+    i, j = next((i, j) for i, j in parent.items() if unknown(i, n) or unknown(j, top))
+    if unknown(i, n):
+        raise ValueError(f"parent entry for {i!r}, which is not a UAV id")
+    raise ValueError(f"UAV {i} names parent {j!r}, which is not a node id")
 
 
 def parent_link_values(values: np.ndarray, parent: Mapping[int, int],
                        uavs: list[int]) -> list[float]:
     """``values[i - 1, parent[i] - 1]`` for each UAV i of ``uavs``, in one
     gather: the parent links' entries of a Topology matrix such as ``gains``
-    or ``distances``. Raises ValueError when one of those UAVs or its parent
-    is not an integer id. A RoutingTree's own links are read through its
+    or ``distances``, n UAV rows by n + 1 node columns. Raises ValueError
+    when one of those UAVs is not an integer in 1..n or its parent is not an
+    integer in 1..n + 1. A RoutingTree's own links are read through its
     cached ``parent_links`` instead."""
-    rows, cols = _id_arrays({i: parent[i] for i in uavs})
+    rows, cols = _id_arrays({i: parent[i] for i in uavs}, values.shape[0])
     return values[rows - 1, cols - 1].tolist()
 
 
@@ -359,22 +368,22 @@ def _walk(children, root: int) -> list[int]:
 def _preorder(parent: Mapping[int, int], root: int) -> list[int]:
     """The nodes that ``root`` reaches through ``parent``, in a preorder from
     ``root``: every node comes after its parent, and each subtree is one
-    contiguous run. An entry for ``root`` itself is ignored."""
+    contiguous run. ``parent`` holds no entry for ``root``: path_costs
+    rejects one and validate_tree walks only the UAVs' entries."""
     children: defaultdict[int, list[int]] = defaultdict(list)
     for child, par in parent.items():
         children[par].append(child)
-    if root in parent:
-        children[parent[root]].remove(root)
     return _walk(children, root)
 
 
 def path_costs(parent: Mapping[int, int], t: Topology, weight: str) -> dict[int, float]:
     """Summed ``weight`` of the links from each UAV to the ground station along
-    ``parent``; raises ValueError on an id that is not an integer and names
-    the lowest UAV whose walk misses the ground station."""
+    ``parent``; raises ValueError on a key that is not one of t's UAVs
+    1..n or a parent that is not one of its nodes 1..n + 1, and names the
+    lowest UAV whose walk misses the ground station."""
     if weight not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
-    rows, cols = _id_arrays(parent)
+    rows, cols = _id_arrays(parent, t.n_uavs)
     if weight == "hops":
         length = dict.fromkeys(parent, 1.0)
     else:

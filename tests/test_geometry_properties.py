@@ -410,12 +410,12 @@ def test_path_costs_on_an_unknown_parent_and_a_ground_station_entry():
     t = build_topology(nodes, ChannelParams())
     with pytest.raises(KeyError):
         reference_path_costs({1: 3, 2: 7}, t, "hops")
-    with pytest.raises(ValueError, match=r"^the parent walk from UAV 2 loops$"):
+    with pytest.raises(ValueError, match=r"^UAV 2 names parent 7, which is not a node id$"):
         path_costs({1: 3, 2: 7}, t, "hops")
-    # An entry for the ground station itself is ignored, as the chain walk
-    # ignored it; the preorder must not walk back into its root.
-    parent = {1: 3, 2: 1, 3: 1}
-    assert repr(path_costs(parent, t, "hops")) == repr(reference_path_costs(parent, t, "hops"))
+    # The chain walk ignored an entry for the ground station itself; it is
+    # not a UAV's entry, so path_costs rejects it as validate_tree reports it.
+    with pytest.raises(ValueError, match=r"^parent entry for 3, which is not a UAV id$"):
+        path_costs({1: 3, 2: 1, 3: 1}, t, "hops")
 
 
 @st.composite

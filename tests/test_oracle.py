@@ -1,6 +1,7 @@
 """Reference optimizers: exhaustive power grid and tree enumeration."""
 
 import functools
+import hashlib
 import itertools
 import math
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanetsim import cli, oracle
 from fanetsim.harness import ScenarioConfig, generate_scenario
 from fanetsim.model import GROUND_STATION, ChannelParams, Node, build_topology, link_capacity
 from fanetsim.oracle import (
@@ -455,12 +457,20 @@ WIDE_FLOORS = (synth_topology([{2: 1e-60, 3: 1e30}, {1: 1e30, 3: 1e-60}]), 1e-14
 # Eight UAVs, each linked to the ground station and to the next UAV around a
 # ring: 255 trees of 8 links, whose spends numpy sums pairwise.
 RING_OF_EIGHT = (synth_topology([{9: 1.0 / i, i % 8 + 1: 0.3 * i} for i in range(1, 9)]), 1.0)
+# Floors 1e-10 and 1e35: the 200-step loop stops short of the pair of
+# floats where its test flips, so this tree's bracket must not be narrowed.
+CAPPED = (synth_topology([{5: 1e-35}, {5: 1e-35}, {5: 1e-35}, {5: 1e10}]), 1e-10)
+# One link: the spend at the bracket top equals the budget, so no level is
+# over budget, no bracket top can be seeded and the bracket closes on its top.
+ONE_LINK = (synth_topology([{2: 1.0}]), 1.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_instances())
 @example(WIDE_FLOORS)
 @example(RING_OF_EIGHT)
+@example(CAPPED)
+@example(ONE_LINK)
 def test_tree_oracle_bit_identical_to_fixed_bisection(instance):
     t, budget = instance
     p = toy_params()
@@ -559,3 +569,39 @@ def test_grid_oracle_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# sha256 of the reprs of every oracle result `validate --seed s` computes for
+# s = 0..9, in call order, joined by newlines: 10 grid and 10 tree-enumeration
+# calls per seed. validate.txt holds only the PASS lines, so this pins the
+# oracles' own bits on real draws.
+VALIDATE_ORACLE_DIGEST = "88d1d6e2939ebb47ffef2033959440e908654c5f8ed8d00fceb8743e11df535d"
+
+
+def test_validate_oracle_results_are_pinned(monkeypatch, capsys):
+    results, sums_per_call = [], []
+    tree_sums = oracle._tree_sums
+
+    def counted(table):
+        sums_per_call[-1] += 1
+        return tree_sums(table)
+
+    def recorded(fn, counts_sums):
+        def call(*args, **kwargs):
+            if counts_sums:
+                sums_per_call.append(0)
+            res = fn(*args, **kwargs)
+            results.append(repr(res))
+            return res
+        return call
+
+    monkeypatch.setattr(oracle, "_tree_sums", counted)
+    monkeypatch.setattr(oracle, "grid_power_oracle", recorded(oracle.grid_power_oracle, False))
+    monkeypatch.setattr(oracle, "tree_enum_oracle", recorded(oracle.tree_enum_oracle, True))
+    for seed in range(10):
+        assert cli.main(["validate", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert len(results) == 200 and len(sums_per_call) == 100
+    assert hashlib.sha256("\n".join(results).encode()).hexdigest() == VALIDATE_ORACLE_DIGEST
+    # the seeded bracket: one check, 12 steps and the final pricing
+    assert max(sums_per_call) <= 20, sorted(set(sums_per_call))

@@ -262,6 +262,36 @@ def test_parent_link_values_rejects_non_integer_ids(parent):
         parent_link_values(t.distances, parent, list(parent))
 
 
+# Ids that are integers but not nodes of the three-UAV line: a parent beyond
+# the ground station (4) or of 0, and a key of 0 or of the ground station.
+OUTSIDE_THE_FLEET = [
+    ({1: 4, 2: 7, 3: 4}, "UAV 2 names parent 7, which is not a node id"),
+    ({1: 4, 2: 0, 3: 4}, "UAV 2 names parent 0, which is not a node id"),
+    ({1: 4, 0: 4, 3: 4}, "parent entry for 0, which is not a UAV id"),
+    ({1: 4, 2: 1, 3: 4, 4: 1}, "parent entry for 4, which is not a UAV id"),
+]
+
+
+@pytest.mark.parametrize("parent, message", OUTSIDE_THE_FLEET,
+                         ids=["parent_beyond_gs", "parent_zero", "key_zero", "gs_key"])
+@pytest.mark.parametrize("weight", ["distance", "hops"])
+def test_path_costs_rejects_ids_outside_the_fleet(parent, message, weight):
+    # Gathering a link length at parent 7 raised numpy's IndexError and at
+    # parent 0 read the ground station's column; under "hops" the walk
+    # called parent 7 a loop.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        path_costs(parent, line_topology(), weight)
+
+
+@pytest.mark.parametrize("parent, message", OUTSIDE_THE_FLEET,
+                         ids=["parent_beyond_gs", "parent_zero", "key_zero", "gs_key"])
+def test_parent_link_values_rejects_ids_outside_the_fleet(parent, message):
+    # Parent 0 read the last column, the ground station's, without an error.
+    t = line_topology()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parent_link_values(t.distances, parent, list(parent))
+
+
 def test_a_tree_is_immutable_and_compares_to_dicts():
     parent = {1: 4, 2: 1, 3: 4}
     tree = RoutingTree(parent, {1: 500.0, 2: 1500.0, 3: 1500.0})
