@@ -276,20 +276,15 @@ def build_candidates(tree: RoutingTree, t: Topology, alloc: PowerAllocation,
     would see on that link at its current power, all priced in one
     ``link_capacities`` pass. UAVs at zero power are not listed: every rate
     would be 0.0, so neither the solver nor rounding could act on them.
-    Raises ValueError when a listed UAV is not reached from the ground
-    station, and AllocationError when a rate overflows the float range.
+    Raises ValueError with validate_tree's report for a tree not valid for
+    ``t``, and AllocationError when a rate overflows the float range.
     """
+    _require_valid(tree, t)
     powered = [i for i in sorted(tree.parent) if alloc.power[i] > 0.0]
     if not powered:
         return CandidateSet([], [0], [], [])
     tin, tout = tree.euler
     rows = np.array(powered) - 1
-    unreached = rows[tin[rows] < 0]
-    if unreached.size:
-        raise ValueError(
-            f"routing tree is invalid: UAV(s) {(unreached + 1).tolist()} "
-            "not reached from the ground station"
-        )
     # k is a candidate of i when the link is admissible, k is not i's parent,
     # and k lies outside i's subtree: not tin[i] <= tin[k] < tout[i]. The
     # powered rows' links come row by row, columns ascending.

@@ -37,8 +37,11 @@ and exit numbers. build_spt and link rounding make trees that are valid by
 construction, with path costs of their own, and mark them so for their
 Topology. Stages that need a valid tree run validate_tree only on a tree
 without that mark, such as one made from a caller's dict, and mark it once
-it passes; validate_tree itself checks in full on every call. Node ids are
-ints or numpy integers: a bool, a float or a string is an unknown id.
+it passes; validate_tree itself checks in full on every call, and a tree is
+valid exactly when its report lists nothing. One walk, _preorder, lists the
+nodes that the ground station reaches through a per-UAV list of parent ids:
+for a tree's preorder, for path_costs and for validate_tree's report. Node
+ids are ints or numpy integers: a bool, a float or a string is an unknown id.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from __future__ import annotations
 import functools
 import types
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -89,6 +91,7 @@ class RoutingTree:
     _costs_for = None
 
     def __post_init__(self):
+        _require_weight(self.weight)
         object.__setattr__(self, "parent", types.MappingProxyType(dict(self.parent)))
         object.__setattr__(self, "path_cost", types.MappingProxyType(dict(self.path_cost)))
 
@@ -121,15 +124,11 @@ class RoutingTree:
         """The node ids that the ground station (id n + 1) reaches through
         ``parent``, root first: every node comes after its parent, and each
         subtree is one contiguous run."""
-        # Child lists indexed by node id; a parent id outside 1..n+1 files
-        # its children under n + 2, where the walk never looks.
+        # A parent id outside 1..n+1 reads as 0, which the walk never reaches.
         n = self.parent_index.size
         ups = self.parent_index + 1
-        ups[(ups < 1) | (ups > n + 1)] = n + 2
-        children: list[list[int]] = [[] for _ in range(n + 3)]
-        for child, up in enumerate(ups.tolist(), 1):
-            children[up].append(child)
-        return tuple(_walk(children, n + 1))
+        ups[(ups < 1) | (ups > n + 1)] = 0
+        return tuple(_preorder(ups.tolist(), n))
 
     @functools.cached_property
     def euler(self) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +153,11 @@ class RoutingTree:
         tout = tin.copy()
         tout[at] += np.array(size)[at + 1]
         return _read_only(tin), _read_only(tout)
+
+
+def _require_weight(weight: str) -> None:
+    if weight not in _WEIGHT_MODES:
+        raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -218,8 +222,7 @@ def build_spt(t: Topology, weight: str = "distance") -> RoutingTree:
     "hops" minimizes hop count. Raises DisconnectedTopologyError when any UAV
     is cut off from the ground station.
     """
-    if weight not in _WEIGHT_MODES:
-        raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
+    _require_weight(weight)
     n = t.n_uavs
     links, rows, cols, starts = t.links
     if weight == "hops":
@@ -341,23 +344,16 @@ def _id_arrays(parent: Mapping[int, int], n: int | None = None) -> tuple[np.ndar
     raise ValueError(f"UAV {i} names parent {j!r}, which is not a node id")
 
 
-def parent_link_values(values: np.ndarray, parent: Mapping[int, int],
-                       uavs: list[int]) -> list[float]:
-    """``values[i - 1, parent[i] - 1]`` for each UAV i of ``uavs``, in one
-    gather: the parent links' entries of a Topology matrix such as ``gains``
-    or ``distances``, n UAV rows by n + 1 node columns. Raises ValueError
-    when one of those UAVs is not an integer in 1..n or its parent is not an
-    integer in 1..n + 1. A RoutingTree's own links are read through its
-    cached ``parent_links`` instead."""
-    rows, cols = _id_arrays({i: parent[i] for i in uavs}, values.shape[0])
-    return values[rows - 1, cols - 1].tolist()
-
-
-def _walk(children, root: int) -> list[int]:
-    """The nodes below ``root`` in ``children`` (``children[node]`` lists
-    node's children), in a preorder from ``root``."""
+def _preorder(ups: list[int], n: int) -> list[int]:
+    """The nodes that the ground station (id n + 1) reaches when UAV i's
+    parent is ``ups[i - 1]``, an id in 0..n + 1 where 0 is a parent that no
+    walk reaches, in a preorder from the ground station: every node comes
+    after its parent, and each subtree is one contiguous run."""
+    children: list[list[int]] = [[] for _ in range(n + 2)]
+    for child, up in enumerate(ups, 1):
+        children[up].append(child)
     order = []
-    stack = [root]
+    stack = [n + 1]
     while stack:
         node = stack.pop()
         order.append(node)
@@ -365,31 +361,21 @@ def _walk(children, root: int) -> list[int]:
     return order
 
 
-def _preorder(parent: Mapping[int, int], root: int) -> list[int]:
-    """The nodes that ``root`` reaches through ``parent``, in a preorder from
-    ``root``: every node comes after its parent, and each subtree is one
-    contiguous run. ``parent`` holds no entry for ``root``: path_costs
-    rejects one and validate_tree walks only the UAVs' entries."""
-    children: defaultdict[int, list[int]] = defaultdict(list)
-    for child, par in parent.items():
-        children[par].append(child)
-    return _walk(children, root)
-
-
 def path_costs(parent: Mapping[int, int], t: Topology, weight: str) -> dict[int, float]:
     """Summed ``weight`` of the links from each UAV to the ground station along
     ``parent``; raises ValueError on a key that is not one of t's UAVs
     1..n or a parent that is not one of its nodes 1..n + 1, and names the
     lowest UAV whose walk misses the ground station."""
-    if weight not in _WEIGHT_MODES:
-        raise ValueError(f"unknown weight {weight!r}; use one of {_WEIGHT_MODES}")
+    _require_weight(weight)
     rows, cols = _id_arrays(parent, t.n_uavs)
     if weight == "hops":
         length = dict.fromkeys(parent, 1.0)
     else:
         length = dict(zip(parent, t.distances[rows - 1, cols - 1].tolist()))
+    ups = np.zeros(t.n_uavs, dtype=np.intp)
+    ups[rows - 1] = cols
     cost = {t.gs.id: 0.0}
-    for node in _preorder(parent, t.gs.id)[1:]:
+    for node in _preorder(ups.tolist(), t.n_uavs)[1:]:
         cost[node] = cost[parent[node]] + length[node]
     try:
         return {i: cost[i] for i in sorted(parent)}
@@ -442,33 +428,6 @@ def _rerouted(tree: RoutingTree, parent: dict[int, int], moved: list[int],
     return _made(parent, cost, tree.weight, t, index)
 
 
-def _is_tree(parent: Mapping[int, int], t: Topology) -> bool:
-    """True when ``parent`` maps UAVs 1..n to admissible parents from which
-    every UAV reaches the ground station, decided with array code. False
-    also when its keys or values are not all integers, which the walk in
-    validate_tree then reports."""
-    n = t.n_uavs
-    if len(parent) != n:
-        return False
-    uavs, ups = _ids(list(parent)), _ids(list(parent.values()))
-    if uavs is None or ups is None:
-        return False
-    if n and (uavs.min() < 1 or uavs.max() > n or ups.min() < 1 or ups.max() > n + 1):
-        return False
-    # n distinct keys in 1..n are exactly the UAVs.
-    if (ups == uavs).any() or not t.incidence[uavs - 1, ups - 1].all():
-        return False
-    # Pointer doubling: after k passes up[v] is the node 2**k parent links
-    # above v, with the ground station its own parent. A tree is at most n
-    # deep, and 2**n.bit_length() > n.
-    up = np.empty(n + 1, dtype=np.intp)
-    up[uavs - 1] = ups - 1
-    up[n] = n
-    for _ in range(n.bit_length()):
-        up = up[up]
-    return bool((up == n).all())
-
-
 def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
     """Check a parent map against the relay-tree constraints, in full on
     every call.
@@ -478,8 +437,6 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
     admissibility of every parent edge. A key or a parent that is not an
     integer (a bool, a float, a string) is an unknown UAV or parent.
     """
-    if _is_tree(tree.parent, t):
-        return TreeValidationReport()
     report = TreeValidationReport()
     gs_id = t.gs.id
     uav_ids = range(1, t.n_uavs + 1)
@@ -511,8 +468,8 @@ def validate_tree(tree: RoutingTree, t: Topology) -> TreeValidationReport:
     # order walks the entries not yet seen, and a walk that stops on a node
     # of its own chain has closed a cycle. Each entry is walked once per
     # call, so every cycle is met by exactly one walk.
-    known = {i: j for i, j in ints.items() if i in uav_set}
-    seen = set(_preorder(known, gs_id))
+    known = {i: j for i, j in ints.items() if i in uav_set and j in valid_ids}
+    seen = set(_preorder([known.get(i, 0) for i in uav_ids], t.n_uavs))
     report.gs_rooted = [f"UAV {i} cannot reach the ground station"
                         for i in uav_ids if i not in seen]
     for start in uav_ids:

@@ -316,5 +316,6 @@ def test_build_candidates_rejects_unreached_powered_uav():
     cyclic = RoutingTree(parent={1: 2, 2: 1}, path_cost={})
     alloc = PowerAllocation(power={1: 1.0, 2: 0.0}, water_level_lambda=1.0,
                             active_set=(1, 2), throughput_R=0.0)
-    with pytest.raises(ValueError, match=r"routing tree is invalid: UAV\(s\) \[1\]"):
+    with pytest.raises(ValueError,
+                       match=r"routing tree is invalid: .*UAV 1 cannot reach the ground station"):
         build_candidates(cyclic, t, alloc, toy_params())

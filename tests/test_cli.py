@@ -341,6 +341,34 @@ def test_one_pipeline_pass_per_command(command, tmp_path, monkeypatch, capsys):
     assert calls == {"run_pipeline": 1, "newton_refine": 1}
 
 
+def test_no_command_checks_a_tree_it_made(tmp_path, monkeypatch, capsys):
+    # Every tree a command makes is marked valid for its topology where it is
+    # made, so validate_tree runs only on trees from outside.
+    import fanetsim.routing
+
+    calls = []
+    checked = fanetsim.routing.validate_tree
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    # wrap the name in every module that binds it, so no caller escapes
+    bound = [name for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "fanetsim"
+             and getattr(module, "validate_tree", None) is checked]
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "validate_tree", counted)
+    assert "fanetsim.routing" in bound
+    for argv in (["run", *BASE, "--tree-dump", str(tmp_path / "tree.csv")],
+                 ["trace", *BASE, "--out", str(tmp_path / "trace.csv")],
+                 ["sweep", *BASE, "--trials", "1"],
+                 ["validate", "--seed", "0"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["run", *BASE, "--tree-dump", "{bad}"],
     ["trace", *BASE, "--out", "{bad}"],

@@ -34,7 +34,6 @@ from fanetsim.routing import (
     DisconnectedTopologyError,
     build_spt,
     connected_to_gs,
-    parent_link_values,
     path_costs,
     validate_tree,
 )
@@ -349,7 +348,7 @@ def reference_path_costs(parent, t, weight):
     if weight == "hops":
         length = dict.fromkeys(uavs, 1.0)
     else:
-        length = dict(zip(uavs, parent_link_values(t.distances, parent, uavs)))
+        length = {i: float(t.distances[i - 1, parent[i] - 1]) for i in uavs}
     n = t.n_uavs
     cost = {t.gs.id: 0.0}
     for start in uavs:

@@ -117,6 +117,29 @@ def test_grid_rejects_bad_args():
         grid_power_oracle(star_tree(1), t, 1.0, toy_params(), resolution=0.0)
 
 
+@pytest.mark.parametrize("resolution", [1e-320, 5e-324])
+def test_grid_rejects_a_resolution_whose_reciprocal_overflows(resolution):
+    # round(1.0 / resolution) raised OverflowError on the infinite reciprocal
+    t = synth_topology([{2: 1.0}])
+    with pytest.raises(ValueError, match="is not 1/k for a whole number of steps k"):
+        grid_power_oracle(star_tree(1), t, 1.0, toy_params(), resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution", [0.6, 0.7])
+def test_grid_rejects_a_lattice_that_misses_the_budget(resolution):
+    # At 0.6 the grid split 1.2 W of a 1 W budget and beat the optimum, which
+    # tree enumeration and water-filling agree on; at 0.7 it split 0.7 W.
+    nodes = [Node(1, 0.0, 0.0, 150.0), Node(2, 100.0, 0.0, 150.0),
+             Node(3, 50.0, 0.0, 0.0, GROUND_STATION)]
+    t = build_topology(nodes, ChannelParams())
+    tree = build_spt(t)
+    optimum = tree_enum_oracle(t, 1.0, ChannelParams()).best_value
+    assert optimum == allocate_power(tree, t, 1.0, ChannelParams()).throughput_R
+    assert grid_power_oracle(tree, t, 1.0, ChannelParams(), resolution=0.5).best_value <= optimum
+    with pytest.raises(ValueError, match=f"^resolution {resolution} is not 1/k"):
+        grid_power_oracle(tree, t, 1.0, ChannelParams(), resolution=resolution)
+
+
 BAD_GAINS = [math.nan, 0.0, -1.0, math.inf]
 
 
@@ -142,6 +165,14 @@ def test_tree_enum_rejects_bad_budgets():
 def test_tree_enum_rejects_a_bad_admissible_gain(gain):
     t = synth_topology([{3: gain, 2: 1e-7}, {3: 1e-7}])
     with pytest.raises(ValueError, match=bad_gain_message(gain)):
+        tree_enum_oracle(t, 1.0, ChannelParams())
+
+
+def test_tree_enum_refuses_an_oversized_enumeration():
+    # Every parent combination was built before any check: 1,555,200 rows of
+    # 12 parents here, and about 1e15 at n = 25.
+    t = generate_scenario(ScenarioConfig(n_uavs=12, seed=0))
+    with pytest.raises(ValueError, match="^1555200 parent combinations across 12 UAVs exceed"):
         tree_enum_oracle(t, 1.0, ChannelParams())
 
 

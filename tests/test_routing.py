@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from fanetsim.harness import ScenarioConfig, generate_scenario
 from fanetsim.model import GROUND_STATION, UAV, ChannelParams, Node, build_topology
 from fanetsim.routing import DisconnectedTopologyError, build_spt, validate_tree
-from fanetsim.routing import RoutingTree, TreeValidationReport, _is_tree
-from fanetsim.routing import parent_link_values, path_costs
+from fanetsim.routing import RoutingTree, TreeValidationReport, path_costs
 from fanetsim import routing
 
 from conftest import chain_gains, line_topology, random_cluster_topology, synth_topology
@@ -254,14 +253,6 @@ def test_path_costs_rejects_non_integer_ids(parent, weight):
         path_costs(parent, line_topology(), weight)
 
 
-@pytest.mark.parametrize("parent", [{2: 1.5}, {2: "4"}, {1.5: 4}],
-                         ids=["float_parent", "str_parent", "float_key"])
-def test_parent_link_values_rejects_non_integer_ids(parent):
-    t = line_topology()
-    with pytest.raises(ValueError, match="which is not a (node|UAV) id"):
-        parent_link_values(t.distances, parent, list(parent))
-
-
 # Ids that are integers but not nodes of the three-UAV line: a parent beyond
 # the ground station (4) or of 0, and a key of 0 or of the ground station.
 OUTSIDE_THE_FLEET = [
@@ -283,15 +274,6 @@ def test_path_costs_rejects_ids_outside_the_fleet(parent, message, weight):
         path_costs(parent, line_topology(), weight)
 
 
-@pytest.mark.parametrize("parent, message", OUTSIDE_THE_FLEET,
-                         ids=["parent_beyond_gs", "parent_zero", "key_zero", "gs_key"])
-def test_parent_link_values_rejects_ids_outside_the_fleet(parent, message):
-    # Parent 0 read the last column, the ground station's, without an error.
-    t = line_topology()
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        parent_link_values(t.distances, parent, list(parent))
-
-
 def test_a_tree_is_immutable_and_compares_to_dicts():
     parent = {1: 4, 2: 1, 3: 4}
     tree = RoutingTree(parent, {1: 500.0, 2: 1500.0, 3: 1500.0})
@@ -306,6 +288,13 @@ def test_a_tree_is_immutable_and_compares_to_dicts():
     for array in (*tree.parent_links, *tree.euler):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_a_tree_rejects_an_unknown_weight():
+    # allocate_power ran on such a tree; only rounding's path_costs failed.
+    spt = build_spt(line_topology())
+    with pytest.raises(ValueError, match="^unknown weight 'meters'; use one of"):
+        RoutingTree(dict(spt.parent), {}, weight="meters")
 
 
 def test_trees_made_here_are_not_checked_again(monkeypatch):
@@ -509,19 +498,17 @@ def test_validate_tree_matches_the_walk_from_every_uav(case):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
 def test_array_check_reaches_the_deepest_chain(n):
     # UAV k's parent is k + 1 and UAV n's is the ground station, so UAV 1 is
-    # n links deep: the array check alone must accept it, and must reject it
-    # once UAV n points back at UAV 1 instead.
+    # n links deep: the walk must accept it, and must reject it once UAV n
+    # points back at UAV 1 instead.
     rows = [{k + 1: 1.0} for k in range(1, n + 1)]
     if n > 1:
         rows[-1][1] = 1.0
     t = synth_topology(rows)
     chain = {k: k + 1 for k in range(1, n + 1)}
-    assert _is_tree(chain, t)
     tree = RoutingTree(parent=chain, path_cost={})
     assert validate_tree(tree, t) == reference_validate_tree(tree, t) == TreeValidationReport()
     if n > 1:
         loop = RoutingTree(parent={**chain, n: 1}, path_cost={})
-        assert not _is_tree(loop.parent, t)
         assert validate_tree(loop, t) == reference_validate_tree(loop, t)
         assert not validate_tree(loop, t).ok
 
